@@ -318,7 +318,9 @@ def build_parser():
                        help="export format(s), comma-separable; one of: "
                             + ", ".join(FORMATS))
         p.add_argument("--cap", type=int, default=sem.DEFAULT_CAP,
-                       help="enumeration cap for extension computation")
+                       help="largest weakly connected piece of the attack graph, "
+                            "in arguments, that extension enumeration accepts "
+                            "(default %(default)s)")
         p.add_argument("--check-set", action="append", metavar="ID,ID,...",
                        help="argument set to test for conflict-freeness and "
                             "admissibility (repeatable)")

@@ -8,7 +8,6 @@ an attack target a rule.  Claim texts get formulas too, but with no premise
 kind: they live outside K and only ever appear as rule consequents.
 """
 
-import itertools
 import logging
 import re
 from dataclasses import dataclass, field, replace
@@ -224,14 +223,20 @@ def _member_sort_key(doc, formulas, rules):
 
 
 def _transitive_closure(pairs):
-    closed = set(pairs)
-    changed = True
-    while changed:
-        changed = False
-        for (a, b), (c, d) in itertools.product(list(closed), list(closed)):
-            if b == c and (a, d) not in closed:
-                closed.add((a, d))
-                changed = True
+    """Every (a, d) with d reachable from a; one graph search per node."""
+    succ = {}
+    for a, b in pairs:
+        succ.setdefault(a, set()).add(b)
+    closed = set()
+    for a in succ:
+        seen = set()
+        stack = list(succ[a])
+        while stack:
+            x = stack.pop()
+            if x not in seen:
+                seen.add(x)
+                stack.extend(succ.get(x, ()))
+        closed.update((a, x) for x in seen)
     return closed
 
 

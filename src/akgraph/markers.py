@@ -138,18 +138,26 @@ def _segments(doc):
     return out
 
 
+def _starts_with(text, pos, surface):
+    """Does text[pos:] open with surface, ignoring case?
+
+    Only the window of the surface's own length is casefolded: casefolding
+    can change a string's length, so offsets into a casefolded copy of the
+    whole text would not be offsets into the text.
+    """
+    return text[pos:pos + len(surface)].casefold() == surface.casefold()
+
+
 def _match_at(text, pos, surfaces):
     """Longest lexicon surface matching at pos with a word boundary after it."""
     best = None
-    low = text.casefold()
     for surface in surfaces:
-        s = surface.casefold()
-        if low.startswith(s, pos):
-            end = pos + len(s)
+        if _starts_with(text, pos, surface):
+            end = pos + len(surface)
             if end < len(text) and _WORD.match(text[end]):
                 continue   # inside a longer word
-            if best is None or len(s) > len(best):
-                best = s
+            if best is None or len(surface) > len(best):
+                best = surface
     return best
 
 
@@ -203,7 +211,7 @@ def _candidates(doc, lexicon):
                     while aspan_start < end and text[aspan_start] == " ":
                         aspan_start += 1
                     # absorb the bridge phrase into the marker span
-                    if text.casefold().startswith(_BRIDGE, aspan_start):
+                    if _starts_with(text, aspan_start, _BRIDGE):
                         mend = aspan_start + len(_BRIDGE)
                         aspan_start = mend
                         while aspan_start < end and text[aspan_start] == " ":

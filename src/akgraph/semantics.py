@@ -6,20 +6,23 @@ set predicates, and the naive / preferred families are the inclusion-maximal
 conflict-free / admissible sets.
 
 Enumeration strategy: arguments not involved in any attack belong to every
-maximal extension, so the search runs branch-and-bound over the attack-
-involved core only.  A raw 2^n oracle (vectorized, independently coded)
-serves as the reference implementation for cross-checking.
+maximal extension.  Naive and preferred extensions of a disjoint union are
+the products of the parts' extensions, so the search runs separately over
+each weakly connected piece of the attack graph and the answer is the free
+arguments joined to every combination of piece extensions.  A raw 2^n
+oracle (vectorized, independently coded) serves as the reference
+implementation for cross-checking.
 """
 
+import itertools
+import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import _kernels
 from .akg import ATTACK
 from .kbgraph import natural_key
 
-DEFAULT_CAP = 64
+DEFAULT_CAP = 64           # largest weakly connected attack piece enumerated
+MAX_EXTENSIONS = 1 << 16   # largest extension family materialised
 ORACLE_CAP = 20
 
 NAIVE = "Naive"
@@ -109,11 +112,33 @@ def is_admissible(af, S):
 
 # -- enumeration --
 
-def _core_split(af):
-    """Arguments touched by attacks vs. the free remainder."""
-    touched = sorted({x for pair in af.atts for x in pair}, key=natural_key)
-    free = [a for a in af.args if a not in set(touched)]
-    return touched, free
+def _pieces(atts):
+    """Weakly connected pieces of the attack graph as (members, attacks)."""
+    parent = {}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in atts:
+        parent.setdefault(a, a)
+        parent.setdefault(b, b)
+        parent[find(a)] = find(b)
+    members, piece_atts = {}, {}
+    for x in parent:
+        members.setdefault(find(x), []).append(x)
+    for a, b in atts:
+        piece_atts.setdefault(find(a), []).append((a, b))
+    return [(members[root], piece_atts[root]) for root in members]
+
+
+def _natural_rank(args):
+    """Dense rank of each argument under natural_key: equal keys, equal rank."""
+    keys = {a: natural_key(a) for a in args}
+    rank = {k: i for i, k in enumerate(sorted(set(keys.values())))}
+    return {a: rank[k] for a, k in keys.items()}
 
 
 def _conflict_masks(core, atts):
@@ -187,23 +212,36 @@ def _mask_admissible(m, k, out_mask, in_mask):
     return (need & ~struck) == 0
 
 
-def _enumerate(af, which, cap):
-    if len(af.args) > cap:
-        raise TooLarge("%d arguments exceed the cap of %d" % (len(af.args), cap))
-    core, free = _core_split(af)
+def _piece_family(core, atts, which):
+    """Naive or preferred extensions of one connected piece, as frozensets."""
     k = len(core)
-    conflict, out_mask, in_mask, self_attack = _conflict_masks(core, af.atts)
+    conflict, out_mask, in_mask, self_attack = _conflict_masks(core, atts)
     cf = _cf_masks(k, conflict, self_attack)
     if which == NAIVE:
         chosen = _maximal_masks(cf, conflict, self_attack)
     else:
         adm = [m for m in cf if _mask_admissible(m, k, out_mask, in_mask)]
         chosen = _pairwise_maximal(adm)
-    exts = []
-    for m in chosen:
-        members = frozenset(free) | {core[i] for i in range(k) if m & (1 << i)}
-        exts.append(Extension(frozenset(members), which))
-    exts.sort(key=lambda e: [natural_key(x) for x in e.sorted_members])
+    return [frozenset(core[i] for i in range(k) if m >> i & 1) for m in chosen]
+
+
+def _enumerate(af, which, cap):
+    pieces = _pieces(af.atts)
+    largest = max((len(core) for core, _ in pieces), default=0)
+    if largest > cap:
+        raise TooLarge("a connected piece of %d arguments exceeds the cap of %d"
+                       % (largest, cap))
+    families = [_piece_family(core, atts, which) for core, atts in pieces]
+    total = math.prod(len(f) for f in families)
+    if total > MAX_EXTENSIONS:
+        raise TooLarge("%d %s extensions exceed the limit of %d"
+                       % (total, which.lower(), MAX_EXTENSIONS))
+    touched = {a for core, _ in pieces for a in core}
+    free = frozenset(a for a in af.args if a not in touched)
+    rank = _natural_rank(af.args)
+    exts = [Extension(free.union(*combo), which)
+            for combo in itertools.product(*families)]
+    exts.sort(key=lambda e: sorted(map(rank.__getitem__, e.members)))
     return tuple(exts)
 
 
@@ -222,6 +260,10 @@ def oracle_extensions(af, which):
 
     Independent of the branch-and-bound path; limited to 20 arguments.
     """
+    import numpy as np
+
+    from . import _kernels
+
     n = len(af.args)
     if n > ORACLE_CAP:
         raise TooLarge("oracle handles at most %d arguments" % ORACLE_CAP)
@@ -249,13 +291,13 @@ def semantics_report(af, cap=DEFAULT_CAP, check_sets=()):
     conflict-free/admissible verdicts for any requested sets."""
     naive = naive_extensions(af, cap)
     preferred = preferred_extensions(af, cap)
+    rank = _natural_rank(af.args)
     report = {
-        "args": sorted(af.args, key=natural_key),
+        "args": sorted(af.args, key=rank.__getitem__),
         "atts": [list(p) for p in sorted(af.atts,
-                                         key=lambda p: (natural_key(p[0]),
-                                                        natural_key(p[1])))],
-        "naive": [list(e.sorted_members) for e in naive],
-        "preferred": [list(e.sorted_members) for e in preferred],
+                                         key=lambda p: (rank[p[0]], rank[p[1]]))],
+        "naive": [sorted(e.members, key=rank.__getitem__) for e in naive],
+        "preferred": [sorted(e.members, key=rank.__getitem__) for e in preferred],
         "checked_sets": [],
     }
     for S in check_sets:

@@ -9,7 +9,7 @@ import itertools
 
 import numpy as np
 
-from akgraph import markers
+from akgraph import _kernels, markers
 from akgraph import semantics as sem
 from akgraph.cli import FORMATS, PipelineConfig, render_format, run_pipeline
 from akgraph.ekb import rule_preference_sets
@@ -249,7 +249,7 @@ def test_criterion_6_oracle_equivalence():
             if which == sem.PREFERRED:
                 # no strict superset may be admissible, per the subset table
                 idx = {a: i for i, a in enumerate(args)}
-                adm = sem._kernels.admissible_flags(
+                adm = _kernels.admissible_flags(
                     n, [idx[a] for a, _ in af.atts],
                     [idx[b] for _, b in af.atts])
                 subsets = np.arange(1 << n, dtype=np.int64)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -119,8 +123,10 @@ def test_check_set_flag(capsys):
 
 
 def test_cap_exceeded_exit_1(capsys):
-    assert run(["semantics", "--cap", "3"] + POLLOCK_JSON) == 1
+    # pollock's one attack joins A3 and A2: a piece of two arguments
+    assert run(["semantics", "--cap", "1"] + POLLOCK_JSON) == 1
     assert "TooLarge" in capsys.readouterr().err
+    assert run(["semantics", "--cap", "2"] + POLLOCK_JSON) == 0
 
 
 def test_custom_lexicon_changes_rules(tmp_path, capsys):
@@ -146,3 +152,11 @@ def test_config_splits_formats():
          "--format", "apx"])
     config = cli._config_from(ns)
     assert config.formats == ("apx", "json-akg")
+
+
+def test_cli_import_skips_numpy():
+    code = "import sys, akgraph.cli; print('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=env)
+    assert done.stdout.strip() == "False"

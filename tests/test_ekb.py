@@ -113,6 +113,21 @@ def test_preference_cycle_rejected(small):
                     prefs=E.PreferenceConfig((("R1", "A2"),)))   # R1 > R1
 
 
+def test_preference_cycle_through_chains_rejected(essay):
+    # R1 > R2 > R3 and R3 > R1 close into a cycle of three rules
+    with pytest.raises(E.PreferenceCycle):
+        E.build_ekb(essay["doc"], essay["ims"],
+                    prefs=E.PreferenceConfig((("R1", "R2", "R3"), ("R3", "R1"))))
+
+
+def test_transitive_closure_of_long_chain():
+    rules = ["R%d" % i for i in range(1, 49)]
+    lesser_than = {(lo, hi) for hi, lo in zip(rules, rules[1:])}
+    closed = E._transitive_closure(lesser_than)
+    assert closed == {(rules[j], rules[i]) for i in range(48) for j in range(i + 1, 48)}
+    assert len(closed) == 48 * 47 // 2
+
+
 def test_preference_unknown_target(small):
     doc, ims = small
     with pytest.raises(E.UnknownPreferenceTarget):

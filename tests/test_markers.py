@@ -134,6 +134,20 @@ def test_backward_causal_plain():
     assert text[m.antecedent_span[0]:m.antecedent_span[1]] == "it rained."
 
 
+@pytest.mark.parametrize("prefix", ["Straße ok. ", "İ ok. "])
+@pytest.mark.parametrize("body, marked", [
+    ("The road is wet because it rained.\n", "because"),
+    ("The event was canceled due to the fact that there was a storm.\n",
+     "due to the fact that"),
+    ("It rained. Therefore, the road is wet.\n", "Therefore"),
+])
+def test_spans_survive_length_changing_casefold(prefix, body, marked):
+    # casefold turns ß into ss and İ into i + combining dot: one char longer
+    text = prefix + body
+    m = only(markers.detect_ims(doc(text)))
+    assert text[m.span[0]:m.span[1]] == marked
+
+
 # -- implicit IMs --
 
 def test_implicit_im_at_period():

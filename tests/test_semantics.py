@@ -99,11 +99,29 @@ def test_free_arguments_always_join():
 
 
 def test_cap_enforced():
-    f = af(5, [])
+    # the cap bounds the largest connected attack piece, not the framework
+    chain = af(7, [(1, 2), (2, 3), (3, 4), (4, 5), (6, 7)])
     with pytest.raises(sem.TooLarge):
-        sem.naive_extensions(f, cap=4)
+        sem.naive_extensions(chain, cap=4)
     with pytest.raises(sem.TooLarge):
-        sem.preferred_extensions(f, cap=4)
+        sem.preferred_extensions(chain, cap=4)
+    assert members(sem.preferred_extensions(chain, cap=5)) == [{"a1", "a3", "a5", "a6"}]
+
+
+def test_cap_ignores_free_arguments():
+    f = af(100, [(1, 2), (3, 4)])
+    assert len(f.args) > sem.DEFAULT_CAP
+    assert len(sem.naive_extensions(f)) == 4
+    assert members(sem.preferred_extensions(f)) == [set(f.args) - {"a2", "a4"}]
+
+
+def test_extension_count_limited():
+    # 17 disjoint 2-cycles: every piece is small, the product has 2^17 members
+    f = af(34, [(i, i + 1) for i in range(1, 34, 2)] + [(i + 1, i) for i in range(1, 34, 2)])
+    with pytest.raises(sem.TooLarge):
+        sem.naive_extensions(f)
+    with pytest.raises(sem.TooLarge):
+        sem.preferred_extensions(f)
 
 
 def test_oracle_cap():
@@ -174,6 +192,23 @@ def test_oracle_matches_main_path(f):
     for which, main in ((sem.NAIVE, sem.naive_extensions),
                         (sem.PREFERRED, sem.preferred_extensions)):
         assert members(sem.oracle_extensions(f, which)) == members(main(f))
+
+
+def disjoint_union(f, g):
+    """f plus a copy of g with its arguments renamed a<i> -> b<i>."""
+    rename = {a: "b" + a[1:] for a in g.args}
+    return sem.AFProjection(f.args + tuple(rename[a] for a in g.args),
+                            f.atts + tuple((rename[a], rename[b]) for a, b in g.atts)), rename
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_af(), random_af())
+def test_disjoint_union_is_product(f, g):
+    union, rename = disjoint_union(f, g)
+    for main in (sem.naive_extensions, sem.preferred_extensions):
+        left = members(main(f))
+        right = [{rename[a] for a in S} for S in members(main(g))]
+        assert norm(members(main(union))) == norm(A | B for A in left for B in right)
 
 
 @settings(max_examples=60, deadline=None)
