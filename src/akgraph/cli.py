@@ -137,7 +137,8 @@ def run_pipeline(config):
             Path(config.kinds_path).read_text(encoding="utf-8"))
             if config.kinds_path else None)
 
-        ekb = build_ekb(adoc, ims, prefs=prefs, kind_overrides=kinds)
+        ekb = build_ekb(adoc, ims, prefs=prefs, kind_overrides=kinds,
+                        lexicon=lexicon)
         kbg = build_kb_graph(ekb)
         aset = derive_argument_set(ekb)
         akg = build_akg(kbg, aset, adoc)

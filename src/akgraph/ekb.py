@@ -10,7 +10,9 @@ kind: they live outside K and only ever appear as rule consequents.
 
 import logging
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from . import markers as markers_mod
 
@@ -128,21 +130,29 @@ class EKB:
 
     # -- lookups --
 
+    # reversed, so that of duplicate ids the first wins, as in a scan
+    @cached_property
+    def _formula_index(self):
+        return {f.formula_id: f for f in reversed(self.formulas)}
+
+    @cached_property
+    def _rule_index(self):
+        return {r.rule_id: r for r in reversed(self.rules)}
+
     def formula(self, formula_id):
-        for f in self.formulas:
-            if f.formula_id == formula_id:
-                return f
-        raise UnknownId("no formula %r" % formula_id)
+        try:
+            return self._formula_index[formula_id]
+        except KeyError:
+            raise UnknownId("no formula %r" % formula_id) from None
 
     def rule(self, rule_id):
-        for r in self.rules:
-            if r.rule_id == rule_id:
-                return r
-        raise UnknownRule("no rule %r" % rule_id)
+        try:
+            return self._rule_index[rule_id]
+        except KeyError:
+            raise UnknownRule("no rule %r" % rule_id) from None
 
     def has_member(self, any_id):
-        return (any_id in {f.formula_id for f in self.formulas}
-                or any_id in {r.rule_id for r in self.rules})
+        return any_id in self._formula_index or any_id in self._rule_index
 
     @property
     def K(self):
@@ -164,9 +174,8 @@ class EKB:
         return "%s %s %s" % (ants, RULE_ARROW, self.formula(r.consequent).text)
 
     def member_text(self, any_id):
-        for r in self.rules:
-            if r.rule_id == any_id:
-                return self.rule_text(any_id)
+        if any_id in self._rule_index:
+            return self.rule_text(any_id)
         return self.formula(any_id).text
 
     def provisional_argument_ids(self):
@@ -264,24 +273,30 @@ def _resolve_preferences(prefs, rules, provisional_ids):
     return frozenset(lt)
 
 
-def _contained_components(doc, span):
-    out = []
-    for c in doc.components:
-        if c.start >= span[0] and c.end <= span[1]:
-            out.append(c)
-    out.sort(key=lambda c: c.start)
-    return out
+def _containment(components):
+    """span -> the components inside it, ordered by start; ties keep document
+    order.  The components are sorted once, each query bisects."""
+    comps = sorted(components, key=lambda c: c.start)
+    starts = [c.start for c in comps]
+
+    def contained(span):
+        lo, hi = bisect_left(starts, span[0]), bisect_right(starts, span[1])
+        return [c for c in comps[lo:hi] if c.end <= span[1]]
+    return contained
 
 
-def build_ekb(doc, ims, prefs=None, kind_overrides=None):
+def build_ekb(doc, ims, prefs=None, kind_overrides=None, lexicon=None):
     """Assemble the extended knowledge base for an annotated document.
 
     One formula per annotated component (major claims merge into a single
     formula); one defeasible rule per IM whose antecedent/consequent regions
     contain annotated components.  Attack relations between knowledge-base
     members populate the contrary set, support relations the agreement set.
+    Node markers come from lexicon, the packaged one when it is None.
     """
     kind_overrides = kind_overrides or {}
+    if lexicon is None:
+        lexicon = markers_mod.load_lexicon()
     formulas = []
     comp_to_formula = {}
 
@@ -300,7 +315,7 @@ def build_ekb(doc, ims, prefs=None, kind_overrides=None):
             formula_id=c.comp_id,
             text=c.surface_text,
             premise_kind=kind,
-            marker=markers_mod.attribute_marker(c.surface_text),
+            marker=markers_mod.attribute_marker(c.surface_text, lexicon),
             spans=((c.start, c.end),),
             components=(c.comp_id,)))
         comp_to_formula[c.comp_id] = c.comp_id
@@ -310,7 +325,7 @@ def build_ekb(doc, ims, prefs=None, kind_overrides=None):
             formula_id=fid,
             text="; ".join(c.surface_text for c in mc_parts),
             premise_kind=None,
-            marker=markers_mod.attribute_marker(mc_parts[0].surface_text),
+            marker=markers_mod.attribute_marker(mc_parts[0].surface_text, lexicon),
             spans=tuple((c.start, c.end) for c in mc_parts),
             components=tuple(c.comp_id for c in mc_parts)))
         for c in mc_parts:
@@ -320,9 +335,10 @@ def build_ekb(doc, ims, prefs=None, kind_overrides=None):
     rules = []
     dropped = []
     rel_pairs = {(r.source, r.target): r.kind for r in doc.relations}
+    contained = _containment(doc.components)
     for im in sorted(ims, key=lambda m: m.span[0]):
-        cons_comps = _contained_components(doc, im.consequent_span)
-        ant_comps = _contained_components(doc, im.antecedent_span)
+        cons_comps = contained(im.consequent_span)
+        ant_comps = contained(im.antecedent_span)
         if not cons_comps or not ant_comps:
             logger.warning("IM %r at %s aligns with no component pair; dropped",
                            im.surface, im.span)

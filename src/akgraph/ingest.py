@@ -11,7 +11,9 @@ Offsets are 0-based, end-exclusive character offsets over the raw text
 import json
 import logging
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 logger = logging.getLogger(__name__)
 
@@ -59,9 +61,9 @@ class TextDocument:
 
     def paragraph_of(self, offset):
         """Index of the paragraph containing the offset, or None."""
-        for i, (s, e) in enumerate(self.paragraph_spans):
-            if s <= offset < e:
-                return i
+        i = bisect_right(self.paragraph_spans, offset, key=itemgetter(0)) - 1
+        if i >= 0 and offset < self.paragraph_spans[i][1]:
+            return i
         return None
 
 

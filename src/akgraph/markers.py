@@ -16,8 +16,11 @@ annotated relation has no explicit IM between its spans (implicit IMs).
 import logging
 import os
 import re
+from bisect import bisect_left, insort
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
+from operator import itemgetter
 
 logger = logging.getLogger(__name__)
 
@@ -35,6 +38,7 @@ LEXICON_ENV_VAR = "AKGRAPH_LEXICON"
 _BRIDGE = "the fact that"
 
 _WORD = re.compile(r"\w")
+_WORDS = re.compile(r"\w+")
 
 
 class MalformedLexiconLine(Exception):
@@ -51,6 +55,33 @@ class MarkerLexicon:
 
     def __len__(self):
         return len(self.entries)
+
+    @cached_property
+    def match_tables(self):
+        """indicator -> its surfaces compiled for _match_at."""
+        return {ind: _compile(self.surfaces(ind))
+                for ind in (PREMISE_INDICATOR, CLAIM_INDICATOR)}
+
+    @cached_property
+    def attribute_table(self):
+        """ATTRIBUTE_MARKERS and every lexicon surface, casefolded, as
+        (length, {surface}) groups, longest first."""
+        by_length = {}
+        for surface in ATTRIBUTE_MARKERS + tuple(self.surfaces()):
+            s = surface.casefold()
+            by_length.setdefault(len(s), set()).add(s)
+        return tuple(sorted(by_length.items(), reverse=True))
+
+
+def _compile(surfaces):
+    """{first character: ((length, {casefolded surface: surface}), ...)}
+    over the casefolded surfaces, lengths longest first."""
+    groups = {}
+    for s in surfaces:
+        key = s.casefold()
+        groups.setdefault(key[0], {}).setdefault(len(s), {})[key] = s
+    return {head: tuple(sorted(by_length.items(), reverse=True))
+            for head, by_length in groups.items()}
 
 
 @dataclass(frozen=True)
@@ -148,23 +179,29 @@ def _starts_with(text, pos, surface):
     return text[pos:pos + len(surface)].casefold() == surface.casefold()
 
 
-def _match_at(text, pos, surfaces):
-    """Longest lexicon surface matching at pos with a word boundary after it."""
-    best = None
-    for surface in surfaces:
-        if _starts_with(text, pos, surface):
-            end = pos + len(surface)
+def _match_at(text, pos, table):
+    """Longest lexicon surface matching at pos with a word boundary after it.
+
+    table comes from MarkerLexicon.match_tables.  Only surfaces whose
+    casefold opens with the casefold of text[pos] are tried, and each of
+    their lengths casefolds one window of the text, as _starts_with does.
+    """
+    if pos >= len(text):
+        return None
+    for n, group in table.get(text[pos].casefold()[0], ()):
+        surface = group.get(text[pos:pos + n].casefold())
+        if surface is not None:
+            end = pos + n
             if end < len(text) and _WORD.match(text[end]):
                 continue   # inside a longer word
-            if best is None or len(surface) > len(best):
-                best = surface
-    return best
+            return surface
+    return None
 
 
 def _candidates(doc, lexicon):
     text = doc.raw_text
-    claim_surfaces = lexicon.surfaces(CLAIM_INDICATOR)
-    premise_surfaces = lexicon.surfaces(PREMISE_INDICATOR)
+    claims = lexicon.match_tables[CLAIM_INDICATOR]
+    premises = lexicon.match_tables[PREMISE_INDICATOR]
     segs = _segments(doc)
     cands = []
 
@@ -175,7 +212,7 @@ def _candidates(doc, lexicon):
 
         # forward heuristics need an antecedent segment in the same paragraph
         if same_para and boundary is not None:
-            surface = _match_at(text, start, claim_surfaces)
+            surface = _match_at(text, start, claims)
             if surface is not None:
                 mend = start + len(surface)
                 rest = text[mend:end]
@@ -200,34 +237,32 @@ def _candidates(doc, lexicon):
                             low_confidence=not has_comma))
 
         # backward causal: premise indicator with a non-empty leading clause
-        pos = start
-        while pos < end:
-            if _WORD.match(text[pos]) and (pos == start or not _WORD.match(text[pos - 1])):
-                surface = _match_at(text, pos, premise_surfaces)
-                if surface is not None and pos > start:
-                    lead = text[start:pos].strip()
-                    mend = pos + len(surface)
+        for word in _WORDS.finditer(text, start, end):
+            pos = word.start()
+            surface = _match_at(text, pos, premises)
+            if surface is not None and pos > start:
+                lead = text[start:pos].strip()
+                mend = pos + len(surface)
+                aspan_start = mend
+                while aspan_start < end and text[aspan_start] == " ":
+                    aspan_start += 1
+                # absorb the bridge phrase into the marker span
+                if _starts_with(text, aspan_start, _BRIDGE):
+                    mend = aspan_start + len(_BRIDGE)
                     aspan_start = mend
                     while aspan_start < end and text[aspan_start] == " ":
                         aspan_start += 1
-                    # absorb the bridge phrase into the marker span
-                    if _starts_with(text, aspan_start, _BRIDGE):
-                        mend = aspan_start + len(_BRIDGE)
-                        aspan_start = mend
-                        while aspan_start < end and text[aspan_start] == " ":
-                            aspan_start += 1
-                    if lead and aspan_start < end and text[aspan_start:end].strip():
-                        cstart, cend = start, pos
-                        while cend > cstart and text[cend - 1] == " ":
-                            cend -= 1
-                        cands.append(IMMatch(
-                            surface=text[pos:pos + len(surface)],
-                            span=(pos, mend),
-                            heuristic=BACKWARD_CAUSAL,
-                            antecedent_span=(aspan_start, end),
-                            consequent_span=(cstart, cend),
-                            indicator=PREMISE_INDICATOR))
-            pos += 1
+                if lead and aspan_start < end and text[aspan_start:end].strip():
+                    cstart, cend = start, pos
+                    while cend > cstart and text[cend - 1] == " ":
+                        cend -= 1
+                    cands.append(IMMatch(
+                        surface=text[pos:pos + len(surface)],
+                        span=(pos, mend),
+                        heuristic=BACKWARD_CAUSAL,
+                        antecedent_span=(aspan_start, end),
+                        consequent_span=(cstart, cend),
+                        indicator=PREMISE_INDICATOR))
     return cands
 
 
@@ -239,12 +274,24 @@ def detect_ims(doc, lexicon=None):
     """
     if lexicon is None:
         lexicon = load_lexicon()
-    cands = _candidates(doc, lexicon)
-    cands.sort(key=lambda m: (-(m.span[1] - m.span[0]), m.span[0]))
+    return _drop_overlaps(_candidates(doc, lexicon))
+
+
+def _drop_overlaps(cands):
+    """Keep candidates longest span first, earliest start breaking ties,
+    unless they overlap one already kept; return the kept ones by start."""
+    cands = sorted(cands, key=lambda m: (-(m.span[1] - m.span[0]), m.span[0]))
     kept = []
+    # kept spans never overlap, so sorted by (start, end) their ends never
+    # fall: among those starting before a candidate ends, the last one
+    # reaches furthest and is the only one to test
+    kept_spans = []
     for cand in cands:
-        if any(cand.span[0] < k.span[1] and k.span[0] < cand.span[1] for k in kept):
+        start, end = cand.span
+        i = bisect_left(kept_spans, end, key=itemgetter(0))
+        if i and kept_spans[i - 1][1] > start:
             continue
+        insort(kept_spans, cand.span)
         kept.append(cand)
     kept.sort(key=lambda m: m.span[0])
     return kept
@@ -308,13 +355,7 @@ def attribute_marker(text_span, lexicon=None):
     if lexicon is None:
         lexicon = load_lexicon()
     low = text_span.casefold().lstrip()
-    best = None
-    for surface in list(ATTRIBUTE_MARKERS) + lexicon.surfaces():
-        s = surface.casefold()
-        if low.startswith(s):
-            after = low[len(s):]
-            if after and _WORD.match(after[0]):
-                continue
-            if best is None or len(s) > len(best):
-                best = s
-    return best
+    for n, group in lexicon.attribute_table:
+        if low[:n] in group and not (len(low) > n and _WORD.match(low[n])):
+            return low[:n]
+    return None

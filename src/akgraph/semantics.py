@@ -17,6 +17,7 @@ implementation for cross-checking.
 import itertools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .akg import ATTACK
 from .kbgraph import natural_key
@@ -134,11 +135,11 @@ def _pieces(atts):
     return [(members[root], piece_atts[root]) for root in members]
 
 
-def _natural_rank(args):
-    """Dense rank of each argument under natural_key: equal keys, equal rank."""
-    keys = {a: natural_key(a) for a in args}
-    rank = {k: i for i, k in enumerate(sorted(set(keys.values())))}
-    return {a: rank[k] for a, k in keys.items()}
+def _natural_order(args):
+    """The arguments sorted by natural_key (equal keys keep their order),
+    and each argument's position in that list."""
+    order = sorted(args, key=natural_key)
+    return order, {a: i for i, a in enumerate(order)}
 
 
 def _conflict_masks(core, atts):
@@ -225,7 +226,9 @@ def _piece_family(core, atts, which):
     return [frozenset(core[i] for i in range(k) if m >> i & 1) for m in chosen]
 
 
-def _enumerate(af, which, cap):
+def _family(af, which, cap, rank):
+    """(member positions ascending, members) for every extension, sorted by
+    those positions; rank maps each argument to its natural-order position."""
     pieces = _pieces(af.atts)
     largest = max((len(core) for core, _ in pieces), default=0)
     if largest > cap:
@@ -238,11 +241,18 @@ def _enumerate(af, which, cap):
                        % (total, which.lower(), MAX_EXTENSIONS))
     touched = {a for core, _ in pieces for a in core}
     free = frozenset(a for a in af.args if a not in touched)
-    rank = _natural_rank(af.args)
-    exts = [Extension(free.union(*combo), which)
-            for combo in itertools.product(*families)]
-    exts.sort(key=lambda e: sorted(map(rank.__getitem__, e.members)))
-    return tuple(exts)
+    family = []
+    for combo in itertools.product(*families):
+        members = free.union(*combo)
+        family.append((sorted(map(rank.__getitem__, members)), members))
+    family.sort(key=itemgetter(0))
+    return family
+
+
+def _enumerate(af, which, cap):
+    _, rank = _natural_order(af.args)
+    return tuple(Extension(members, which)
+                 for _, members in _family(af, which, cap, rank))
 
 
 def naive_extensions(af, cap=DEFAULT_CAP):
@@ -289,15 +299,18 @@ def oracle_extensions(af, which):
 def semantics_report(af, cap=DEFAULT_CAP, check_sets=()):
     """JSON-ready summary: framework, naive / preferred families, and
     conflict-free/admissible verdicts for any requested sets."""
-    naive = naive_extensions(af, cap)
-    preferred = preferred_extensions(af, cap)
-    rank = _natural_rank(af.args)
+    order, rank = _natural_order(af.args)
+
+    def listed(which):
+        return [[order[i] for i in positions]
+                for positions, _ in _family(af, which, cap, rank)]
+
     report = {
-        "args": sorted(af.args, key=rank.__getitem__),
+        "args": order,
         "atts": [list(p) for p in sorted(af.atts,
                                          key=lambda p: (rank[p[0]], rank[p[1]]))],
-        "naive": [sorted(e.members, key=rank.__getitem__) for e in naive],
-        "preferred": [sorted(e.members, key=rank.__getitem__) for e in preferred],
+        "naive": listed(NAIVE),
+        "preferred": listed(PREFERRED),
         "checked_sets": [],
     }
     for S in check_sets:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from akgraph import cli
+from akgraph import cli, markers
 
 from conftest import DATA
 
@@ -138,6 +138,43 @@ def test_custom_lexicon_changes_rules(tmp_path, capsys):
     # no claim indicators -> no rules -> all arguments atomic
     assert all(a["top_rule"] is None for a in data["arguments"])
     assert data["mp_applications"] == []
+
+
+def test_custom_lexicon_drives_node_markers(tmp_path, capsys):
+    txt = tmp_path / "doc.txt"
+    ann = tmp_path / "doc.ann"
+    txt.write_text("Ergo cats purr.\nBecause dogs bark, we listen.\n")
+    ann.write_text("T1\tPremise 0 14\tErgo cats purr\n"
+                   "T2\tPremise 16 33\tBecause dogs bark\n")
+    lex = tmp_path / "lex.tsv"
+    lex.write_text("ergo\tClaim\n")
+    base = ["export", "--format", "json-kb", "--input", str(txt), "--ann", str(ann)]
+
+    def node_markers(argv):
+        assert run(argv) == 0
+        nodes = json.loads(capsys.readouterr().out)["nodes"]
+        return {n["id"]: n["attributes"][0] for n in nodes}
+
+    # "because" is a default-lexicon surface and not an attribute marker
+    assert "because" not in markers.ATTRIBUTE_MARKERS
+    assert node_markers(base) == {"T1": "N", "T2": '"because"'}
+    assert node_markers(base + ["--lexicon", str(lex)]) == {"T1": '"ergo"', "T2": "N"}
+
+
+def test_pipeline_parses_lexicon_once(monkeypatch):
+    calls = []
+    parse = markers._parse_lexicon_lines
+
+    def counting(content):
+        calls.append(1)
+        return parse(content)
+
+    monkeypatch.setattr(markers, "_parse_lexicon_lines", counting)
+    report = cli.run_pipeline(cli.PipelineConfig(
+        input_path=str(DATA / "essay056.txt"), ann_path=str(DATA / "essay056.ann"),
+        prefs_path=str(DATA / "essay056.prefs")))
+    assert report.counts["rules"] > 0
+    assert len(calls) == 1
 
 
 def test_subcommand_required():

@@ -151,6 +151,45 @@ def test_member_text_and_rule_text(small):
     assert kb.member_text("R1") == "Cats purr when happy ⇒ cats can be happy"
 
 
+def test_lookups_raise_on_unknown_ids(small):
+    doc, ims = small
+    kb = E.build_ekb(doc, ims)
+    assert kb.has_member("T1") and kb.has_member("R1")
+    assert not kb.has_member("R9")
+    with pytest.raises(E.UnknownId):
+        kb.formula("R1")
+    with pytest.raises(E.UnknownRule):
+        kb.rule("T1")
+    with pytest.raises(E.UnknownId):
+        kb.member_text("Zed")
+
+
+def test_lookup_takes_first_of_duplicate_ids():
+    first, second = E.Formula("F1", "a"), E.Formula("F1", "b")
+    kb = E.EKB(formulas=(first, second), rules=(), contraries=frozenset(),
+               agreements=frozenset(), rule_pref=frozenset())
+    assert kb.formula("F1") is first
+    assert kb.member_text("F1") == "a"
+
+
+def _linear_contained(components, span):
+    out = [c for c in components if c.start >= span[0] and c.end <= span[1]]
+    out.sort(key=lambda c: c.start)
+    return out
+
+
+def test_containment_matches_linear_scan():
+    # same-start components keep document order; zero-width ones count
+    comps = tuple(ComponentAnnotation(cid, "Premise", s, e, "")
+                  for cid, s, e in [("T1", 4, 9), ("T2", 0, 9), ("T3", 0, 3),
+                                    ("T4", 4, 6), ("T5", 9, 9), ("T6", 12, 20)])
+    contained = E._containment(comps)
+    for lo in range(-1, 22):
+        for hi in range(lo - 1, 22):
+            assert contained((lo, hi)) == _linear_contained(comps, (lo, hi))
+    assert [c.comp_id for c in contained((0, 9))] == ["T2", "T3", "T1", "T4", "T5"]
+
+
 def test_unaligned_im_dropped():
     txt = "Nothing was annotated here. Therefore, nothing aligns.\n"
     doc = parse_brat_ann(txt, "T1\tPremise 0 7\tNothing\n")

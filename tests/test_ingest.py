@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from akgraph import ingest
 
@@ -17,6 +19,41 @@ def test_paragraph_spans_skip_blank_lines():
     assert doc.paragraph_of(0) == 0
     assert doc.paragraph_of(8) == 1
     assert doc.paragraph_of(6) is None   # the blank separator
+
+
+def _linear_paragraph_of(doc, offset):
+    for i, (s, e) in enumerate(doc.paragraph_spans):
+        if s <= offset < e:
+            return i
+    return None
+
+
+@pytest.mark.parametrize("text, offset, want", [
+    ("Title\n\nBody one.\nBody two.\n", 7, 1),      # first offset of a paragraph
+    ("Title\n\nBody one.\nBody two.\n", 15, 1),     # its last offset
+    ("Title\n\nBody one.\nBody two.\n", 16, None),  # its end: the newline
+    ("Title\n\nBody one.\nBody two.\n", 5, None),   # blank separator line
+    ("Title\n\nBody one.\nBody two.\n", 26, None),  # past the last paragraph
+    ("Title\n\nBody one.\nBody two.\n", 99, None),  # past the end of the text
+    ("\n\nLead\n", 0, None),                        # leading newlines
+    ("\n\nLead\n", 2, 0),
+    ("one\n   \ntwo", 5, None),                      # whitespace-only line
+    ("one\n   \ntwo", 10, 1),
+    ("", 0, None),                                    # empty text
+    ("a", -1, None),
+])
+def test_paragraph_of_boundaries(text, offset, want):
+    doc = ingest.make_text_document("d", text)
+    assert doc.paragraph_of(offset) == want
+    assert _linear_paragraph_of(doc, offset) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.text(alphabet="ab \n", max_size=30))
+def test_paragraph_of_matches_linear_scan(text):
+    doc = ingest.make_text_document("d", text)
+    for offset in range(-1, len(text) + 2):
+        assert doc.paragraph_of(offset) == _linear_paragraph_of(doc, offset)
 
 
 def test_crlf_normalized():

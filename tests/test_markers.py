@@ -211,3 +211,143 @@ def test_detected_spans_well_formed(text):
     # survivors never overlap
     for a, b in zip(ims, ims[1:]):
         assert a.span[1] <= b.span[0]
+
+
+# -- compiled matcher against the per-surface scan it replaced --
+
+def _reference_starts_with(text, pos, surface):
+    return text[pos:pos + len(surface)].casefold() == surface.casefold()
+
+
+def _reference_match_at(text, pos, surfaces):
+    best = None
+    for surface in surfaces:
+        if _reference_starts_with(text, pos, surface):
+            end = pos + len(surface)
+            if end < len(text) and markers._WORD.match(text[end]):
+                continue   # inside a longer word
+            if best is None or len(surface) > len(best):
+                best = surface
+    return best
+
+
+def _reference_attribute_marker(text_span, lexicon):
+    low = text_span.casefold().lstrip()
+    best = None
+    for surface in list(markers.ATTRIBUTE_MARKERS) + lexicon.surfaces():
+        s = surface.casefold()
+        if low.startswith(s):
+            after = low[len(s):]
+            if after and markers._WORD.match(after[0]):
+                continue
+            if best is None or len(s) > len(best):
+                best = s
+    return best
+
+
+DEFAULT_LEXICON = markers.load_lexicon()
+
+# marker surfaces in several cases, words holding characters whose casefold
+# is longer than themselves (ß -> ss, İ -> i + dot, ﬁ -> fi) or glued to a
+# marker, punctuation and newlines
+MARKER_TOKENS = sorted({v for s in DEFAULT_LEXICON.surfaces()
+                        for v in (s, s.upper(), s.capitalize())} | {"the fact that"})
+OTHER_TOKENS = ["rain", "wet", "roads", "ß", "İ", "ﬁ", "Straße", "İs", "ﬁne",
+                "becauseß", "ßince", "thusİ", "thustle", "_7", ",", ".", ";",
+                "!", "?", ".\n", "\n", "\n\n"]
+texts = st.lists(st.one_of(st.sampled_from(MARKER_TOKENS), st.sampled_from(OTHER_TOKENS)),
+                 max_size=30).map(" ".join)
+
+
+@st.composite
+def lexicons(draw):
+    """Small lexicons over letters, spaces and length-changing casefolds."""
+    words = draw(st.lists(st.text(alphabet="abSsßİiﬁf ", min_size=1, max_size=5)
+                          .map(str.strip).filter(bool), max_size=8))
+    entries, seen = [], set()
+    for w in words:
+        if w.casefold() not in seen:
+            seen.add(w.casefold())
+            entries.append((w, draw(st.sampled_from(
+                [markers.PREMISE_INDICATOR, markers.CLAIM_INDICATOR]))))
+    return markers.MarkerLexicon(tuple(entries))
+
+
+@settings(max_examples=150, deadline=None)
+@given(texts)
+def test_compiled_match_at_agrees_with_surface_scan(text):
+    for indicator in (markers.PREMISE_INDICATOR, markers.CLAIM_INDICATOR):
+        table = DEFAULT_LEXICON.match_tables[indicator]
+        surfaces = DEFAULT_LEXICON.surfaces(indicator)
+        for pos in range(len(text) + 1):
+            assert (markers._match_at(text, pos, table)
+                    == _reference_match_at(text, pos, surfaces))
+
+
+@settings(max_examples=150, deadline=None)
+@given(lexicons(), st.text(alphabet="abSsßİiıﬁfFK .\n", max_size=30))
+def test_compiled_match_at_agrees_on_any_lexicon(lex, text):
+    for indicator in (markers.PREMISE_INDICATOR, markers.CLAIM_INDICATOR):
+        table = lex.match_tables[indicator]
+        for pos in range(len(text) + 1):
+            assert (markers._match_at(text, pos, table)
+                    == _reference_match_at(text, pos, lex.surfaces(indicator)))
+    for pos in range(len(text) + 1):
+        assert (markers.attribute_marker(text[pos:], lex)
+                == _reference_attribute_marker(text[pos:], lex))
+
+
+@settings(max_examples=150, deadline=None)
+@given(texts)
+def test_attribute_marker_agrees_with_surface_scan(text):
+    for pos in range(len(text) + 1):
+        assert (markers.attribute_marker(text[pos:], DEFAULT_LEXICON)
+                == _reference_attribute_marker(text[pos:], DEFAULT_LEXICON))
+
+
+def _reference_drop_overlaps(cands):
+    cands = sorted(cands, key=lambda m: (-(m.span[1] - m.span[0]), m.span[0]))
+    kept = []
+    for cand in cands:
+        if any(cand.span[0] < k.span[1] and k.span[0] < cand.span[1] for k in kept):
+            continue
+        kept.append(cand)
+    kept.sort(key=lambda m: m.span[0])
+    return kept
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 6)), max_size=25))
+def test_drop_overlaps_agrees_with_pairwise_scan(spans):
+    cands = [markers.IMMatch(surface=str(i), span=(s, s + n), heuristic="",
+                             antecedent_span=(0, 0), consequent_span=(0, 0))
+             for i, (s, n) in enumerate(spans)]
+    assert markers._drop_overlaps(cands) == _reference_drop_overlaps(cands)
+
+
+@settings(max_examples=150, deadline=None)
+@given(texts)
+def test_explicit_spans_slice_their_surface(text):
+    d = doc(text)
+    folded = {s.casefold() for s in DEFAULT_LEXICON.surfaces()}
+    for m in markers.detect_ims(d, DEFAULT_LEXICON):
+        assert d.raw_text[m.span[0]:m.span[0] + len(m.surface)] == m.surface
+        assert m.surface.casefold() in folded
+
+
+def _shifted(m, k):
+    def shift(span):
+        return (span[0] + k, span[1] + k)
+    return (m.surface, shift(m.span), m.heuristic, shift(m.antecedent_span),
+            shift(m.consequent_span), m.indicator, m.low_confidence)
+
+
+@settings(max_examples=150, deadline=None)
+@given(texts, st.sampled_from(["Straße.\n", "İİ ß ﬁ\n", "ﬁx; ß. İ!\n\n"]))
+def test_detection_shifts_under_non_ascii_prefix(text, prefix):
+    # the prefix is a paragraph of its own holding no marker, so every match
+    # in the body moves by exactly its length and nothing else changes
+    alone = markers.detect_ims(doc(text), DEFAULT_LEXICON)
+    prefixed = markers.detect_ims(doc(prefix + text), DEFAULT_LEXICON)
+    assert ([_shifted(m, len(prefix)) for m in alone]
+            == [_shifted(m, 0) for m in prefixed])

@@ -227,6 +227,15 @@ def test_family_properties(f):
 
 # ---------------------------------------------------------------- report
 
+def test_report_lists_extensions_as_enumerated():
+    f = af(11, [(1, 2), (2, 1), (10, 11), (11, 10), (3, 4)])
+    rep = sem.semantics_report(f)
+    assert rep["args"] == ["a%d" % i for i in range(1, 12)]
+    for which, exts in (("naive", sem.naive_extensions(f)),
+                        ("preferred", sem.preferred_extensions(f))):
+        assert rep[which] == [list(e.sorted_members) for e in exts]
+
+
 def test_report_shape():
     f = af(2, [(1, 2)])
     rep = sem.semantics_report(f, check_sets=[{"a2"}, {"a1"}])
