@@ -8,6 +8,7 @@ edge groups; support edges made redundant by a modus-ponens group are pruned.
 
 import logging
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .arguments import C, IRP
 from .ekb import AXIOM, ASSUMPTION, rule_preference_sets
@@ -70,11 +71,13 @@ class AKG:
     mp_applications: tuple = ()
     pruned_supports: tuple = ()   # (source, target) support edges removed
 
+    # reversed, so that of duplicate ids the first wins, as in a scan
+    @cached_property
+    def _index(self):
+        return {n.arg_id: n for n in reversed(self.nodes)}
+
     def node(self, arg_id):
-        for n in self.nodes:
-            if n.arg_id == arg_id:
-                return n
-        return None
+        return self._index.get(arg_id)
 
     def edges_of_kind(self, kind):
         return [e for e in self.edges if e.kind == kind]

@@ -10,6 +10,7 @@ conclusions numbered after its premises and rules.
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 logger = logging.getLogger(__name__)
 
@@ -62,14 +63,26 @@ class ArgumentSet:
     arguments: tuple
     mp_applications: tuple = ()
 
-    def argument(self, arg_id):
+    # reversed, so that of duplicate ids the first wins, as in a scan
+    @cached_property
+    def _index(self):
+        return {a.arg_id: a for a in reversed(self.arguments)}
+
+    @cached_property
+    def _content_index(self):
+        out = {}
         for a in self.arguments:
-            if a.arg_id == arg_id:
-                return a
-        raise UnknownArgument("no argument %r" % arg_id)
+            out.setdefault(a.content, []).append(a)
+        return out
+
+    def argument(self, arg_id):
+        try:
+            return self._index[arg_id]
+        except KeyError:
+            raise UnknownArgument("no argument %r" % arg_id) from None
 
     def by_content(self, member_id):
-        return [a for a in self.arguments if a.content == member_id]
+        return list(self._content_index.get(member_id, ()))
 
     def ids_of_kind(self, kind):
         return [a.arg_id for a in self.arguments if a.kind == kind]

@@ -151,6 +151,15 @@ class EKB:
         except KeyError:
             raise UnknownRule("no rule %r" % rule_id) from None
 
+    @cached_property
+    def _preference_index(self):
+        """rule id -> (rules less preferred, rules more preferred)."""
+        index = {}
+        for a, b in self.rule_pref:
+            index.setdefault(b, (set(), set()))[0].add(a)
+            index.setdefault(a, (set(), set()))[1].add(b)
+        return {rid: (frozenset(l1), frozenset(l2)) for rid, (l1, l2) in index.items()}
+
     def has_member(self, any_id):
         return any_id in self._formula_index or any_id in self._rule_index
 
@@ -209,9 +218,7 @@ def rule_preference_sets(ekb, rule_id):
     r = ekb.rule(rule_id)
     if r.kind == STRICT:
         return None
-    l1 = frozenset(a for a, b in ekb.rule_pref if b == rule_id)
-    l2 = frozenset(b for a, b in ekb.rule_pref if a == rule_id)
-    return l1, l2
+    return ekb._preference_index.get(rule_id, (frozenset(), frozenset()))
 
 
 # -- construction --
@@ -448,7 +455,7 @@ def validate_ekb(ekb):
         if a == b:
             out.append(Violation("PreferenceCycle", a))
         for rid in (a, b):
-            if rid not in {r.rule_id for r in ekb.rules}:
+            if rid not in rids:
                 out.append(Violation("DanglingReference", "rule_pref", rid))
             elif rid not in defeasible:
                 out.append(Violation("StrictRuleInPreference", rid))

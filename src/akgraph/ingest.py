@@ -13,6 +13,7 @@ import logging
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import itemgetter
 
 logger = logging.getLogger(__name__)
@@ -125,17 +126,20 @@ class AnnotatedDocument:
     stances: tuple = ()
     rule_spans: tuple = ()
 
+    # reversed, so that of duplicate ids the first wins, as in a scan
+    @cached_property
+    def _component_index(self):
+        return {c.comp_id: c for c in reversed(self.components)}
+
+    @cached_property
+    def _rule_span_index(self):
+        return {r.span_id: r for r in reversed(self.rule_spans)}
+
     def component(self, comp_id):
-        for c in self.components:
-            if c.comp_id == comp_id:
-                return c
-        return None
+        return self._component_index.get(comp_id)
 
     def rule_span(self, span_id):
-        for r in self.rule_spans:
-            if r.span_id == span_id:
-                return r
-        return None
+        return self._rule_span_index.get(span_id)
 
 
 @dataclass(frozen=True)
@@ -239,14 +243,28 @@ def _check_references(doc):
             raise DanglingReference("%s cites missing id %s" % (st.attr_id, st.claim))
 
 
-def _want(obj, key, types, path):
+def _want(obj, key, kind, path):
     if key not in obj:
         raise SchemaViolation("%s.%s: missing" % (path, key))
     val = obj[key]
-    if not isinstance(val, types):
+    # json.loads gives exact types; an exact test keeps bool (an int
+    # subclass) out of offsets
+    if type(val) is not kind:
         raise SchemaViolation("%s.%s: expected %s, got %s"
-                              % (path, key, types, type(val).__name__))
+                              % (path, key, kind.__name__, type(val).__name__))
     return val
+
+
+def _entries(data, key):
+    """(JSON path, object) for each entry of the optional list data[key]."""
+    entries = data.get(key, [])
+    if not isinstance(entries, list):
+        raise SchemaViolation("$.%s: expected list, got %s" % (key, type(entries).__name__))
+    for i, entry in enumerate(entries):
+        path = "$.%s[%d]" % (key, i)
+        if not isinstance(entry, dict):
+            raise SchemaViolation("%s: expected object, got %s" % (path, type(entry).__name__))
+        yield path, entry
 
 
 def parse_canonical_json(content, doc_id=None):
@@ -267,8 +285,7 @@ def parse_canonical_json(content, doc_id=None):
     doc = make_text_document(doc_id or _want(data, "doc_id", str, "$"), text)
 
     components = []
-    for i, c in enumerate(data.get("components", [])):
-        path = "$.components[%d]" % i
+    for path, c in _entries(data, "components"):
         kind = _want(c, "kind", str, path)
         if kind not in COMPONENT_KINDS:
             raise SchemaViolation("%s.kind: unknown kind %r" % (path, kind))
@@ -283,8 +300,7 @@ def parse_canonical_json(content, doc_id=None):
                                               doc.raw_text[start:end]))
 
     rule_spans = []
-    for i, r in enumerate(data.get("rule_spans", [])):
-        path = "$.rule_spans[%d]" % i
+    for path, r in _entries(data, "rule_spans"):
         start = _want(r, "start", int, path)
         end = _want(r, "end", int, path)
         rid = _want(r, "id", str, path)
@@ -293,8 +309,7 @@ def parse_canonical_json(content, doc_id=None):
         rule_spans.append(RuleSpanAnnotation(rid, start, end, doc.raw_text[start:end]))
 
     relations = []
-    for i, r in enumerate(data.get("relations", [])):
-        path = "$.relations[%d]" % i
+    for path, r in _entries(data, "relations"):
         kind = _want(r, "kind", str, path)
         if kind not in RELATION_KINDS:
             raise SchemaViolation("%s.kind: unknown kind %r" % (path, kind))
@@ -303,8 +318,7 @@ def parse_canonical_json(content, doc_id=None):
                                             _want(r, "target", str, path)))
 
     stances = []
-    for i, s in enumerate(data.get("stances", [])):
-        path = "$.stances[%d]" % i
+    for path, s in _entries(data, "stances"):
         stance = _want(s, "stance", str, path)
         if stance not in STANCE_VALUES:
             raise SchemaViolation("%s.stance: unknown value %r" % (path, stance))

@@ -7,6 +7,7 @@ whose rendering is stable across rebuilds.
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from .ekb import validate_ekb
 
@@ -89,11 +90,13 @@ class KBGraph:
     edges: tuple
     ekb: object = None   # source EKB, kept so downstream builders can reuse it
 
+    # reversed, so that of duplicate ids the first wins, as in a scan
+    @cached_property
+    def _index(self):
+        return {n.node_id: n for n in reversed(self.nodes)}
+
     def node(self, node_id):
-        for n in self.nodes:
-            if n.node_id == node_id:
-                return n
-        return None
+        return self._index.get(node_id)
 
 
 def build_kb_graph(ekb):

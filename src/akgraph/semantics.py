@@ -9,15 +9,24 @@ Enumeration strategy: arguments not involved in any attack belong to every
 maximal extension.  Naive and preferred extensions of a disjoint union are
 the products of the parts' extensions, so the search runs separately over
 each weakly connected piece of the attack graph and the answer is the free
-arguments joined to every combination of piece extensions.  A raw 2^n
-oracle (vectorized, independently coded) serves as the reference
-implementation for cross-checking.
+arguments joined to every combination of piece extensions.  Inside a piece,
+over int bitmasks of its members: naive extensions are the maximal
+independent sets of the symmetric conflict graph over the members that do
+not attack themselves, listed by Bron-Kerbosch with pivoting; preferred
+extensions come from an include/exclude search that starts at the grounded
+extension and cuts a branch once the chosen set can no longer be defended
+or can only reach subsets of an extension already found.  Neither search
+visits a non-maximal set at a leaf.  A raw 2^n oracle (vectorized,
+independently coded) serves as the reference implementation for
+cross-checking.
 """
 
 import itertools
 import math
+from functools import reduce
+from operator import or_
 from dataclasses import dataclass
-from operator import itemgetter
+from typing import NamedTuple
 
 from .akg import ATTACK
 from .kbgraph import natural_key
@@ -113,8 +122,43 @@ def is_admissible(af, S):
 
 # -- enumeration --
 
-def _pieces(atts):
-    """Weakly connected pieces of the attack graph as (members, attacks)."""
+def _natural_order(args):
+    """The arguments sorted by natural_key (equal keys keep their order),
+    and each argument's position in that list."""
+    order = sorted(args, key=natural_key)
+    return order, {a: i for i, a in enumerate(order)}
+
+
+class _Piece(NamedTuple):
+    """One weakly connected piece of the attack graph.  Bit i of a mask
+    stands for positions[i], the i-th smallest natural-order position of
+    the piece's arguments."""
+    positions: list
+    conflict: list    # per member: every member it attacks or is attacked by
+    attacks: list     # per member: the members it attacks
+    attackers: list   # per member: the members attacking it
+    allowed: int      # the members that do not attack themselves
+
+
+def _piece_masks(positions, edges):
+    index = {p: i for i, p in enumerate(positions)}
+    k = len(positions)
+    conflict, attacks, attackers = [0] * k, [0] * k, [0] * k
+    for a, b in edges:
+        i, j = index[a], index[b]
+        conflict[i] |= 1 << j
+        conflict[j] |= 1 << i
+        attacks[i] |= 1 << j
+        attackers[j] |= 1 << i
+    allowed = sum(1 << i for i in range(k) if not conflict[i] >> i & 1)
+    return _Piece(positions, conflict, attacks, attackers, allowed)
+
+
+def _pieces(af, cap, rank):
+    """The weakly connected pieces of the attack graph over the arguments'
+    natural-order positions (rank); raises TooLarge when the largest has more
+    than cap members."""
+    edges = [(rank[a], rank[b]) for a, b in af.atts]
     parent = {}
 
     def find(x):
@@ -123,136 +167,154 @@ def _pieces(atts):
             x = parent[x]
         return x
 
-    for a, b in atts:
+    for a, b in edges:
         parent.setdefault(a, a)
         parent.setdefault(b, b)
         parent[find(a)] = find(b)
-    members, piece_atts = {}, {}
+    members, piece_edges = {}, {}
     for x in parent:
         members.setdefault(find(x), []).append(x)
-    for a, b in atts:
-        piece_atts.setdefault(find(a), []).append((a, b))
-    return [(members[root], piece_atts[root]) for root in members]
-
-
-def _natural_order(args):
-    """The arguments sorted by natural_key (equal keys keep their order),
-    and each argument's position in that list."""
-    order = sorted(args, key=natural_key)
-    return order, {a: i for i, a in enumerate(order)}
-
-
-def _conflict_masks(core, atts):
-    index = {a: i for i, a in enumerate(core)}
-    k = len(core)
-    conflict = [0] * k
-    out_mask = [0] * k
-    in_mask = [0] * k
-    self_attack = [False] * k
-    for a, b in atts:
-        i, j = index[a], index[b]
-        if i == j:
-            self_attack[i] = True
-            conflict[i] |= 1 << i
-            continue
-        conflict[i] |= 1 << j
-        conflict[j] |= 1 << i
-        out_mask[i] |= 1 << j
-        in_mask[j] |= 1 << i
-    return conflict, out_mask, in_mask, self_attack
-
-
-def _cf_masks(k, conflict, self_attack):
-    """All conflict-free subsets of the core, by include/exclude recursion."""
-    results = []
-
-    def rec(i, chosen):
-        if i == k:
-            results.append(chosen)
-            return
-        rec(i + 1, chosen)
-        if not self_attack[i] and not (conflict[i] & chosen):
-            rec(i + 1, chosen | (1 << i))
-
-    rec(0, 0)
-    return results
-
-def _maximal_masks(masks, universe_conflict, self_attack):
-    """Filter masks to those where no further argument can join (naive case)
-    or no strict super-mask is present (general case handled pairwise)."""
-    out = []
-    k = len(universe_conflict)
-    for m in masks:
-        expandable = False
-        for j in range(k):
-            if m & (1 << j) or self_attack[j]:
-                continue
-            if not (universe_conflict[j] & m):
-                expandable = True
-                break
-        if not expandable:
-            out.append(m)
-    return out
-
-
-def _pairwise_maximal(masks):
-    out = []
-    for m in masks:
-        if not any(other != m and (other & m) == m for other in masks):
-            out.append(m)
-    return out
-
-
-def _mask_admissible(m, k, out_mask, in_mask):
-    struck = 0
-    need = 0
-    for i in range(k):
-        if m & (1 << i):
-            struck |= out_mask[i]
-            need |= in_mask[i]
-    return (need & ~struck) == 0
-
-
-def _piece_family(core, atts, which):
-    """Naive or preferred extensions of one connected piece, as frozensets."""
-    k = len(core)
-    conflict, out_mask, in_mask, self_attack = _conflict_masks(core, atts)
-    cf = _cf_masks(k, conflict, self_attack)
-    if which == NAIVE:
-        chosen = _maximal_masks(cf, conflict, self_attack)
-    else:
-        adm = [m for m in cf if _mask_admissible(m, k, out_mask, in_mask)]
-        chosen = _pairwise_maximal(adm)
-    return [frozenset(core[i] for i in range(k) if m >> i & 1) for m in chosen]
-
-
-def _family(af, which, cap, rank):
-    """(member positions ascending, members) for every extension, sorted by
-    those positions; rank maps each argument to its natural-order position."""
-    pieces = _pieces(af.atts)
-    largest = max((len(core) for core, _ in pieces), default=0)
+    largest = max(map(len, members.values()), default=0)
     if largest > cap:
         raise TooLarge("a connected piece of %d arguments exceeds the cap of %d"
                        % (largest, cap))
-    families = [_piece_family(core, atts, which) for core, atts in pieces]
+    for a, b in edges:
+        piece_edges.setdefault(find(a), []).append((a, b))
+    return [_piece_masks(sorted(members[root]), piece_edges[root]) for root in members]
+
+
+def _select(items, mask):
+    """items[i] for each bit i of mask, in ascending i."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(items[low.bit_length() - 1])
+        mask ^= low
+    return out
+
+
+def _keep(found, mask, which):
+    found.append(mask)
+    if len(found) > MAX_EXTENSIONS:
+        raise TooLarge("%s extensions of one connected piece exceed the limit of %d"
+                       % (which.lower(), MAX_EXTENSIONS))
+
+
+def _naive_masks(piece):
+    """The maximal conflict-free sets of one piece.
+
+    They are the maximal independent sets of the symmetric conflict graph over
+    the allowed members, i.e. the maximal cliques of its complement.
+    Bron-Kerbosch with pivoting lists those without reaching a non-maximal
+    set: it extends chosen by candidates compatible with all of it, and
+    excluded holds the compatible members already tried, so a set that could
+    still take one of them is not reported.
+    """
+    compatible = [piece.allowed & ~(c | 1 << i) for i, c in enumerate(piece.conflict)]
+    found = []
+
+    def expand(chosen, cand, excluded):
+        if not (cand | excluded):
+            _keep(found, chosen, NAIVE)
+            return
+        # pivot: the member compatible with the most candidates; branching
+        # only on candidates outside its compatible set misses no maximal set
+        best, pivot, rest = -1, 0, cand | excluded
+        while rest:
+            low = rest & -rest
+            near = compatible[low.bit_length() - 1]
+            count = (cand & near).bit_count()
+            if count > best:
+                best, pivot = count, near
+            rest ^= low
+        rest = cand & ~pivot
+        while rest:
+            low = rest & -rest
+            near = compatible[low.bit_length() - 1]
+            expand(chosen | low, cand & near, excluded & near)
+            cand ^= low
+            excluded |= low
+            rest ^= low
+
+    expand(0, piece.allowed, 0)
+    return found
+
+
+def _preferred_masks(piece):
+    """The maximal admissible sets of one piece.
+
+    Every preferred extension holds the grounded extension, so the search
+    starts from it.  It then decides one candidate at a time, the candidates
+    being the undecided members that conflict with none of the chosen set,
+    and tries inclusion before exclusion.  A branch is cut when some attacker
+    of the chosen set is attacked neither by it nor by any candidate, or when
+    chosen and candidates together lie inside a set already found.  Every
+    leaf is therefore admissible, and no later leaf contains an earlier one
+    (it excludes a member the earlier one includes), so the leaves are
+    exactly the maximal admissible sets.  The member decided next is a
+    candidate able to answer the attacker with the fewest such candidates,
+    or the first candidate when every attacker is answered.
+    """
+    conflict, attacks, attackers = piece.conflict, piece.attacks, piece.attackers
+    found = []
+
+    def search(chosen, cand, need, struck):
+        unmet = need & ~struck
+        fewest = cand
+        while unmet:
+            low = unmet & -unmet
+            defenders = attackers[low.bit_length() - 1] & cand
+            if not defenders:
+                return
+            if defenders.bit_count() < fewest.bit_count():
+                fewest = defenders
+            unmet ^= low
+        span = chosen | cand
+        for f in found:
+            if not span & ~f:
+                return
+        if not cand:
+            _keep(found, chosen, PREFERRED)
+            return
+        low = fewest & -fewest
+        i = low.bit_length() - 1
+        search(chosen | low, cand & ~(low | conflict[i]),
+               need | attackers[i], struck | attacks[i])
+        search(chosen, cand ^ low, need, struck)
+
+    # the grounded extension: the least set holding every member it defends
+    grounded = struck = 0
+    while True:
+        defended = sum(1 << i for i, a in enumerate(attackers) if not a & ~struck)
+        if defended == grounded:
+            break
+        grounded, struck = defended, reduce(or_, _select(attacks, defended), 0)
+    clash = reduce(or_, _select(conflict, grounded), 0)
+    search(grounded, piece.allowed & ~(grounded | clash), 0, struck)
+    return found
+
+
+def _family(which, pieces, n):
+    """Every extension of a framework of n arguments with these attack pieces,
+    as the ascending natural-order positions of its members, in list order."""
+    search = _naive_masks if which == NAIVE else _preferred_masks
+    families = [[_select(p.positions, m) for m in search(p)] for p in pieces]
     total = math.prod(len(f) for f in families)
     if total > MAX_EXTENSIONS:
         raise TooLarge("%d %s extensions exceed the limit of %d"
                        % (total, which.lower(), MAX_EXTENSIONS))
-    touched = {a for core, _ in pieces for a in core}
-    free = frozenset(a for a in af.args if a not in touched)
-    family = []
-    for combo in itertools.product(*families):
-        members = free.union(*combo)
-        family.append((sorted(map(rank.__getitem__, members)), members))
-    family.sort(key=itemgetter(0))
+    touched = {i for p in pieces for i in p.positions}
+    free = [i for i in range(n) if i not in touched]
+    family = [sorted(itertools.chain(free, *combo))
+              for combo in itertools.product(*families)]
+    family.sort()
     return family
 
 
 def _enumerate(af, which, cap):
-    _, rank = _natural_order(af.args)
-    return tuple(Extension(members, which)
-                 for _, members in _family(af, which, cap, rank))
+    order, rank = _natural_order(af.args)
+    return tuple(Extension(frozenset(map(order.__getitem__, positions)), which)
+                 for positions in _family(which, _pieces(af, cap, rank), len(order)))
 
 
 def naive_extensions(af, cap=DEFAULT_CAP):
@@ -268,7 +330,8 @@ def preferred_extensions(af, cap=DEFAULT_CAP):
 def oracle_extensions(af, which):
     """Reference enumeration: raw 2^n subset tables, vectorized.
 
-    Independent of the branch-and-bound path; limited to 20 arguments.
+    Independent of the pruned searches behind naive_extensions and
+    preferred_extensions; limited to 20 arguments.
     """
     import numpy as np
 
@@ -300,10 +363,11 @@ def semantics_report(af, cap=DEFAULT_CAP, check_sets=()):
     """JSON-ready summary: framework, naive / preferred families, and
     conflict-free/admissible verdicts for any requested sets."""
     order, rank = _natural_order(af.args)
+    pieces = _pieces(af, cap, rank)
 
     def listed(which):
         return [[order[i] for i in positions]
-                for positions, _ in _family(af, which, cap, rank)]
+                for positions in _family(which, pieces, len(order))]
 
     report = {
         "args": order,

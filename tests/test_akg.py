@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from akgraph import akg as G
@@ -173,3 +175,13 @@ def test_content_merge_two_rules_same_consequent():
 def test_pollock_undercut(pollock):
     (edge,) = pollock["akg"].edges_of_kind(G.ATTACK)
     assert (edge.source, edge.target, edge.attack_type) == ("A3", "A2", "UC")
+
+
+def test_node_lookup_takes_first_of_duplicate_ids(essay):
+    akg = essay["akg"]
+    for n in akg.nodes:
+        assert akg.node(n.arg_id) is n
+    assert akg.node("A99") is None
+    first = akg.nodes[0]
+    dup = G.AKG((first, replace(first, text="other")), ())
+    assert dup.node(first.arg_id) is first

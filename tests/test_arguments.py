@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from akgraph import arguments as A
@@ -140,3 +142,18 @@ def test_no_rules_all_atomic():
 def test_unknown_argument_lookup(essay):
     with pytest.raises(A.UnknownArgument):
         essay["aset"].argument("A99")
+
+
+def test_lookups_match_scans_and_take_first_of_duplicate_ids(essay):
+    aset = essay["aset"]
+    for a in aset.arguments:
+        assert aset.argument(a.arg_id) is a
+        assert aset.by_content(a.content) == [b for b in aset.arguments
+                                              if b.content == a.content]
+    first = aset.arguments[0]
+    twin = replace(first, kind=A.C)
+    dup = A.ArgumentSet((first, twin))
+    assert dup.argument(first.arg_id) is first
+    dup.by_content(first.content).clear()   # callers get their own list
+    assert dup.by_content(first.content) == [first, twin]
+    assert dup.by_content("nothing") == []

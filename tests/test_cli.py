@@ -51,6 +51,29 @@ def test_ingest_violations_exit_1(tmp_path, capsys):
     assert "violation:" in err and "StanceOnNonClaim" in err
 
 
+@pytest.mark.parametrize("key, value, path", [
+    ("components", [{"id": "T1", "kind": "Premise", "start": True, "end": 4}],
+     "$.components[0].start"),
+    ("components", [5], "$.components[0]"),
+    ("components", 5, "$.components"),
+    ("rule_spans", ["T2"], "$.rule_spans[0]"),
+    ("rule_spans", {"id": "T2"}, "$.rule_spans"),
+    ("relations", [None], "$.relations[0]"),
+    ("relations", "R1", "$.relations"),
+    ("stances", [[]], "$.stances[0]"),
+    ("stances", None, "$.stances"),
+], ids=["bool-offset", "component-not-object", "components-not-list",
+        "rule-span-not-object", "rule-spans-not-list", "relation-not-object",
+        "relations-not-list", "stance-not-object", "stances-not-list"])
+def test_malformed_json_exit_1(tmp_path, capsys, key, value, path):
+    doc = tmp_path / "bad.json"
+    doc.write_text(json.dumps({"doc_id": "bad", "text": "Cats purr.", key: value}))
+    assert run(["ingest", "--input", str(doc)]) == 1
+    err = capsys.readouterr().err
+    assert "SchemaViolation: %s:" % path in err
+    assert "Traceback" not in err
+
+
 def test_missing_ann_exit_1(capsys):
     assert run(["ingest", "--input", str(DATA / "essay056.txt")]) == 1
     assert "PipelineError" in capsys.readouterr().err

@@ -247,3 +247,15 @@ def test_k_partition_disjoint(essay):
     ids = [f.formula_id for part in parts for f in part]
     assert len(ids) == len(set(ids))
     assert sorted(ids) == sorted(f.formula_id for f in kb.K)
+
+
+def test_rule_preference_sets_match_scan(essay):
+    kb = essay["ekb"]
+    assert kb.rule_pref
+    for r in kb.rules:
+        got = E.rule_preference_sets(kb, r.rule_id)
+        if r.kind == E.STRICT:
+            assert got is None
+        else:
+            assert got == (frozenset(a for a, b in kb.rule_pref if b == r.rule_id),
+                           frozenset(b for a, b in kb.rule_pref if a == r.rule_id))

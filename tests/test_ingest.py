@@ -180,3 +180,15 @@ def test_validate_document_reports_violations():
 
 def test_validate_document_clean(essay):
     assert ingest.validate_document(essay["doc"]) == []
+
+
+def test_lookups_take_first_of_duplicate_ids():
+    doc = ingest.AnnotatedDocument(
+        ingest.make_text_document("d", TXT),
+        components=(ingest.ComponentAnnotation("T1", "Premise", 0, 14, "Cats are great"),
+                    ingest.ComponentAnnotation("T1", "Claim", 27, 47, "you should get a cat")),
+        rule_spans=(ingest.RuleSpanAnnotation("T2", 16, 25, "Therefore"),
+                    ingest.RuleSpanAnnotation("T2", 27, 30, "you")))
+    assert doc.component("T1").kind == "Premise"
+    assert doc.rule_span("T2").surface_text == "Therefore"
+    assert doc.component("T2") is None and doc.rule_span("T1") is None

@@ -1,4 +1,9 @@
 import itertools
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -124,6 +129,36 @@ def test_extension_count_limited():
         sem.preferred_extensions(f)
 
 
+def test_piece_over_extension_limit_refused_early(monkeypatch):
+    # a 40-argument attack chain has 73,396 naive extensions; the search
+    # stops at the first one past the limit instead of building them all
+    chain = af(40, [(i, i + 1) for i in range(1, 40)])
+    built = []
+    keep = sem._keep
+    monkeypatch.setattr(sem, "_keep", lambda found, mask, which:
+                        (built.append(mask), keep(found, mask, which)))
+    with pytest.raises(sem.TooLarge, match="naive extensions of one connected piece"):
+        sem.semantics_report(chain, cap=64)
+    assert len(built) == sem.MAX_EXTENSIONS + 1
+
+
+def test_large_stars_under_default_cap():
+    # a1 attacks the 59 others, then the 59 others attack a1 (2^59 admissible
+    # sets); a search that lists every conflict-free or admissible subset
+    # does not finish, so run it apart with a time limit
+    code = ("from akgraph import semantics as sem\n"
+            "args = tuple('a%d' % i for i in range(1, 61))\n"
+            "rest = list(args[1:])\n"
+            "out = sem.semantics_report(sem.AFProjection(args, tuple(('a1', a) for a in rest)))\n"
+            "into = sem.semantics_report(sem.AFProjection(args, tuple((a, 'a1') for a in rest)))\n"
+            "print(out['naive'] == [['a1'], rest], out['preferred'] == [['a1']],\n"
+            "      into['naive'] == [['a1'], rest], into['preferred'] == [rest])\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(sem.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=30, env=env)
+    assert done.stdout.split() == ["True"] * 4, done.stderr
+
+
 def test_oracle_cap():
     f = af(sem.ORACLE_CAP + 1, [])
     with pytest.raises(sem.TooLarge):
@@ -192,6 +227,31 @@ def test_oracle_matches_main_path(f):
     for which, main in ((sem.NAIVE, sem.naive_extensions),
                         (sem.PREFERRED, sem.preferred_extensions)):
         assert members(sem.oracle_extensions(f, which)) == members(main(f))
+
+
+def connected_af(rng, n):
+    """A weakly connected framework of n arguments: a random spanning tree of
+    attacks in random directions, extra attacks, and some self-attacks."""
+    atts = set()
+    for i in range(2, n + 1):
+        j = rng.randint(1, i - 1)
+        atts.add((i, j) if rng.random() < 0.5 else (j, i))
+    density = rng.choice([0.05, 0.1, 0.2, 0.3])
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if rng.random() < (density / 4 if i == j else density):
+                atts.add((i, j))
+    return af(n, sorted(atts))
+
+
+def test_pruned_search_matches_oracle_on_connected_frameworks():
+    rng = random.Random(20140207)
+    for n in range(13, 21):
+        for _ in range(2):
+            f = connected_af(rng, n)
+            for which, main in ((sem.NAIVE, sem.naive_extensions),
+                                (sem.PREFERRED, sem.preferred_extensions)):
+                assert members(main(f)) == members(sem.oracle_extensions(f, which))
 
 
 def disjoint_union(f, g):
