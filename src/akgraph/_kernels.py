@@ -1,42 +1,17 @@
 """Low-level subset-enumeration kernels for the exhaustive semantics oracle.
 
-All kernels work over the 2^n subset lattice encoded as bitmask indices.
-Each has a vectorized numpy implementation and a numba-compiled loop variant;
-the AKGRAPH_NUMBA environment variable selects the compiled path (off by
-default so that importing stays cheap when numba is absent or cold).
+All kernels work over the 2^n subset lattice encoded as bitmask indices,
+vectorized with numpy.  Only the oracle and the tests load this module, so
+numpy is needed for them alone.
 """
-
-import os
 
 import numpy as np
 
-try:
-    from numba import njit
-    HAS_NUMBA = True
-except ImportError:   # pragma: no cover - exercised on numba-less installs
-    HAS_NUMBA = False
 
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(f):
-            return f
-        return wrap
-
-NJIT_OPTS = dict(cache=True, nogil=True)
-
-ENV_FLAG = "AKGRAPH_NUMBA"
-
-
-def use_numba():
-    return HAS_NUMBA and os.environ.get(ENV_FLAG, "").strip().lower() in (
-        "1", "true", "on", "yes")
-
-
-# -- conflict-freeness over all subsets --
-
-def _cf_flags_np(n, src, dst):
+def conflict_free_flags(n, src, dst):
+    """ok[S] iff subset S contains no attack pair."""
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
     idx = np.arange(1 << n, dtype=np.int64)
     ok = np.ones(1 << n, dtype=np.bool_)
     for a, b in zip(src, dst):
@@ -44,30 +19,9 @@ def _cf_flags_np(n, src, dst):
     return ok
 
 
-@njit(**NJIT_OPTS)
-def _cf_flags_nb(n, src, dst):   # pragma: no cover - measured via benchmark
-    total = 1 << n
-    ok = np.ones(total, dtype=np.bool_)
-    for s in range(total):
-        for k in range(src.shape[0]):
-            if (s >> src[k]) & 1 and (s >> dst[k]) & 1:
-                ok[s] = False
-                break
-    return ok
-
-
-def conflict_free_flags(n, src, dst):
-    """ok[S] iff subset S contains no attack pair."""
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
-    if use_numba():
-        return _cf_flags_nb(n, src, dst)
-    return _cf_flags_np(n, src, dst)
-
-
-# -- OR of per-member masks over all subsets --
-
-def _or_members_np(n, masks):
+def or_over_members(n, masks):
+    """f[S] = OR of masks[i] for every i in S."""
+    masks = np.asarray(masks, dtype=np.int64)
     f = np.zeros(1 << n, dtype=np.int64)
     for i in range(n):
         lo, hi = 1 << i, 1 << (i + 1)
@@ -75,30 +29,9 @@ def _or_members_np(n, masks):
     return f
 
 
-@njit(**NJIT_OPTS)
-def _or_members_nb(n, masks):   # pragma: no cover
-    total = 1 << n
-    f = np.zeros(total, dtype=np.int64)
-    for s in range(1, total):
-        low = s & (-s)
-        i = 0
-        while (1 << i) != low:
-            i += 1
-        f[s] = f[s ^ low] | masks[i]
-    return f
-
-
-def or_over_members(n, masks):
-    """f[S] = OR of masks[i] for every i in S."""
-    masks = np.asarray(masks, dtype=np.int64)
-    if use_numba():
-        return _or_members_nb(n, masks)
-    return _or_members_np(n, masks)
-
-
-# -- inclusion-maximal elements of a flagged family --
-
-def _maximal_np(flags, n):
+def maximal_flags(flags, n):
+    """keep[S] iff flags[S] and no strict superset of S is flagged."""
+    flags = np.asarray(flags, dtype=np.bool_)
     idx = np.arange(1 << n, dtype=np.int64)
     covered = flags.copy()
     for i in range(n):
@@ -109,32 +42,6 @@ def _maximal_np(flags, n):
         unset = np.nonzero(((idx >> i) & 1) == 0)[0]
         strict[unset] |= covered[unset | (1 << i)]
     return flags & ~strict
-
-
-@njit(**NJIT_OPTS)
-def _maximal_nb(flags, n):   # pragma: no cover
-    total = 1 << n
-    covered = flags.copy()
-    for i in range(n):
-        bit = 1 << i
-        for s in range(total):
-            if not s & bit:
-                covered[s] |= covered[s | bit]
-    strict = np.zeros(total, dtype=np.bool_)
-    for i in range(n):
-        bit = 1 << i
-        for s in range(total):
-            if not s & bit and covered[s | bit]:
-                strict[s] = True
-    return flags & ~strict
-
-
-def maximal_flags(flags, n):
-    """keep[S] iff flags[S] and no strict superset of S is flagged."""
-    flags = np.asarray(flags, dtype=np.bool_)
-    if use_numba():
-        return _maximal_nb(flags, n)
-    return _maximal_np(flags, n)
 
 
 def admissible_flags(n, src, dst):

@@ -12,15 +12,11 @@ from functools import cached_property
 
 from .arguments import C, IRP
 from .ekb import AXIOM, ASSUMPTION, rule_preference_sets
-from .kbgraph import AttributeBox, _quote
+from .kbgraph import PREMISE, RULE_PREMISE, AttributeBox, _quote
 
 logger = logging.getLogger(__name__)
 
-PREMISE = "Premise"
-IMPLICIT_PREMISE = "ImplicitPremise"
-RULE_PREMISE = "InferenceRulePremise"
 CONCLUSION = "Conclusion"
-IMPLICIT_CONCLUSION = "ImplicitConclusion"
 
 SUPPORT = "Support"
 ATTACK = "Attack"
@@ -90,7 +86,7 @@ def classify_attack(target_node):
         raise AxiomAttacked("%s is an axiom premise" % target_node.arg_id)
     if target_node.kind == RULE_PREMISE:
         return UNDERCUT
-    if target_node.kind in (CONCLUSION, IMPLICIT_CONCLUSION):
+    if target_node.kind == CONCLUSION:
         return REBUT
     return UNDERMINE
 
@@ -131,7 +127,6 @@ def _node_for(ekb, arg, rule_arg_ids, comp_kinds):
                        text=ekb.rule_text(rule.rule_id))
     f = ekb.formula(arg.content)
     if arg.kind == C:
-        kind = IMPLICIT_CONCLUSION if f.implicit else CONCLUSION
         tag = None
         if f.components:
             kinds = {comp_kinds.get(cid) for cid in f.components}
@@ -139,25 +134,22 @@ def _node_for(ekb, arg, rule_arg_ids, comp_kinds):
         values = (arg.arg_id, _quote(f.marker))
         if tag:
             values = values + (tag,)
-        return AKGNode(arg.arg_id, kind, AttributeBox(values),
+        return AKGNode(arg.arg_id, CONCLUSION, AttributeBox(values),
                        content=arg.content, text=f.text, dataset_tag=tag)
-    kind = IMPLICIT_PREMISE if f.implicit else PREMISE
     box = AttributeBox((arg.arg_id, _quote(f.marker), f.premise_kind))
-    return AKGNode(arg.arg_id, kind, box, content=arg.content, text=f.text,
+    return AKGNode(arg.arg_id, PREMISE, box, content=arg.content, text=f.text,
                    premise_kind=f.premise_kind)
 
 
-def build_akg(ekb, aset, doc):
-    """Assemble the AKG from the knowledge base, argument set and document.
+def build_akg(kbg, aset, doc):
+    """Assemble the AKG from the knowledge-base graph, argument set and document.
 
-    The first argument may be the EKB itself or a KBGraph built from it.
     Arguments sharing content merge into one node (the earliest argument's
     id).  Support/attack edges come from annotated relations and stances;
     modus-ponens applications expand to one edge per antecedent plus one for
     the rule; redundant supports are pruned last.
     """
-    if hasattr(ekb, "ekb") and ekb.ekb is not None:   # a KBGraph was passed
-        ekb = ekb.ekb
+    ekb = kbg.ekb
     comp_kinds = {c.comp_id: c.kind for c in doc.components}
     rule_arg_ids = {}
     for a in aset.arguments:

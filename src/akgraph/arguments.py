@@ -68,21 +68,11 @@ class ArgumentSet:
     def _index(self):
         return {a.arg_id: a for a in reversed(self.arguments)}
 
-    @cached_property
-    def _content_index(self):
-        out = {}
-        for a in self.arguments:
-            out.setdefault(a.content, []).append(a)
-        return out
-
     def argument(self, arg_id):
         try:
             return self._index[arg_id]
         except KeyError:
             raise UnknownArgument("no argument %r" % arg_id) from None
-
-    def by_content(self, member_id):
-        return list(self._content_index.get(member_id, ()))
 
     def ids_of_kind(self, kind):
         return [a.arg_id for a in self.arguments if a.kind == kind]
@@ -95,6 +85,37 @@ def classify_consequent_role(ekb, consequent_id, feeds_further_rule):
     if f.premise_kind is not None or feeds_further_rule:
         return P
     return C
+
+
+def _feeders(rules):
+    """formula id -> ids of the rules taking it as an antecedent."""
+    feeders = {}
+    for r in rules:
+        for a in r.antecedents:
+            feeders.setdefault(a, set()).add(r.rule_id)
+    return feeders
+
+
+def _modus_ponens(ekb, rule, feeders, antecedents, rule_ref, result_ref):
+    """Role, Prem and Sub of the argument one firing of rule derives.
+
+    antecedents holds the (premises, sub) pair of each antecedent argument;
+    the refs are whatever the caller uses to name arguments.  Prem is the
+    union of the antecedents' premises; Sub lists their subarguments in
+    order, then the rule argument, then the derived argument itself.
+    """
+    premises = set()
+    sub = []
+    for ant_premises, ant_sub in antecedents:
+        premises |= ant_premises
+        for s in ant_sub:
+            if s not in sub:
+                sub.append(s)
+    if rule_ref not in sub:
+        sub.append(rule_ref)
+    sub.append(result_ref)
+    feeds = any(rid != rule.rule_id for rid in feeders.get(rule.consequent, ()))
+    return classify_consequent_role(ekb, rule.consequent, feeds), premises, sub
 
 
 def apply_modus_ponens(ekb, rule_arg, antecedent_args, arg_id="A?"):
@@ -111,27 +132,19 @@ def apply_modus_ponens(ekb, rule_arg, antecedent_args, arg_id="A?"):
     if given != wanted:
         raise AntecedentMismatch("rule %s wants antecedents %s, got %s"
                                  % (rule.rule_id, wanted, given))
-    premises = frozenset().union(*(a.premises for a in antecedent_args))
-    sub = []
-    for a in antecedent_args:
-        for s in a.subargs:
-            if s not in sub:
-                sub.append(s)
-    for extra in (rule_arg.arg_id, arg_id):
-        if extra not in sub:
-            sub.append(extra)
-    feeds = any(rule.consequent in r.antecedents for r in ekb.rules
-                if r.rule_id != rule.rule_id)
+    kind, premises, sub = _modus_ponens(
+        ekb, rule, _feeders(ekb.rules),
+        [(a.premises, a.subargs) for a in antecedent_args], rule_arg.arg_id, arg_id)
     return Argument(arg_id=arg_id,
-                    kind=classify_consequent_role(ekb, rule.consequent, feeds),
+                    kind=kind,
                     content=rule.consequent,
-                    premises=premises,
+                    premises=frozenset(premises),
                     conclusion=rule.consequent,
                     subargs=tuple(sub),
                     top_rule=rule.rule_id)
 
 
-def derive_argument_set(ekb, doc=None):
+def derive_argument_set(ekb):
     """Derive the full argument set for a knowledge base.
 
     Rules fire once each, in document order; a firing replaces the atomic
@@ -140,10 +153,7 @@ def derive_argument_set(ekb, doc=None):
     additional argument placed right after the first.
     """
     rule_ids = {r.rule_id for r in ekb.rules}
-    feeders = {}
-    for r in ekb.rules:
-        for a in r.antecedents:
-            feeders.setdefault(a, set()).add(r.rule_id)
+    feeders = _feeders(ekb.rules)
 
     # one mutable record per argument; member slots keep document positions
     records = []
@@ -151,17 +161,13 @@ def derive_argument_set(ekb, doc=None):
     current = {}
     for member_id in ekb.member_order:
         if member_id in rule_ids:
-            rec = {"kind": IRP, "content": member_id, "premises": {member_id},
-                   "sub": None, "top_rule": None, "atomic": True}
+            kind = IRP
         else:
-            f = ekb.formula(member_id)
-            kind = P if f.premise_kind is not None else C
-            rec = {"kind": kind, "content": member_id, "premises": {member_id},
-                   "sub": None, "top_rule": None, "atomic": True}
-        rec["sub"] = [len(records)]
-        records.append(rec)
-        member_records[member_id] = [len(records) - 1]
-        current[member_id] = len(records) - 1
+            kind = P if ekb.formula(member_id).premise_kind is not None else C
+        member_records[member_id] = [len(records)]
+        current[member_id] = len(records)
+        records.append({"kind": kind, "content": member_id, "premises": {member_id},
+                        "sub": [len(records)], "top_rule": None, "atomic": True})
 
     applications = []
     fired = set()
@@ -177,32 +183,22 @@ def derive_argument_set(ekb, doc=None):
             changed = True
             ant_idx = [current[a] for a in r.antecedents]
             rule_idx = current[r.rule_id]
-            feeds = any(rid != r.rule_id for rid in feeders.get(r.consequent, ()))
-            premises = set()
-            for i in ant_idx:
-                premises |= records[i]["premises"]
-            sub = []
-            for i in ant_idx:
-                for s in records[i]["sub"]:
-                    if s not in sub:
-                        sub.append(s)
-            if rule_idx not in sub:
-                sub.append(rule_idx)
-            derived = {"kind": classify_consequent_role(ekb, r.consequent, feeds),
-                       "content": r.consequent, "premises": premises,
-                       "sub": sub, "top_rule": r.rule_id, "atomic": False}
             target = current[r.consequent]
-            if records[target]["atomic"]:
-                # upgrade the atomic placeholder in place, keeping its position
-                derived["sub"] = sub + [target]
+            # the first derivation upgrades the atomic placeholder in place,
+            # keeping its position; a later one becomes an extra argument
+            result_idx = target if records[target]["atomic"] else len(records)
+            kind, premises, sub = _modus_ponens(
+                ekb, r, feeders,
+                [(records[i]["premises"], records[i]["sub"]) for i in ant_idx],
+                rule_idx, result_idx)
+            derived = {"kind": kind, "content": r.consequent, "premises": premises,
+                       "sub": sub, "top_rule": r.rule_id, "atomic": False}
+            if result_idx == target:
                 records[target] = derived
-                result_idx = target
             else:
-                derived["sub"] = sub + [len(records)]
                 records.append(derived)
-                member_records[r.consequent].append(len(records) - 1)
-                current[r.consequent] = len(records) - 1
-                result_idx = len(records) - 1
+                member_records[r.consequent].append(result_idx)
+                current[r.consequent] = result_idx
             applications.append((rule_idx, ant_idx, result_idx))
 
     # flatten to document order and hand out argument ids
@@ -226,17 +222,3 @@ def derive_argument_set(ekb, doc=None):
                  for r, ants, res in applications)
     return ArgumentSet(tuple(arguments), apps)
 
-
-def subarguments(aset, arg_id):
-    """Transitive closure of Sub, self-inclusive, in derivation order."""
-    start = aset.argument(arg_id)
-    seen = []
-    stack = [start]
-    while stack:
-        arg = stack.pop(0)
-        for sid in arg.subargs:
-            if sid not in seen:
-                seen.append(sid)
-                if sid != arg.arg_id:
-                    stack.append(aset.argument(sid))
-    return [aset.argument(s) for s in seen]

@@ -60,7 +60,6 @@ class Formula:
     formula_id: str
     text: str
     premise_kind: str = ORDINARY
-    implicit: bool = False
     marker: str = None
     spans: tuple = ()
     components: tuple = ()
@@ -122,7 +121,6 @@ class EKB:
     contraries: frozenset    # (phi, psi): phi is a contrary of psi
     agreements: frozenset    # (phi, psi): phi agrees with psi
     rule_pref: frozenset     # (lesser, greater) rule-id pairs, transitively closed
-    premise_pref: frozenset = frozenset()
     member_order: tuple = () # formula/rule ids in derived argument order
     dropped_ims: tuple = ()  # IMMatches that aligned with no component pair
     span_to_rule: tuple = () # (annotated rule-span id, rule id) pairs
@@ -187,28 +185,8 @@ class EKB:
             return self.rule_text(any_id)
         return self.formula(any_id).text
 
-    def provisional_argument_ids(self):
-        """member id -> the argument id it will receive (A1, A2, ...)."""
-        return {m: "A%d" % (i + 1) for i, m in enumerate(self.member_order)}
-
 
 # -- queries --
-
-def contraries_of(ekb, any_id):
-    """All members in a contrary pair with the given formula or rule id."""
-    if not ekb.has_member(any_id):
-        raise UnknownId("no formula or rule %r" % any_id)
-    return ({a for a, b in ekb.contraries if b == any_id}
-            | {b for a, b in ekb.contraries if a == any_id})
-
-
-def agreements_of(ekb, any_id):
-    """All members in an agreement pair with the given formula or rule id."""
-    if not ekb.has_member(any_id):
-        raise UnknownId("no formula or rule %r" % any_id)
-    return ({a for a, b in ekb.agreements if b == any_id}
-            | {b for a, b in ekb.agreements if a == any_id})
-
 
 def rule_preference_sets(ekb, rule_id):
     """(L1, L2) for a defeasible rule: strictly less / more preferred rules.
@@ -459,10 +437,6 @@ def validate_ekb(ekb):
                 out.append(Violation("DanglingReference", "rule_pref", rid))
             elif rid not in defeasible:
                 out.append(Violation("StrictRuleInPreference", rid))
-    axioms = {f.formula_id for f in ekb.formulas if f.premise_kind == AXIOM}
-    for a, b in ekb.premise_pref:
-        if a in axioms or b in axioms:
-            out.append(Violation("AxiomInPreference", a if a in axioms else b))
     every = known | {r.rule_id for r in ekb.rules}
     for name, pairs in (("contraries", ekb.contraries), ("agreements", ekb.agreements)):
         for a, b in pairs:

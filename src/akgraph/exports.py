@@ -2,8 +2,7 @@
 
 Emission order is sorted by id everywhere, so identical inputs produce
 byte-identical outputs.  Attribute boxes become secondary label nodes in DOT,
-joined to their owners by undecorated linker edges; implicit components get
-dotted borders.
+joined to their owners by undecorated linker edges.
 """
 
 import json
@@ -12,13 +11,11 @@ from . import akg as akgmod
 from . import kbgraph
 from .kbgraph import natural_key
 
-# DOT appearance per node kind: (shape, border style or None for solid)
-_NODE_STYLE = {
-    kbgraph.PREMISE: ("box", None),
-    kbgraph.IMPLICIT_PREMISE: ("box", "dotted"),
-    kbgraph.RULE_PREMISE: ("hexagon", None),
-    akgmod.CONCLUSION: ("ellipse", None),
-    akgmod.IMPLICIT_CONCLUSION: ("ellipse", "dotted"),
+# DOT shape per node kind
+_NODE_SHAPE = {
+    kbgraph.PREMISE: "box",
+    kbgraph.RULE_PREMISE: "hexagon",
+    akgmod.CONCLUSION: "ellipse",
 }
 
 _EDGE_STYLE = {
@@ -34,10 +31,8 @@ def _esc(s):
     return s.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _dot_node(node_id, label, shape, border, extra=""):
+def _dot_node(node_id, label, shape, extra=""):
     attrs = ['label="%s"' % _esc(label), "shape=%s" % shape]
-    if border:
-        attrs.append("style=%s" % border)
     if extra:
         attrs.append(extra)
     return '  "%s" [%s];' % (node_id, ", ".join(attrs))
@@ -46,7 +41,7 @@ def _dot_node(node_id, label, shape, border, extra=""):
 def _attr_box_lines(owner_id, box):
     """Secondary node holding the rendered attribute tuple, plus its linker."""
     box_id = owner_id + "#attrs"
-    lines = [_dot_node(box_id, box.render(), "note", None, "fontsize=10")]
+    lines = [_dot_node(box_id, box.render(), "note", "fontsize=10")]
     lines.append('  "%s" -> "%s" [dir=none];' % (owner_id, box_id))
     return lines
 
@@ -62,8 +57,7 @@ def export_dot(graph):
     for n in nodes:
         node_id = n.arg_id if is_akg else n.node_id
         label = (n.text or n.content) if is_akg else _member_label(graph, n)
-        shape, border = _NODE_STYLE[n.kind]
-        lines.append(_dot_node(node_id, label, shape, border))
+        lines.append(_dot_node(node_id, label, _NODE_SHAPE[n.kind]))
         lines.extend(_attr_box_lines(node_id, n.attributes))
 
     edges = sorted(graph.edges,

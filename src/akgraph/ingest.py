@@ -267,6 +267,14 @@ def _entries(data, key):
         yield path, entry
 
 
+def _new_id(seen, entry_id, path):
+    """Claim entry_id in the one id space components and rule spans share."""
+    if entry_id in seen:
+        raise SchemaViolation("%s.id: duplicate id %r" % (path, entry_id))
+    seen.add(entry_id)
+    return entry_id
+
+
 def parse_canonical_json(content, doc_id=None):
     """Parse the canonical JSON document schema.
 
@@ -284,6 +292,7 @@ def parse_canonical_json(content, doc_id=None):
     text = _want(data, "text", str, "$")
     doc = make_text_document(doc_id or _want(data, "doc_id", str, "$"), text)
 
+    seen_ids = set()
     components = []
     for path, c in _entries(data, "components"):
         kind = _want(c, "kind", str, path)
@@ -291,7 +300,7 @@ def parse_canonical_json(content, doc_id=None):
             raise SchemaViolation("%s.kind: unknown kind %r" % (path, kind))
         start = _want(c, "start", int, path)
         end = _want(c, "end", int, path)
-        cid = _want(c, "id", str, path)
+        cid = _new_id(seen_ids, _want(c, "id", str, path), path)
         try:
             _check_span(doc.raw_text, start, end, doc.raw_text[start:end], cid)
         except SpanMismatch as e:
@@ -303,7 +312,7 @@ def parse_canonical_json(content, doc_id=None):
     for path, r in _entries(data, "rule_spans"):
         start = _want(r, "start", int, path)
         end = _want(r, "end", int, path)
-        rid = _want(r, "id", str, path)
+        rid = _new_id(seen_ids, _want(r, "id", str, path), path)
         if not (0 <= start <= end <= len(doc.raw_text)):
             raise SchemaViolation("%s: span out of bounds" % path)
         rule_spans.append(RuleSpanAnnotation(rid, start, end, doc.raw_text[start:end]))

@@ -1,8 +1,9 @@
 """Attributed knowledge-base graph.
 
-Nodes are premises, implicit premises and inference-rule premises; edges are
-agreement and contrary relations.  Each node carries an ordered attribute box
-whose rendering is stable across rebuilds.
+Nodes are premises and inference-rule premises; edges are agreement and
+contrary relations.  Each node carries an ordered attribute box whose
+rendering is stable across rebuilds.  The node-kind constants defined here
+are shared with the argument knowledge graph.
 """
 
 import re
@@ -12,7 +13,6 @@ from functools import cached_property
 from .ekb import validate_ekb
 
 PREMISE = "Premise"
-IMPLICIT_PREMISE = "ImplicitPremise"
 RULE_PREMISE = "InferenceRulePremise"
 
 AGREEMENT = "Agreement"
@@ -72,7 +72,7 @@ def rule_attribute_box(ekb, r):
 @dataclass(frozen=True)
 class KBNode:
     node_id: str
-    kind: str       # Premise | ImplicitPremise | InferenceRulePremise
+    kind: str       # Premise | InferenceRulePremise
     payload: str    # formula or rule id
     attributes: AttributeBox
 
@@ -88,7 +88,7 @@ class KBEdge:
 class KBGraph:
     nodes: tuple
     edges: tuple
-    ekb: object = None   # source EKB, kept so downstream builders can reuse it
+    ekb: object = None   # source EKB, read by build_akg and the exports
 
     # reversed, so that of duplicate ids the first wins, as in a scan
     @cached_property
@@ -117,8 +117,7 @@ def build_kb_graph(ekb):
                                 rule_attribute_box(ekb, r)))
         else:
             f = k_formulas[member_id]
-            kind = IMPLICIT_PREMISE if f.implicit else PREMISE
-            nodes.append(KBNode(member_id, kind, member_id, premise_attribute_box(f)))
+            nodes.append(KBNode(member_id, PREMISE, member_id, premise_attribute_box(f)))
 
     edges = [KBEdge(a, b, AGREEMENT) for a, b in ekb.agreements]
     edges += [KBEdge(a, b, CONTRARY) for a, b in ekb.contraries]

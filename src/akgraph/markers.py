@@ -14,7 +14,6 @@ annotated relation has no explicit IM between its spans (implicit IMs).
 """
 
 import logging
-import os
 import re
 from bisect import bisect_left, insort
 from dataclasses import dataclass
@@ -31,8 +30,6 @@ FORWARD_INITIAL = "ForwardInitial"
 FORWARD_MEDIAL = "ForwardMedial"
 BACKWARD_CAUSAL = "BackwardCausal"
 IMPLICIT = "Implicit"
-
-LEXICON_ENV_VAR = "AKGRAPH_LEXICON"
 
 # bridge phrase absorbed into backward-causal marker spans ("due to the fact that")
 _BRIDGE = "the fact that"
@@ -129,16 +126,11 @@ def _parse_lexicon_lines(content):
 def load_lexicon(source=None):
     """Build the marker lexicon.
 
-    With no source, loads the packaged default table (or the file named by
-    the AKGRAPH_LEXICON environment variable, if set).  A string source is
+    With no source, loads the packaged default table.  A string source is
     parsed as lexicon file content and fully replaces the defaults.
     """
     if source is not None:
         return _parse_lexicon_lines(source)
-    env_path = os.environ.get(LEXICON_ENV_VAR)
-    if env_path:
-        with open(env_path, encoding="utf-8") as f:
-            return _parse_lexicon_lines(f.read())
     content = resources.files("akgraph").joinpath("data/inference_markers.tsv")
     return _parse_lexicon_lines(content.read_text(encoding="utf-8"))
 

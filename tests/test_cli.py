@@ -51,23 +51,30 @@ def test_ingest_violations_exit_1(tmp_path, capsys):
     assert "violation:" in err and "StanceOnNonClaim" in err
 
 
-@pytest.mark.parametrize("key, value, path", [
-    ("components", [{"id": "T1", "kind": "Premise", "start": True, "end": 4}],
-     "$.components[0].start"),
-    ("components", [5], "$.components[0]"),
-    ("components", 5, "$.components"),
-    ("rule_spans", ["T2"], "$.rule_spans[0]"),
-    ("rule_spans", {"id": "T2"}, "$.rule_spans"),
-    ("relations", [None], "$.relations[0]"),
-    ("relations", "R1", "$.relations"),
-    ("stances", [[]], "$.stances[0]"),
-    ("stances", None, "$.stances"),
+CATS = {"id": "T1", "kind": "Premise", "start": 0, "end": 4}
+PURR = {"id": "T1", "kind": "Premise", "start": 5, "end": 9}
+
+
+@pytest.mark.parametrize("fields, path", [
+    ({"components": [dict(CATS, start=True)]}, "$.components[0].start"),
+    ({"components": [5]}, "$.components[0]"),
+    ({"components": 5}, "$.components"),
+    ({"rule_spans": ["T2"]}, "$.rule_spans[0]"),
+    ({"rule_spans": {"id": "T2"}}, "$.rule_spans"),
+    ({"relations": [None]}, "$.relations[0]"),
+    ({"relations": "R1"}, "$.relations"),
+    ({"stances": [[]]}, "$.stances[0]"),
+    ({"stances": None}, "$.stances"),
+    ({"components": [CATS, PURR]}, "$.components[1].id"),
+    ({"components": [CATS], "rule_spans": [{"id": "T1", "start": 5, "end": 9}]},
+     "$.rule_spans[0].id"),
 ], ids=["bool-offset", "component-not-object", "components-not-list",
         "rule-span-not-object", "rule-spans-not-list", "relation-not-object",
-        "relations-not-list", "stance-not-object", "stances-not-list"])
-def test_malformed_json_exit_1(tmp_path, capsys, key, value, path):
+        "relations-not-list", "stance-not-object", "stances-not-list",
+        "duplicate-component-id", "rule-span-reuses-component-id"])
+def test_malformed_json_exit_1(tmp_path, capsys, fields, path):
     doc = tmp_path / "bad.json"
-    doc.write_text(json.dumps({"doc_id": "bad", "text": "Cats purr.", key: value}))
+    doc.write_text(json.dumps({"doc_id": "bad", "text": "Cats purr.", **fields}))
     assert run(["ingest", "--input", str(doc)]) == 1
     err = capsys.readouterr().err
     assert "SchemaViolation: %s:" % path in err
@@ -220,3 +227,17 @@ def test_cli_import_skips_numpy():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True, env=env)
     assert done.stdout.strip() == "False"
+
+
+def test_run_without_numpy(tmp_path):
+    # every stage of a run, exports included, works with numpy unimportable
+    code = ("import sys; sys.modules['numpy'] = None; "
+            "from akgraph.cli import main; sys.exit(main(sys.argv[1:]))")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code, "run", *ESSAY,
+                           "--out", str(tmp_path)],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        "essay056.%s" % ext for ext in ("kb.dot", "akg.dot", "kb.json", "akg.json",
+                                        "args.json", "apx", "semantics.json"))

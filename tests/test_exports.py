@@ -63,13 +63,6 @@ def test_dot_shapes(essay):
     assert "shape=box" in a1 and "style=" not in a1
 
 
-def test_dot_dotted_border_for_implicit():
-    node = AKGNode("A1", "ImplicitPremise", AttributeBox(("A1",)), text="x")
-    dot = X.export_dot(AKG((node,), ()))
-    assert "style=dotted" in dot
-    assert_dot_well_formed(dot)
-
-
 def test_dot_kb_agreement_edges(essay):
     dot = X.export_dot(essay["kb_graph"])
     assert '"T3" -> "T4" [dir=none, style=dashed, label="Ag"];' in dot

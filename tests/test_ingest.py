@@ -167,6 +167,24 @@ def test_canonical_json_schema_errors():
         ingest.parse_canonical_json(json.dumps(bad))
 
 
+def test_canonical_json_refuses_duplicate_ids():
+    def doc(components, rule_spans=()):
+        return json.dumps({"doc_id": "x", "text": "Cats purr.",
+                           "components": list(components),
+                           "rule_spans": list(rule_spans)})
+
+    cats = {"id": "T1", "kind": "Premise", "start": 0, "end": 4}
+    purr = {"id": "T1", "kind": "Premise", "start": 5, "end": 9}
+    with pytest.raises(ingest.SchemaViolation, match=r"\$\.components\[1\]\.id: duplicate id 'T1'"):
+        ingest.parse_canonical_json(doc([cats, purr]))
+    # components and rule spans share one id space, as in brat input
+    with pytest.raises(ingest.SchemaViolation, match=r"\$\.rule_spans\[0\]\.id: duplicate id 'T1'"):
+        ingest.parse_canonical_json(doc([cats], [{"id": "T1", "start": 5, "end": 9}]))
+    ok = ingest.parse_canonical_json(doc([cats, dict(purr, id="T2")],
+                                         [{"id": "T3", "start": 5, "end": 9}]))
+    assert [c.comp_id for c in ok.components] == ["T1", "T2"]
+
+
 def test_validate_document_reports_violations():
     tdoc = ingest.make_text_document("d", TXT)
     comp = ingest.ComponentAnnotation("T1", "Premise", 0, 14, "Cats are great")

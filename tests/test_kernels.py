@@ -82,44 +82,6 @@ def test_maximal_flags():
     assert subsets_where(K.maximal_flags(flags, 2)) == {0b01, 0b10}
 
 
-def test_use_numba_env_parsing(monkeypatch):
-    monkeypatch.delenv(K.ENV_FLAG, raising=False)
-    assert not K.use_numba()
-    for val, want in [("1", True), ("true", True), ("ON", True), ("Yes", True),
-                      ("0", False), ("off", False), ("", False), ("  ", False)]:
-        monkeypatch.setenv(K.ENV_FLAG, val)
-        assert K.use_numba() == (want and K.HAS_NUMBA)
-
-
-@pytest.mark.skipif(not K.HAS_NUMBA, reason="numba not installed")
-@pytest.mark.parametrize("n,atts", CASES)
-def test_numba_variants_match_numpy(n, atts):
-    src = np.asarray([a for a, _ in atts], dtype=np.int64)
-    dst = np.asarray([b for _, b in atts], dtype=np.int64)
-    np.testing.assert_array_equal(K._cf_flags_nb(n, src, dst),
-                                  K._cf_flags_np(n, src, dst))
-    masks = np.zeros(n, dtype=np.int64)
-    for a, b in atts:
-        masks[a] |= 1 << b
-    np.testing.assert_array_equal(K._or_members_nb(n, masks),
-                                  K._or_members_np(n, masks))
-    flags = K._cf_flags_np(n, src, dst)
-    np.testing.assert_array_equal(K._maximal_nb(flags.copy(), n),
-                                  K._maximal_np(flags, n))
-
-
-@pytest.mark.skipif(not K.HAS_NUMBA, reason="numba not installed")
-def test_env_flag_switches_path(monkeypatch):
-    n, atts = 4, [(0, 1), (1, 0), (2, 3)]
-    src = [a for a, _ in atts]
-    dst = [b for _, b in atts]
-    monkeypatch.setenv(K.ENV_FLAG, "1")
-    compiled = K.conflict_free_flags(n, src, dst)
-    monkeypatch.delenv(K.ENV_FLAG)
-    plain = K.conflict_free_flags(n, src, dst)
-    np.testing.assert_array_equal(compiled, plain)
-
-
 def test_random_agreement_with_itertools():
     rng = np.random.default_rng(7)
     for _ in range(25):

@@ -63,11 +63,8 @@ def test_default_lexicon_is_table():
     assert "therefore" in lex.surfaces(markers.CLAIM_INDICATOR)
 
 
-def test_lexicon_env_override(tmp_path, monkeypatch):
-    path = tmp_path / "lex.tsv"
-    path.write_text("ergo\tClaim\n", encoding="utf-8")
-    monkeypatch.setenv(markers.LEXICON_ENV_VAR, str(path))
-    lex = markers.load_lexicon()
+def test_lexicon_env_override():
+    lex = markers.load_lexicon("ergo\tClaim\n")
     assert lex.surfaces() == ["ergo"]
     text = "Socrates is a man. Ergo, Socrates is mortal.\n"
     m = only(markers.detect_ims(doc(text), lex))
