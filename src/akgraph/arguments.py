@@ -8,6 +8,7 @@ argument numbered at its consequent's position and each paragraph's
 conclusions numbered after its premises and rules.
 """
 
+import heapq
 import logging
 from dataclasses import dataclass
 from functools import cached_property
@@ -147,20 +148,24 @@ def apply_modus_ponens(ekb, rule_arg, antecedent_args, arg_id="A?"):
 def derive_argument_set(ekb):
     """Derive the full argument set for a knowledge base.
 
-    Rules fire once each, in document order; a firing replaces the atomic
-    argument of its consequent, so a consequent derived early feeds any later
-    rule in derived form.  A consequent derived by a second rule becomes an
-    additional argument placed right after the first.
+    Rules fire once each.  A rule fires only after every rule deriving one
+    of its antecedents has fired, and among the rules ready to fire the
+    earliest in document order goes first; when none is ready, which only a
+    cycle of rules causes, the earliest unfired rule fires.  A firing
+    replaces the atomic argument of its consequent, so every later rule
+    takes that consequent in derived form.  A consequent derived by a second
+    rule becomes an additional argument placed right after the first.
     """
-    rule_ids = {r.rule_id for r in ekb.rules}
-    feeders = _feeders(ekb.rules)
+    rules = ekb.rules
+    position = {r.rule_id: j for j, r in enumerate(rules)}
+    feeders = _feeders(rules)
 
     # one mutable record per argument; member slots keep document positions
     records = []
     member_records = {}
     current = {}
     for member_id in ekb.member_order:
-        if member_id in rule_ids:
+        if member_id in position:
             kind = IRP
         else:
             kind = P if ekb.formula(member_id).premise_kind is not None else C
@@ -169,37 +174,48 @@ def derive_argument_set(ekb):
         records.append({"kind": kind, "content": member_id, "premises": {member_id},
                         "sub": [len(records)], "top_rule": None, "atomic": True})
 
+    # waits[j]: unfired rules deriving an antecedent of rule j
+    waits = [0] * len(rules)
+    for r in rules:
+        for rid in feeders.get(r.consequent, ()):
+            waits[position[rid]] += 1
+    ready = [j for j, w in enumerate(waits) if w == 0]
+    fired = [False] * len(rules)
+    earliest = 0
     applications = []
-    fired = set()
-    changed = True
-    while changed:
-        changed = False
-        for r in ekb.rules:
-            if r.rule_id in fired:
-                continue
-            if not all(a in current for a in r.antecedents):
-                continue
-            fired.add(r.rule_id)
-            changed = True
-            ant_idx = [current[a] for a in r.antecedents]
-            rule_idx = current[r.rule_id]
-            target = current[r.consequent]
-            # the first derivation upgrades the atomic placeholder in place,
-            # keeping its position; a later one becomes an extra argument
-            result_idx = target if records[target]["atomic"] else len(records)
-            kind, premises, sub = _modus_ponens(
-                ekb, r, feeders,
-                [(records[i]["premises"], records[i]["sub"]) for i in ant_idx],
-                rule_idx, result_idx)
-            derived = {"kind": kind, "content": r.consequent, "premises": premises,
-                       "sub": sub, "top_rule": r.rule_id, "atomic": False}
-            if result_idx == target:
-                records[target] = derived
-            else:
-                records.append(derived)
-                member_records[r.consequent].append(result_idx)
-                current[r.consequent] = result_idx
-            applications.append((rule_idx, ant_idx, result_idx))
+    for _ in rules:
+        if ready:
+            j = heapq.heappop(ready)
+        else:
+            while fired[earliest]:
+                earliest += 1
+            j = earliest
+        fired[j] = True
+        r = rules[j]
+        for rid in feeders.get(r.consequent, ()):
+            k = position[rid]
+            waits[k] -= 1
+            if waits[k] == 0 and not fired[k]:
+                heapq.heappush(ready, k)
+        ant_idx = [current[a] for a in r.antecedents]
+        rule_idx = current[r.rule_id]
+        target = current[r.consequent]
+        # the first derivation upgrades the atomic placeholder in place,
+        # keeping its position; a later one becomes an extra argument
+        result_idx = target if records[target]["atomic"] else len(records)
+        kind, premises, sub = _modus_ponens(
+            ekb, r, feeders,
+            [(records[i]["premises"], records[i]["sub"]) for i in ant_idx],
+            rule_idx, result_idx)
+        derived = {"kind": kind, "content": r.consequent, "premises": premises,
+                   "sub": sub, "top_rule": r.rule_id, "atomic": False}
+        if result_idx == target:
+            records[target] = derived
+        else:
+            records.append(derived)
+            member_records[r.consequent].append(result_idx)
+            current[r.consequent] = result_idx
+        applications.append((rule_idx, ant_idx, result_idx))
 
     # flatten to document order and hand out argument ids
     ordered = []

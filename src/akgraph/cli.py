@@ -191,13 +191,14 @@ def render_format(fmt, artifacts):
 def write_formats(config, report):
     written = []
     doc_id = report.artifacts["doc"].document.doc_id
+    if config.out_dir is not None:
+        out = Path(config.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
     for fmt in config.formats:
         payload = render_format(fmt, report.artifacts)
         if config.out_dir is None:
             sys.stdout.write(payload)
             continue
-        out = Path(config.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         target = out / ("%s.%s" % (doc_id, _SUFFIX[fmt]))
         target.write_text(payload, encoding="utf-8")
         written.append(str(target))

@@ -3,9 +3,15 @@
 Emission order is sorted by id everywhere, so identical inputs produce
 byte-identical outputs.  Attribute boxes become secondary label nodes in DOT,
 joined to their owners by undecorated linker edges.
+
+Every JSON export is laid out as json.dumps(obj, indent=2,
+ensure_ascii=False) lays out the same object, byte for byte.  With an indent
+json.dumps runs its pure-Python encoder, so the three graph exports format
+their fixed-shape rows from templates instead, and every string goes through
+the C string encoder; the semantics report is walked by _json_text.
 """
 
-import json
+from json.encoder import encode_basestring as _enc
 
 from . import akg as akgmod
 from . import kbgraph
@@ -18,58 +24,52 @@ _NODE_SHAPE = {
     akgmod.CONCLUSION: "ellipse",
 }
 
-_EDGE_STYLE = {
-    kbgraph.AGREEMENT: 'dir=none, style=dashed, label="Ag"',
-    kbgraph.CONTRARY: 'style=dashed, arrowhead=diamond, label="Con"',
+# DOT attribute list per edge kind; attack and modus-ponens edges add a label
+_EDGE_TAIL = {
+    kbgraph.AGREEMENT: ' [dir=none, style=dashed, label="Ag"]',
+    kbgraph.CONTRARY: ' [style=dashed, arrowhead=diamond, label="Con"]',
     akgmod.SUPPORT: "",
-    akgmod.ATTACK: "",          # label carries the attack type
-    akgmod.MODUS_PONENS: "style=bold",
+    akgmod.ATTACK: ' [label="%s"]',
+    akgmod.MODUS_PONENS: ' [style=bold, label="MP%d"]',
 }
+
+# a node, its attribute box and the linker between them; the node id fills
+# the first, fourth, sixth and seventh slots
+_DOT_NODE = ('  "%s" [label="%s", shape=%s];\n'
+             '  "%s#attrs" [label="%s", shape=note, fontsize=10];\n'
+             '  "%s" -> "%s#attrs" [dir=none];')
+_DOT_EDGE = '  "%s" -> "%s"%s;'
 
 
 def _esc(s):
     return s.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _dot_node(node_id, label, shape, extra=""):
-    attrs = ['label="%s"' % _esc(label), "shape=%s" % shape]
-    if extra:
-        attrs.append(extra)
-    return '  "%s" [%s];' % (node_id, ", ".join(attrs))
-
-
-def _attr_box_lines(owner_id, box):
-    """Secondary node holding the rendered attribute tuple, plus its linker."""
-    box_id = owner_id + "#attrs"
-    lines = [_dot_node(box_id, box.render(), "note", "fontsize=10")]
-    lines.append('  "%s" -> "%s" [dir=none];' % (owner_id, box_id))
-    return lines
-
-
 def export_dot(graph):
     """Render a KBGraph or an AKG as a DOT digraph."""
     is_akg = isinstance(graph, akgmod.AKG)
-    name = "akg" if is_akg else "kb"
-    lines = ["digraph %s {" % name, '  rankdir="LR";']
+    lines = ["digraph %s {" % ("akg" if is_akg else "kb"), '  rankdir="LR";']
 
     nodes = sorted(graph.nodes,
                    key=lambda n: natural_key(n.arg_id if is_akg else n.node_id))
     for n in nodes:
-        node_id = n.arg_id if is_akg else n.node_id
-        label = (n.text or n.content) if is_akg else _member_label(graph, n)
-        lines.append(_dot_node(node_id, label, _NODE_SHAPE[n.kind]))
-        lines.extend(_attr_box_lines(node_id, n.attributes))
+        if is_akg:
+            node_id, label = _esc(n.arg_id), n.text or n.content
+        else:
+            node_id, label = _esc(n.node_id), _member_label(graph, n)
+        lines.append(_DOT_NODE % (node_id, _esc(label), _NODE_SHAPE[n.kind],
+                                  node_id, _esc(n.attributes.render()),
+                                  node_id, node_id))
 
     edges = sorted(graph.edges,
                    key=lambda e: (natural_key(e.source), natural_key(e.target), e.kind))
     for e in edges:
-        attrs = _EDGE_STYLE[e.kind]
-        if is_akg and e.kind == akgmod.ATTACK:
-            attrs = 'label="%s"' % e.attack_type
-        elif is_akg and e.kind == akgmod.MODUS_PONENS:
-            attrs = '%s, label="MP%d"' % (attrs, e.mp_group)
-        tail = " [%s]" % attrs if attrs else ""
-        lines.append('  "%s" -> "%s"%s;' % (e.source, e.target, tail))
+        tail = _EDGE_TAIL[e.kind]
+        if e.kind == akgmod.ATTACK:
+            tail %= e.attack_type
+        elif e.kind == akgmod.MODUS_PONENS:
+            tail %= e.mp_group
+        lines.append(_DOT_EDGE % (_esc(e.source), _esc(e.target), tail))
 
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -82,26 +82,106 @@ def _member_label(kbg, node):
 
 
 # -- JSON --
+#
+# The graph exports are three levels deep: the top object, its lists at two
+# spaces, their rows at four and the rows' fields at six, so the row
+# templates carry their indentation.
 
-def _dump(obj):
-    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+def _array(rows, pad):
+    """A JSON array of rows already rendered at the indentation below pad."""
+    if not rows:
+        return "[]"
+    return "[\n%s\n%s]" % (",\n".join(rows), pad)
 
 
-def _rendered_box(box):
-    return [kbgraph._render_value(v) for v in box.values]
+def _strings(items, pad):
+    """A JSON array of strings, encoded in one call, closing at pad."""
+    if not items:
+        return "[]"
+    inner = pad + "  "
+    return "[\n%s%s\n%s]" % (inner, (",\n" + inner).join(map(_enc, items)), pad)
+
+
+def _json_text(obj, pad=""):
+    """obj as json.dumps(obj, indent=2, ensure_ascii=False) writes it, for a
+    value nested at indentation pad.  Takes dicts with string keys, lists,
+    tuples, strings, ints, bools and None."""
+    if isinstance(obj, str):
+        return _enc(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        return "{\n%s%s\n%s}" % (inner, (",\n" + inner).join(
+            "%s: %s" % (_enc(k), _json_text(v, inner)) for k, v in obj.items()), pad)
+    if isinstance(obj, (list, tuple)):
+        if all(isinstance(x, str) for x in obj):
+            return _strings(obj, pad)
+        return _array([inner + _json_text(x, inner) for x in obj], pad)
+    raise TypeError("Object of type %s is not JSON serializable"
+                    % type(obj).__name__)
+
+
+_KB_NODE = ('    {\n'
+            '      "id": %s,\n'
+            '      "kind": %s,\n'
+            '      "text": %s,\n'
+            '      "attributes": %s\n'
+            '    }')
+_KB_EDGE = ('    {\n'
+            '      "source": %s,\n'
+            '      "target": %s,\n'
+            '      "kind": %s\n'
+            '    }')
 
 
 def export_json_kb(kbg):
     nodes = sorted(kbg.nodes, key=lambda n: natural_key(n.node_id))
     edges = sorted(kbg.edges,
                    key=lambda e: (e.kind, natural_key(e.source), natural_key(e.target)))
-    return _dump({
-        "nodes": [{"id": n.node_id, "kind": n.kind,
-                   "text": _member_label(kbg, n),
-                   "attributes": _rendered_box(n.attributes)} for n in nodes],
-        "edges": [{"source": e.source, "target": e.target, "kind": e.kind}
-                  for e in edges],
-    })
+    return '{\n  "nodes": %s,\n  "edges": %s\n}\n' % (
+        _array([_KB_NODE % (_enc(n.node_id), _enc(n.kind),
+                            _enc(_member_label(kbg, n)),
+                            _strings(n.attributes.rendered, "      "))
+                for n in nodes], "  "),
+        _array([_KB_EDGE % (_enc(e.source), _enc(e.target), _enc(e.kind))
+                for e in edges], "  "))
+
+
+_AKG_NODE = ('    {\n'
+             '      "id": %s,\n'
+             '      "kind": %s,\n'
+             '      "member": %s,\n'
+             '      "text": %s,\n'
+             '      "attributes": %s\n'
+             '    }')
+_AKG_EDGE = ('    {\n'
+             '      "source": %s,\n'
+             '      "target": %s,\n'
+             '      "kind": %s')
+_PAIR = ('    [\n'
+         '      %s,\n'
+         '      %s\n'
+         '    ]')
+
+
+def _akg_edge(e):
+    row = _AKG_EDGE % (_enc(e.source), _enc(e.target), _enc(e.kind))
+    if e.attack_type is not None:
+        row += ',\n      "attack_type": %s' % _enc(e.attack_type)
+    if e.contrary_undermine:
+        row += ',\n      "contrary_undermine": true'
+    if e.mp_group is not None:
+        row += ',\n      "mp_group": %d' % e.mp_group
+    return row + "\n    }"
 
 
 def export_json_akg(akg):
@@ -110,50 +190,56 @@ def export_json_akg(akg):
                    key=lambda e: (e.kind, natural_key(e.source),
                                   natural_key(e.target),
                                   e.mp_group if e.mp_group is not None else -1))
-    out_edges = []
-    for e in edges:
-        rec = {"source": e.source, "target": e.target, "kind": e.kind}
-        if e.attack_type is not None:
-            rec["attack_type"] = e.attack_type
-        if e.contrary_undermine:
-            rec["contrary_undermine"] = True
-        if e.mp_group is not None:
-            rec["mp_group"] = e.mp_group
-        out_edges.append(rec)
-    return _dump({
-        "nodes": [{"id": n.arg_id, "kind": n.kind, "member": n.content,
-                   "text": n.text, "attributes": _rendered_box(n.attributes)}
-                  for n in nodes],
-        "edges": out_edges,
-        "mp_applications": _mp_records(akg.mp_applications),
-        "pruned_supports": [[s, t] for s, t in akg.pruned_supports],
-    })
+    return ('{\n  "nodes": %s,\n  "edges": %s,\n  "mp_applications": %s,\n'
+            '  "pruned_supports": %s\n}\n') % (
+        _array([_AKG_NODE % (_enc(n.arg_id), _enc(n.kind), _json_text(n.content),
+                             _json_text(n.text),
+                             _strings(n.attributes.rendered, "      "))
+                for n in nodes], "  "),
+        _array(list(map(_akg_edge, edges)), "  "),
+        _mp_rows(akg.mp_applications),
+        _array([_PAIR % (_enc(s), _enc(t)) for s, t in akg.pruned_supports], "  "))
 
 
-def _mp_records(apps):
-    return [{"rule": app.rule_arg,
-             "antecedents": sorted(app.antecedent_args, key=natural_key),
-             "result": app.result_arg} for app in apps]
+_MP_ROW = ('    {\n'
+           '      "rule": %s,\n'
+           '      "antecedents": %s,\n'
+           '      "result": %s\n'
+           '    }')
+
+
+def _mp_rows(apps):
+    return _array([_MP_ROW % (_enc(app.rule_arg),
+                              _strings(sorted(app.antecedent_args, key=natural_key),
+                                       "      "),
+                              _enc(app.result_arg))
+                   for app in apps], "  ")
+
+
+_ARG_ROW = ('    {\n'
+            '      "id": %s,\n'
+            '      "kind": %s,\n'
+            '      "content": %s,\n'
+            '      "premises": %s,\n'
+            '      "conclusion": %s,\n'
+            '      "subargs": %s,\n'
+            '      "top_rule": %s\n'
+            '    }')
 
 
 def export_json_args(aset):
     args = sorted(aset.arguments, key=lambda a: natural_key(a.arg_id))
-    return _dump({
-        "arguments": [{
-            "id": a.arg_id,
-            "kind": a.kind,
-            "content": a.content,
-            "premises": sorted(a.premises, key=natural_key),
-            "conclusion": a.conclusion,
-            "subargs": list(a.subargs),
-            "top_rule": a.top_rule,
-        } for a in args],
-        "mp_applications": _mp_records(aset.mp_applications),
-    })
+    return '{\n  "arguments": %s,\n  "mp_applications": %s\n}\n' % (
+        _array([_ARG_ROW % (_enc(a.arg_id), _enc(a.kind), _enc(a.content),
+                            _strings(sorted(a.premises, key=natural_key), "      "),
+                            _enc(a.conclusion), _strings(a.subargs, "      "),
+                            _json_text(a.top_rule))
+                for a in args], "  "),
+        _mp_rows(aset.mp_applications))
 
 
 def export_semantics_json(report):
-    return _dump(report)
+    return _json_text(report) + "\n"
 
 
 # -- apx --

@@ -8,7 +8,7 @@ are shared with the argument knowledge graph.
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .ekb import validate_ekb
 
@@ -21,6 +21,9 @@ CONTRARY = "Contrary"
 _ID_PATT = re.compile(r"([A-Za-z]+)(\d+)$")
 
 
+# Ids repeat across a run's graphs and exports, so each is parsed once;
+# bounded, because a long-lived process may see many documents.
+@lru_cache(maxsize=1 << 16)
 def natural_key(any_id):
     """Sort key ordering A2 before A10."""
     m = _ID_PATT.match(any_id)
@@ -48,8 +51,13 @@ class AttributeBox:
     """
     values: tuple
 
+    @cached_property
+    def rendered(self):
+        """Each value rendered as a string, computed once per box."""
+        return tuple(map(_render_value, self.values))
+
     def render(self):
-        return "{%s}" % ", ".join(_render_value(v) for v in self.values)
+        return "{%s}" % ", ".join(self.rendered)
 
 
 def _quote(marker):

@@ -79,6 +79,60 @@ def test_sub_closure_acyclic(essay):
                 assert arg.arg_id not in aset.argument(sid).subargs
 
 
+def doc_of(txt, spans, relations):
+    """kb_from over (id, kind, surface) spans located in txt."""
+    lines = ["%s\t%s %d %d\t%s" % (tid, kind, txt.index(s), txt.index(s) + len(s), s)
+             for tid, kind, s in spans]
+    lines += ["R%d\tSupports Arg1:%s Arg2:%s" % (i + 1, a, b)
+              for i, (a, b) in enumerate(relations)]
+    return kb_from(txt, "\n".join(lines) + "\n")
+
+
+def assert_structure_closed(aset):
+    """Each derived argument's Sub is closed under Sub, and its Prem is the
+    union of the premises of the atomic non-rule arguments in its Sub."""
+    for arg in (a for a in aset.arguments if a.derived):
+        subs = [aset.argument(s) for s in arg.subargs]
+        for sub in subs:
+            assert set(sub.subargs) <= set(arg.subargs), (arg.arg_id, sub.arg_id)
+        atomic = [s.premises for s in subs if not s.derived and s.kind != A.IRP]
+        assert arg.premises == frozenset().union(*atomic), arg.arg_id
+
+
+def test_rule_fires_after_the_rules_deriving_its_antecedents(essay, pollock):
+    # R1 (T1+T4 => T2) comes first in document order, but its antecedent is
+    # the consequent of R2 (T3 => T1+T4)
+    kb, _ = doc_of("Pets are nice. Hence, get a pet. Dogs wag tails. "
+                   "Therefore, pets are nice indeed.",
+                   [("T1", "MajorClaim", "Pets are nice"), ("T2", "Claim", "get a pet"),
+                    ("T3", "Premise", "Dogs wag tails"),
+                    ("T4", "MajorClaim", "pets are nice indeed")],
+                   [("T1", "T2"), ("T3", "T4")])
+    assert [(r.rule_id, r.antecedents, r.consequent) for r in kb.rules] == \
+        [("R1", ("T1+T4",), "T2"), ("R2", ("T3",), "T1+T4")]
+    aset = A.derive_argument_set(kb)
+    a4, a5 = aset.argument("A4"), aset.argument("A5")
+    assert (a5.content, a5.top_rule, a5.premises) == ("T1+T4", "R2", {"T3"})
+    assert (a4.content, a4.top_rule, a4.premises) == ("T2", "R1", {"T3"})
+    assert a4.subargs == ("A2", "A3", "A5", "A1", "A4")
+    assert [(m.rule_arg, m.result_arg) for m in aset.mp_applications] == \
+        [("A3", "A5"), ("A1", "A4")]
+    for s in (aset, essay["aset"], pollock["aset"]):
+        assert_structure_closed(s)
+
+
+def test_rule_cycle_fires_in_document_order():
+    # R1: T1+T3 => T2 and R2: T2 => T1+T3 wait on each other
+    kb, _ = doc_of("Ice melted. Therefore, roads got wet. Hence, ice melted indeed.",
+                   [("T1", "MajorClaim", "Ice melted"), ("T2", "Premise", "roads got wet"),
+                    ("T3", "MajorClaim", "ice melted indeed")],
+                   [("T1", "T2"), ("T2", "T3")])
+    aset = A.derive_argument_set(kb)
+    assert [(m.rule_arg, m.antecedent_args, m.result_arg)
+            for m in aset.mp_applications] == [("A1", ("A4",), "A2"),
+                                               ("A3", ("A2",), "A4")]
+
+
 def test_apply_modus_ponens_matches_pipeline(chain_kb):
     kb, _ = chain_kb
     aset = A.derive_argument_set(kb)

@@ -1,13 +1,19 @@
+import hashlib
+import importlib.util
 import json
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from akgraph import exports as X
 from akgraph import semantics as sem
 from akgraph.akg import AKG, AKGEdge, AKGNode
-from akgraph.cli import FORMATS, PipelineConfig, render_format, run_pipeline
-from akgraph.kbgraph import AttributeBox, build_kb_graph
+from akgraph.arguments import MPApplication
+from akgraph.cli import (_SUFFIX, FORMATS, PipelineConfig, main, render_format,
+                         run_pipeline)
+from akgraph.kbgraph import AttributeBox, _render_value, build_kb_graph, natural_key
 
 from conftest import DATA
 
@@ -75,6 +81,27 @@ def test_dot_escaping():
     assert_dot_well_formed(dot)
 
 
+DOT_STRING = r'"(?:[^"\\]|\\.)*"'
+DOT_LINE = re.compile(r'  (%s)(?: -> (%s))?(?: \[[^"\]]*(?:%s[^"\]]*)*\])?;'
+                      % (DOT_STRING, DOT_STRING, DOT_STRING))
+
+
+def test_dot_ids_escaped(tmp_path):
+    """An id holding a quote or a backslash stays one DOT string token."""
+    doc = json.loads((DATA / "pollock.json").read_text(encoding="utf-8"))
+    text = json.dumps(doc).replace('"T1"', '"T\\"1"').replace('"T3"', '"T\\\\3"')
+    (tmp_path / "odd.json").write_text(text, encoding="utf-8")
+    art = run_pipeline(PipelineConfig(input_path=str(tmp_path / "odd.json"))).artifacts
+    dot = X.export_dot(art["kb_graph"])
+    ids = set()
+    for line in dot.splitlines()[2:-1]:
+        m = DOT_LINE.fullmatch(line)
+        assert m, line
+        ids.update(g for g in m.groups() if g)
+    assert {'"T\\"1"', '"T\\"1#attrs"', '"T\\\\3"', '"T\\\\3#attrs"', '"R1"'} <= ids
+    assert '"T\\\\3" -> "R1"' in dot
+
+
 # ---------------------------------------------------------------- JSON
 
 def test_json_kb_roundtrip(essay):
@@ -119,6 +146,139 @@ def test_semantics_json_matches_report(essay):
     assert json.loads(X.export_semantics_json(rep)) == rep
 
 
+# Strings json escapes, or passes through only because ensure_ascii is off:
+# quotes, backslashes, control characters, line separators, non-BMP
+# characters and lone surrogates.
+_SPECIAL = st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\t", "\u2028",
+                            "φ", "⇒", "\U0001F600", "\ud800", "\udfff"])
+_TEXT = st.lists(st.one_of(st.characters(exclude_categories=()),
+                           st.characters(categories=["Cs"]),
+                           st.characters(min_codepoint=0x10000),
+                           _SPECIAL), max_size=8).map("".join)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | _TEXT,
+    lambda inner: (st.lists(inner, max_size=5)
+                   | st.lists(_TEXT, max_size=5)
+                   | st.dictionaries(_TEXT, inner, max_size=5)),
+    max_leaves=30)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_JSON)
+def test_json_writer_matches_json_dumps(obj):
+    assert X._json_text(obj) == json.dumps(obj, indent=2, ensure_ascii=False)
+
+
+def test_json_writer_refuses_other_types():
+    with pytest.raises(TypeError):
+        X._json_text({"x": 1.5})
+
+
+# Reference objects for the fixed-shape JSON exports: each export must be
+# json.dumps(indent=2, ensure_ascii=False) of its object, byte for byte.
+
+def _box(box):
+    return [_render_value(v) for v in box.values]
+
+
+def _mp_dicts(apps):
+    return [{"rule": app.rule_arg,
+             "antecedents": sorted(app.antecedent_args, key=natural_key),
+             "result": app.result_arg} for app in apps]
+
+
+def _kb_dict(kbg):
+    nodes = sorted(kbg.nodes, key=lambda n: natural_key(n.node_id))
+    edges = sorted(kbg.edges,
+                   key=lambda e: (e.kind, natural_key(e.source), natural_key(e.target)))
+    return {
+        "nodes": [{"id": n.node_id, "kind": n.kind,
+                   "text": X._member_label(kbg, n),
+                   "attributes": _box(n.attributes)} for n in nodes],
+        "edges": [{"source": e.source, "target": e.target, "kind": e.kind}
+                  for e in edges],
+    }
+
+
+def _akg_dict(akg):
+    nodes = sorted(akg.nodes, key=lambda n: natural_key(n.arg_id))
+    edges = sorted(akg.edges,
+                   key=lambda e: (e.kind, natural_key(e.source),
+                                  natural_key(e.target),
+                                  e.mp_group if e.mp_group is not None else -1))
+    out_edges = []
+    for e in edges:
+        rec = {"source": e.source, "target": e.target, "kind": e.kind}
+        if e.attack_type is not None:
+            rec["attack_type"] = e.attack_type
+        if e.contrary_undermine:
+            rec["contrary_undermine"] = True
+        if e.mp_group is not None:
+            rec["mp_group"] = e.mp_group
+        out_edges.append(rec)
+    return {
+        "nodes": [{"id": n.arg_id, "kind": n.kind, "member": n.content,
+                   "text": n.text, "attributes": _box(n.attributes)}
+                  for n in nodes],
+        "edges": out_edges,
+        "mp_applications": _mp_dicts(akg.mp_applications),
+        "pruned_supports": [[s, t] for s, t in akg.pruned_supports],
+    }
+
+
+def _args_dict(aset):
+    args = sorted(aset.arguments, key=lambda a: natural_key(a.arg_id))
+    return {
+        "arguments": [{
+            "id": a.arg_id,
+            "kind": a.kind,
+            "content": a.content,
+            "premises": sorted(a.premises, key=natural_key),
+            "conclusion": a.conclusion,
+            "subargs": list(a.subargs),
+            "top_rule": a.top_rule,
+        } for a in args],
+        "mp_applications": _mp_dicts(aset.mp_applications),
+    }
+
+
+def _replicated_essay(tmp_path, copies):
+    """essay056 repeated as one document, by the benchmark's input builder."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs", DATA.parents[1] / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    paths = {}
+    for ext, body in zip(("txt", "ann", "prefs"),
+                         inputs.replicate(*inputs.read_essay(), copies)):
+        paths[ext] = tmp_path / ("essay056x%d.%s" % (copies, ext))
+        paths[ext].write_text(body, encoding="utf-8")
+    return run_pipeline(PipelineConfig(
+        input_path=str(paths["txt"]), ann_path=str(paths["ann"]),
+        prefs_path=str(paths["prefs"]), cap=18 * copies)).artifacts
+
+
+def test_fixed_shape_exports_match_json_dumps(tmp_path, essay, pollock):
+    def dumped(obj):
+        return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+
+    for art in (_replicated_essay(tmp_path, 4), essay, pollock):
+        assert X.export_json_kb(art["kb_graph"]) == dumped(_kb_dict(art["kb_graph"]))
+        assert X.export_json_akg(art["akg"]) == dumped(_akg_dict(art["akg"]))
+        assert X.export_json_args(art["aset"]) == dumped(_args_dict(art["aset"]))
+        assert X.export_semantics_json(art["semantics"]) == dumped(art["semantics"])
+
+
+def test_json_akg_optional_fields_and_empty_lists():
+    box = AttributeBox(())
+    akg = AKG((AKGNode("A1", "Premise", box), AKGNode("A2", "Premise", box)),
+              (AKGEdge("A1", "A2", "Attack", attack_type="UM", contrary_undermine=True),
+               AKGEdge("A2", "A1", "ModusPonens", mp_group=0)),
+              (MPApplication("A3", ("A10", "A2"), "A11"), MPApplication("A4", (), "A5")))
+    assert X.export_json_akg(akg) == \
+        json.dumps(_akg_dict(akg), indent=2, ensure_ascii=False) + "\n"
+
+
 # ---------------------------------------------------------------- apx
 
 def test_apx_essay(essay):
@@ -161,6 +321,50 @@ def test_exports_byte_identical_across_runs(essay_report):
     for fmt in FORMATS:
         assert render_format(fmt, essay_report.artifacts) == \
             render_format(fmt, again.artifacts), fmt
+
+
+# sha256 of every format's bytes for three fixed runs: any change to the
+# bytes of an export fails here.
+GOLDEN = {
+    "essay056": {
+        "dot-kb": "f932e54c6f4540522e17dff8e42d7fd7d93f1885cbfd1104eff8e96a1ba2f0e2",
+        "dot-akg": "531e80b5ea8402846ded578d5aebdf1e71b04109ceb18ebafe89bae86e52229b",
+        "json-kb": "78b125e4638d0d7a04e46d0c1e31c3719cab38161965f92785927c87bba6f393",
+        "json-akg": "0d128c1cd137c958f7640416a136bff9a1e0cc39eec76d0f4ba2e0e945944c32",
+        "json-args": "f7eb21d09249a340923b8188376e721da9586c85df5ed8319dc1324c76264694",
+        "apx": "27692125ed0aceb900d0f35b034d2c66471bf796174cbc88571f07d8c37b5cf1",
+        "semantics": "258cde3eb91593124e1e20b4a5e94329a8ec27042e13e9e9c787a97f8516bb2b",
+    },
+    "pollock-ann": {
+        "dot-kb": "9e5e635e1ff9ff536a406a02d95e195f01056b32b1e6e81073b361b4d30c2af7",
+        "dot-akg": "0cfcabadd7f07fcad5ca91be8afdd935ebc8acfb0c80e8fd0588dfbb5db246c2",
+        "json-kb": "ce1b538833843ec7559ecc55b3803820d340656314515e4a9dc228d23fa987df",
+        "json-akg": "f2661c11daaa44a152e84ef9c87722ad755f01cc5c994c0656c9788d50464278",
+        "json-args": "3ea0140953b1699feca615f1b647e222192ef132d5c377603982cbac9bdb1bbe",
+        "apx": "bc5a886f4aa2b022d3bd3e32ac583d91b6793d77e6dbd849d6f116742f202be2",
+        "semantics": "ff57d08eddf37a629e736984806cf8e99196bd3b34a737bca7b2cab5a1e93fc4",
+    },
+}
+GOLDEN["pollock-json"] = dict(
+    GOLDEN["pollock-ann"],
+    semantics="674b9d302b27210dbf8406c1214f82c7e8a952ca7511f50c3cd424390d5054b6")
+
+GOLDEN_ARGS = {
+    "essay056": ["--input", str(DATA / "essay056.txt"), "--ann", str(DATA / "essay056.ann"),
+                 "--prefs", str(DATA / "essay056.prefs")],
+    "pollock-ann": ["--input", str(DATA / "pollock.txt"), "--ann", str(DATA / "pollock.ann")],
+    "pollock-json": ["--input", str(DATA / "pollock.json"), "--check-set", "A1,A2"],
+}
+
+
+def test_golden_digests(tmp_path, capsys):
+    for name, args in GOLDEN_ARGS.items():
+        out = tmp_path / name
+        assert main(["run", "--out", str(out)] + args) == 0
+        doc_id = name.split("-")[0]
+        got = {fmt: hashlib.sha256((out / ("%s.%s" % (doc_id, suffix))).read_bytes())
+               .hexdigest() for fmt, suffix in _SUFFIX.items()}
+        assert got == GOLDEN[name], name
 
 
 def test_kb_graph_dot_unaffected_by_ekb_identity(essay):
