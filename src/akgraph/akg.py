@@ -7,8 +7,9 @@ edge groups; support edges made redundant by a modus-ponens group are pruned.
 """
 
 import logging
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from functools import cached_property
+from typing import NamedTuple
 
 from .arguments import C, IRP
 from .ekb import AXIOM, ASSUMPTION, rule_preference_sets
@@ -39,8 +40,7 @@ class UnknownClaim(AKGError):
     pass
 
 
-@dataclass(frozen=True)
-class AKGNode:
+class AKGNode(NamedTuple):
     arg_id: str
     kind: str
     attributes: AttributeBox
@@ -50,8 +50,7 @@ class AKGNode:
     dataset_tag: str = None   # Claim | MajorClaim for annotated conclusions
 
 
-@dataclass(frozen=True)
-class AKGEdge:
+class AKGEdge(NamedTuple):
     source: str
     target: str
     kind: str                 # Support | Attack | ModusPonens
@@ -60,12 +59,10 @@ class AKGEdge:
     contrary_undermine: bool = False
 
 
-@dataclass(frozen=True)
-class AKG:
-    nodes: tuple
-    edges: tuple
-    mp_applications: tuple = ()
-    pruned_supports: tuple = ()   # (source, target) support edges removed
+class AKG(namedtuple("AKG", "nodes edges mp_applications pruned_supports",
+                     defaults=((), ()))):
+    """AKGNode and AKGEdge tuples, the MPApplications behind the
+    modus-ponens groups, and the (source, target) support edges pruned."""
 
     # reversed, so that of duplicate ids the first wins, as in a scan
     @cached_property
@@ -223,5 +220,5 @@ def prune_redundant_support(akg):
         kept.append(e)
     if not pruned:
         return akg
-    return replace(akg, edges=tuple(kept),
-                   pruned_supports=akg.pruned_supports + tuple(pruned))
+    return akg._replace(edges=tuple(kept),
+                        pruned_supports=akg.pruned_supports + tuple(pruned))

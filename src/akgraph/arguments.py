@@ -10,8 +10,9 @@ conclusions numbered after its premises and rules.
 
 import heapq
 import logging
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
+from typing import NamedTuple
 
 logger = logging.getLogger(__name__)
 
@@ -32,8 +33,7 @@ class UnknownArgument(DerivationError):
     pass
 
 
-@dataclass(frozen=True)
-class Argument:
+class Argument(NamedTuple):
     """One argument: atomic (an annotated formula or rule) or derived.
 
     premises is Prem, conclusion is Conc, subargs is Sub (self-inclusive, in
@@ -52,17 +52,15 @@ class Argument:
         return self.top_rule is not None
 
 
-@dataclass(frozen=True)
-class MPApplication:
+class MPApplication(NamedTuple):
     rule_arg: str
     antecedent_args: tuple
     result_arg: str
 
 
-@dataclass(frozen=True)
-class ArgumentSet:
-    arguments: tuple
-    mp_applications: tuple = ()
+class ArgumentSet(namedtuple("ArgumentSet", "arguments mp_applications",
+                             defaults=((),))):
+    """Argument and MPApplication tuples."""
 
     # reversed, so that of duplicate ids the first wins, as in a scan
     @cached_property
@@ -103,14 +101,16 @@ def _modus_ponens(ekb, rule, feeders, antecedents, rule_ref, result_ref):
     antecedents holds the (premises, sub) pair of each antecedent argument;
     the refs are whatever the caller uses to name arguments.  Prem is the
     union of the antecedents' premises; Sub lists their subarguments in
-    order, then the rule argument, then the derived argument itself.
+    order, then the rule argument, then the derived argument itself.  On a
+    rule cycle an antecedent's Sub already names the derived argument; it
+    is still listed once, last.
     """
     premises = set()
     sub = []
     for ant_premises, ant_sub in antecedents:
         premises |= ant_premises
         for s in ant_sub:
-            if s not in sub:
+            if s != result_ref and s not in sub:
                 sub.append(s)
     if rule_ref not in sub:
         sub.append(rule_ref)

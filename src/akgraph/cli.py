@@ -5,11 +5,11 @@ plus a brat-style .ann file, or a single canonical JSON document.
 """
 
 import argparse
-import json
 import logging
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
 from pathlib import Path
+from typing import NamedTuple
 
 from . import exports
 from . import semantics as sem
@@ -46,8 +46,7 @@ class PipelineError(Exception):
     pass
 
 
-@dataclass
-class PipelineConfig:
+class PipelineConfig(NamedTuple):
     input_path: str
     ann_path: str = None
     lexicon_path: str = None
@@ -60,13 +59,15 @@ class PipelineConfig:
     implicit_ims: bool = False
 
 
-@dataclass
-class ExitReport:
-    status: int
-    counts: dict = field(default_factory=dict)
-    warnings: tuple = ()
-    written: tuple = ()
-    artifacts: dict = field(default_factory=dict)
+class ExitReport(namedtuple("ExitReport",
+                            "status counts warnings written artifacts")):
+    """Exit status, summary counts, warnings, written paths and the built
+    artifacts by name.  counts and artifacts default to a new dict each."""
+    __slots__ = ()
+
+    def __new__(cls, status, counts=None, warnings=(), written=(), artifacts=None):
+        return super().__new__(cls, status, {} if counts is None else counts,
+                               warnings, written, {} if artifacts is None else artifacts)
 
     def summary_lines(self):
         lines = ["%s: %s" % (k, v) for k, v in self.counts.items()]
@@ -202,8 +203,7 @@ def write_formats(config, report):
         target = out / ("%s.%s" % (doc_id, _SUFFIX[fmt]))
         target.write_text(payload, encoding="utf-8")
         written.append(str(target))
-    report.written = tuple(written)
-    return report
+    return report._replace(written=tuple(written))
 
 
 def _config_from(ns):
@@ -234,7 +234,7 @@ def _cmd_ingest(config):
     adoc = load_document(config)
     violations = validate_document(adoc)
     for v in violations:
-        print("violation: %s" % v, file=sys.stderr)
+        print("violation: %s" % (v,), file=sys.stderr)
     payload = serialize_canonical_json(adoc)
     if config.out_dir:
         out = Path(config.out_dir)
@@ -264,7 +264,7 @@ def _cmd_semantics(config):
 
 def _cmd_build(config):
     if not config.formats:
-        config.formats = ("json-akg",)
+        config = config._replace(formats=("json-akg",))
     report = write_formats(config, run_pipeline(config))
     for w in report.warnings:
         print("warning: %s" % w, file=sys.stderr)
@@ -279,7 +279,7 @@ def _cmd_export(config):
 
 def _cmd_run(config):
     if not config.formats:
-        config.formats = FORMATS
+        config = config._replace(formats=FORMATS)
     report = write_formats(config, run_pipeline(config))
     for line in report.summary_lines():
         print(line)

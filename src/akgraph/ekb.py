@@ -11,8 +11,9 @@ kind: they live outside K and only ever appear as rule consequents.
 import logging
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 from functools import cached_property
+from typing import NamedTuple
 
 from . import markers as markers_mod
 
@@ -49,8 +50,7 @@ class UnknownPreferenceTarget(EKBError):
     pass
 
 
-@dataclass(frozen=True)
-class Formula:
+class Formula(NamedTuple):
     """An atomic statement of the logical language.
 
     premise_kind is one of n/p/a for members of K, or None for claim texts
@@ -65,8 +65,7 @@ class Formula:
     components: tuple = ()
 
 
-@dataclass(frozen=True)
-class InferenceRule:
+class InferenceRule(NamedTuple):
     rule_id: str
     antecedents: tuple     # formula ids, document order
     consequent: str        # formula id
@@ -76,8 +75,7 @@ class InferenceRule:
     heuristic: str = None
 
 
-@dataclass(frozen=True)
-class PreferenceConfig:
+class PreferenceConfig(NamedTuple):
     """Ordered preference chains over defeasible rules.
 
     Each chain lists ids from most to least preferred; ids may be rule ids
@@ -114,17 +112,20 @@ def parse_kind_override_file(content):
     return out
 
 
-@dataclass(frozen=True)
-class EKB:
-    formulas: tuple          # all Formula records (K members and claim texts)
-    rules: tuple
-    contraries: frozenset    # (phi, psi): phi is a contrary of psi
-    agreements: frozenset    # (phi, psi): phi agrees with psi
-    rule_pref: frozenset     # (lesser, greater) rule-id pairs, transitively closed
-    member_order: tuple = () # formula/rule ids in derived argument order
-    dropped_ims: tuple = ()  # IMMatches that aligned with no component pair
-    span_to_rule: tuple = () # (annotated rule-span id, rule id) pairs
-    component_to_formula: tuple = ()
+class EKB(namedtuple("EKB", "formulas rules contraries agreements rule_pref "
+                            "member_order dropped_ims span_to_rule component_to_formula",
+                     defaults=((), (), (), ()))):
+    """The extended knowledge base.
+
+    formulas holds every Formula (K members and claim texts), rules every
+    InferenceRule.  contraries and agreements are frozensets of (phi, psi)
+    pairs: phi is a contrary of psi, or agrees with it.  rule_pref is the
+    transitively closed frozenset of (lesser, greater) rule-id pairs.
+    member_order lists the formula/rule ids in derived argument order,
+    dropped_ims the IMMatches that aligned with no component pair.
+    span_to_rule holds (annotated rule-span id, rule id) pairs and
+    component_to_formula (component id, formula id) pairs.
+    """
 
     # -- lookups --
 

@@ -12,9 +12,10 @@ import json
 import logging
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
 from operator import itemgetter
+from typing import NamedTuple
 
 logger = logging.getLogger(__name__)
 
@@ -49,8 +50,7 @@ class SchemaViolation(IngestError):
     """Canonical JSON input violates the schema; message carries the field path."""
 
 
-@dataclass(frozen=True)
-class TextDocument:
+class TextDocument(NamedTuple):
     """Raw essay text plus derived paragraph structure.
 
     Paragraphs are the non-empty lines of the text, in order; a component
@@ -81,8 +81,7 @@ def make_text_document(doc_id, raw_text):
     return TextDocument(doc_id, raw_text, _paragraph_spans(raw_text))
 
 
-@dataclass(frozen=True)
-class ComponentAnnotation:
+class ComponentAnnotation(NamedTuple):
     comp_id: str
     kind: str          # MajorClaim | Claim | Premise
     start: int
@@ -90,8 +89,7 @@ class ComponentAnnotation:
     surface_text: str
 
 
-@dataclass(frozen=True)
-class RuleSpanAnnotation:
+class RuleSpanAnnotation(NamedTuple):
     """Annotated inference-rule region (marker span); optional in both formats.
 
     Relations may target a rule span, which is how an annotated undercut
@@ -103,28 +101,24 @@ class RuleSpanAnnotation:
     surface_text: str
 
 
-@dataclass(frozen=True)
-class RelationAnnotation:
+class RelationAnnotation(NamedTuple):
     rel_id: str
     kind: str          # Supports | Attacks
     source: str        # component id
     target: str        # component or rule-span id
 
 
-@dataclass(frozen=True)
-class StanceAnnotation:
+class StanceAnnotation(NamedTuple):
     attr_id: str
     claim: str         # component id of a Claim
     stance: str        # For | Against
 
 
-@dataclass(frozen=True)
-class AnnotatedDocument:
-    document: TextDocument
-    components: tuple = ()
-    relations: tuple = ()
-    stances: tuple = ()
-    rule_spans: tuple = ()
+class AnnotatedDocument(namedtuple(
+        "AnnotatedDocument", "document components relations stances rule_spans",
+        defaults=((), (), (), ()))):
+    """A TextDocument with its components, relations, stances and rule spans,
+    each a tuple of annotation records."""
 
     # reversed, so that of duplicate ids the first wins, as in a scan
     @cached_property
@@ -142,8 +136,7 @@ class AnnotatedDocument:
         return self._rule_span_index.get(span_id)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     code: str
     subject: str
     detail: str = ""

@@ -7,8 +7,9 @@ are shared with the argument knowledge graph.
 """
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from .ekb import validate_ekb
 
@@ -42,14 +43,12 @@ def _render_value(v):
     return v
 
 
-@dataclass(frozen=True)
-class AttributeBox:
+class AttributeBox(namedtuple("AttributeBox", "values")):
     """Positionally fixed attribute values for one node.
 
-    Values are strings, frozensets of ids, or None; None renders as N,
-    an empty set as phi.  Marker values are stored pre-quoted.
+    values is a tuple of strings, frozensets of ids, or None; None renders
+    as N, an empty set as phi.  Marker values are stored pre-quoted.
     """
-    values: tuple
 
     @cached_property
     def rendered(self):
@@ -77,26 +76,22 @@ def rule_attribute_box(ekb, r):
     return AttributeBox((r.rule_id, r.kind, _quote(r.im), l1, l2))
 
 
-@dataclass(frozen=True)
-class KBNode:
+class KBNode(NamedTuple):
     node_id: str
     kind: str       # Premise | InferenceRulePremise
     payload: str    # formula or rule id
     attributes: AttributeBox
 
 
-@dataclass(frozen=True)
-class KBEdge:
+class KBEdge(NamedTuple):
     source: str
     target: str
     kind: str       # Agreement | Contrary
 
 
-@dataclass(frozen=True)
-class KBGraph:
-    nodes: tuple
-    edges: tuple
-    ekb: object = None   # source EKB, read by build_akg and the exports
+class KBGraph(namedtuple("KBGraph", "nodes edges ekb", defaults=(None,))):
+    """KBNode and KBEdge tuples; ekb is the source EKB, read by build_akg
+    and the exports."""
 
     # reversed, so that of duplicate ids the first wins, as in a scan
     @cached_property

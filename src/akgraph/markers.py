@@ -16,10 +16,11 @@ annotated relation has no explicit IM between its spans (implicit IMs).
 import logging
 import re
 from bisect import bisect_left, insort
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from importlib import resources
 from operator import itemgetter
+from typing import NamedTuple
 
 logger = logging.getLogger(__name__)
 
@@ -42,16 +43,21 @@ class MalformedLexiconLine(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class MarkerLexicon:
-    """Inference-marker surfaces tagged as premise or claim indicators."""
-    entries: tuple   # of (surface, indicator)
+class MarkerLexicon(namedtuple("MarkerLexicon", "entries")):
+    """Inference-marker surfaces tagged as premise or claim indicators:
+    entries is a tuple of (surface, indicator) pairs."""
 
     def surfaces(self, indicator=None):
         return [s for s, i in self.entries if indicator is None or i == indicator]
 
     def __len__(self):
         return len(self.entries)
+
+    # namedtuple's _make, behind _replace, checks its field count with len(),
+    # which counts entries here
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @cached_property
     def match_tables(self):
@@ -81,8 +87,7 @@ def _compile(surfaces):
             for head, by_length in groups.items()}
 
 
-@dataclass(frozen=True)
-class IMMatch:
+class IMMatch(NamedTuple):
     """One detected inference marker.
 
     surface is the document text of the lexicon match; span may extend past

@@ -23,9 +23,9 @@ cross-checking.
 
 import itertools
 import math
+from collections import namedtuple
 from functools import reduce
 from operator import or_
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .akg import ATTACK
@@ -55,20 +55,24 @@ class TooLarge(SemanticsError):
     pass
 
 
-@dataclass(frozen=True)
-class AFProjection:
-    args: tuple
-    atts: tuple   # (attacker, attacked) pairs
+class AFProjection(namedtuple("AFProjection", "args atts")):
+    """Argument ids and (attacker, attacked) pairs over them."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        known = set(self.args)
-        for a, b in self.atts:
+    def __new__(cls, args, atts):
+        known = set(args)
+        for a, b in atts:
             if a not in known or b not in known:
                 raise MemberOutsideAF("attack (%s, %s) cites unknown argument" % (a, b))
+        return super().__new__(cls, args, atts)
+
+    # _replace builds through _make, which would skip the check above
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class Extension:
+class Extension(NamedTuple):
     members: frozenset
     label: str
 

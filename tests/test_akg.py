@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 
 from akgraph import akg as G
@@ -176,5 +174,5 @@ def test_node_lookup_takes_first_of_duplicate_ids(essay):
         assert akg.node(n.arg_id) is n
     assert akg.node("A99") is None
     first = akg.nodes[0]
-    dup = G.AKG((first, replace(first, text="other")), ())
+    dup = G.AKG((first, first._replace(text="other")), ())
     assert dup.node(first.arg_id) is first

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 
 from akgraph import arguments as A
@@ -131,6 +129,11 @@ def test_rule_cycle_fires_in_document_order():
     assert [(m.rule_arg, m.antecedent_args, m.result_arg)
             for m in aset.mp_applications] == [("A1", ("A4",), "A2"),
                                                ("A3", ("A2",), "A4")]
+    # every Sub names each argument once and ends with the argument itself
+    for a in aset.arguments:
+        assert len(set(a.subargs)) == len(a.subargs)
+        assert a.subargs[-1] == a.arg_id
+    assert aset.argument("A4").subargs == ("A1", "A2", "A3", "A4")
 
 
 def test_apply_modus_ponens_matches_pipeline(chain_kb):
@@ -210,6 +213,6 @@ def test_lookups_match_scans_and_take_first_of_duplicate_ids(essay):
     for a in aset.arguments:
         assert aset.argument(a.arg_id) is a
     first = aset.arguments[0]
-    twin = replace(first, kind=A.C)
+    twin = first._replace(kind=A.C)
     dup = A.ArgumentSet((first, twin))
     assert dup.argument(first.arg_id) is first

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from akgraph import cli, markers
+from akgraph import cli, ekb, ingest, markers
+from akgraph import semantics as sem
 
 from conftest import DATA
 
@@ -221,12 +222,68 @@ def test_config_splits_formats():
     assert config.formats == ("apx", "json-akg")
 
 
+def test_exit_report_defaults_are_not_shared():
+    first, second = cli.ExitReport(0), cli.ExitReport(0)
+    first.counts["arguments"] = 1
+    first.artifacts["doc"] = None
+    assert second.counts == {} and second.artifacts == {}
+
+
+# ---------------------------------------------------------------- records
+
+def test_records_are_frozen(essay):
+    doc, kbg, aset, akg = essay["doc"], essay["kb_graph"], essay["aset"], essay["akg"]
+    records = [
+        doc, doc.document, doc.components[0], doc.relations[0], doc.stances[0],
+        ingest.RuleSpanAnnotation("T9", 0, 1, "x"), ingest.Violation("SelfRelation", "R1"),
+        essay["ims"][0], markers.load_lexicon(),
+        essay["ekb"], essay["ekb"].formulas[0], essay["ekb"].rules[0],
+        ekb.parse_preference_file("R1 > R2"),
+        kbg, kbg.nodes[0], kbg.nodes[0].attributes, kbg.edges[0],
+        aset, aset.arguments[0], aset.mp_applications[0],
+        akg, akg.nodes[0], akg.edges[0],
+        essay["af"], sem.naive_extensions(essay["af"])[0],
+    ]
+    for rec in records:
+        for name in rec._fields:
+            with pytest.raises(AttributeError):
+                setattr(rec, name, None)
+
+
+# container, its field holding the members, and a value cached from them
+CONTAINERS = {
+    "AnnotatedDocument": (lambda a: a["doc"], "components", "_component_index"),
+    "EKB.formulas": (lambda a: a["ekb"], "formulas", "_formula_index"),
+    "EKB.rules": (lambda a: a["ekb"], "rules", "_rule_index"),
+    "KBGraph": (lambda a: a["kb_graph"], "nodes", "_index"),
+    "AttributeBox": (lambda a: a["kb_graph"].nodes[0].attributes, "values", "rendered"),
+    "ArgumentSet": (lambda a: a["aset"], "arguments", "_index"),
+    "AKG": (lambda a: a["akg"], "nodes", "_index"),
+    "MarkerLexicon": (lambda a: markers.load_lexicon(), "entries", "match_tables"),
+}
+
+
+@pytest.mark.parametrize("container, field, cached", CONTAINERS.values(),
+                         ids=CONTAINERS.keys())
+def test_replace_keeps_type_and_rebuilds_cache(essay, container, field, cached):
+    rec = container(essay)
+    before = getattr(rec, cached)
+    twin = rec._replace(**{field: getattr(rec, field)[1:]})
+    assert type(twin) is type(rec)
+    assert getattr(twin, field) == getattr(rec, field)[1:]
+    assert getattr(twin, cached) != before
+    assert getattr(rec, cached) is before
+
+
 def test_cli_import_skips_numpy():
-    code = "import sys, akgraph.cli; print('numpy' in sys.modules)"
+    # numpy serves only the oracle; dataclasses (and the inspect module it
+    # imports) would cost start-up time on every run
+    code = ("import sys, akgraph.cli; "
+            "print([m for m in ('numpy', 'dataclasses', 'inspect') if m in sys.modules])")
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True, env=env)
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]"
 
 
 def test_run_without_numpy(tmp_path):

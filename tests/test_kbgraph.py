@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 
 from akgraph import ekb as E
@@ -97,5 +95,5 @@ def test_node_lookup_takes_first_of_duplicate_ids(essay):
         assert kbg.node(n.node_id) is n
     assert kbg.node("nothing") is None
     first = kbg.nodes[0]
-    dup = KG.KBGraph((first, replace(first, payload="other")), ())
+    dup = KG.KBGraph((first, first._replace(payload="other")), ())
     assert dup.node(first.node_id) is first

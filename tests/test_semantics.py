@@ -57,6 +57,8 @@ def test_member_outside_af():
 def test_attack_endpoints_validated():
     with pytest.raises(sem.MemberOutsideAF):
         sem.AFProjection(("a1",), (("a1", "a2"),))
+    with pytest.raises(sem.MemberOutsideAF):
+        af(1, [])._replace(atts=(("a1", "a2"),))
 
 
 # ---------------------------------------------------------------- enumeration
