@@ -3,12 +3,19 @@
 Prints a ladder over single weakly connected frameworks of growing size, so
 decomposition into pieces does nothing and only the searches inside one
 piece are timed.  For each size it reports the median time of
-naive_extensions and preferred_extensions over a batch of frameworks, the
-family sizes, and, up to ORACLE_CAP arguments, the time of the 2^n
-subset-table oracle and whether its families agree.
+naive_extensions, preferred_extensions and semantics_report over a batch of
+frameworks, the family sizes, and, up to ORACLE_CAP arguments, the time of
+the 2^n subset-table oracle and whether its families agree.
 
-Usage: python3 benchmarks/bench_extensions.py [--sizes 12,14,16,18,20,22,24]
+Sizes above DEFAULT_CAP run with the cap raised to the size, to show what
+the cap guards: a family larger than MAX_EXTENSIONS is refused with
+TooLarge, and its count reads "over".  A last row times a large document:
+--large arguments, almost all free, with --large-pieces small attack pieces
+among them, where decoding each extension of n bits is the cost to watch.
+
+Usage: python3 benchmarks/bench_extensions.py [--sizes 12,16,20,24,32,64,96]
        [--frameworks 4] [--density 0.15] [--repeats 5] [--seed 1]
+       [--large 5000] [--large-pieces 4]
 """
 
 import argparse
@@ -19,9 +26,10 @@ import time
 from akgraph import semantics as sem
 
 
-def connected_af(rng, n, density):
-    """A random spanning tree of attacks in random directions, extra attacks
-    with the given density, and self-attacks at a quarter of it."""
+def connected_atts(rng, n, density):
+    """A random spanning tree of attacks over 1..n in random directions,
+    extra attacks with the given density, and self-attacks at a quarter of
+    it."""
     atts = set()
     for i in range(2, n + 1):
         j = rng.randint(1, i - 1)
@@ -30,42 +38,81 @@ def connected_af(rng, n, density):
         for j in range(1, n + 1):
             if rng.random() < (density / 4 if i == j else density):
                 atts.add((i, j))
+    return sorted(atts)
+
+
+def connected_af(rng, n, density):
     args = tuple("a%d" % i for i in range(1, n + 1))
-    return sem.AFProjection(args, tuple(("a%d" % s, "a%d" % t) for s, t in sorted(atts)))
+    return sem.AFProjection(args, tuple(("a%d" % s, "a%d" % t)
+                                        for s, t in connected_atts(rng, n, density)))
 
 
-def median_ms(fn, batch, repeats):
+def large_af(rng, n, pieces, density):
+    """n arguments, and pieces connected 3- or 4-argument attack pieces over
+    arguments drawn at random from all n."""
+    args = tuple("a%d" % i for i in range(1, n + 1))
+    chosen = rng.sample(args, 4 * pieces)
+    atts = []
+    for k in range(pieces):
+        members = chosen[4 * k:4 * k + rng.choice((3, 4))]
+        atts += [(members[s - 1], members[t - 1])
+                 for s, t in connected_atts(rng, len(members), density)]
+    return sem.AFProjection(args, tuple(atts))
+
+
+def median_ms(fn, batch, repeats, cap):
     """Median over repeats of the time to run fn on the whole batch, and the
-    last results."""
+    last results, None for a framework refused with TooLarge."""
+    def run(f):
+        try:
+            return fn(f, cap)
+        except sem.TooLarge:
+            return None
+
     times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
-        out = [fn(f) for f in batch]
+        out = [run(f) for f in batch]
         times.append((time.perf_counter() - t0) * 1e3)
     return statistics.median(times), out
 
 
+def count(families):
+    return "over" if None in families else str(sum(map(len, families)))
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--sizes", default="12,14,16,18,20,22,24",
+    ap.add_argument("--sizes", default="12,16,20,24,32,64,96",
                     help="comma-separated framework sizes")
     ap.add_argument("--frameworks", type=int, default=4, help="frameworks per size")
     ap.add_argument("--density", type=float, default=0.15)
     ap.add_argument("--repeats", type=int, default=5)
     ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--large", type=int, default=5000,
+                    help="arguments of the large-document row (0: no such row)")
+    ap.add_argument("--large-pieces", type=int, default=4,
+                    help="attack pieces of the large-document row")
     args = ap.parse_args()
 
     rng = random.Random(args.seed)
-    header = "%4s  %10s  %10s  %7s  %7s  %10s  %5s" % (
-        "n", "naive ms", "pref ms", "#naive", "#pref", "oracle ms", "agree")
+    rows = [(n, max(n, sem.DEFAULT_CAP),
+             [connected_af(rng, n, args.density) for _ in range(args.frameworks)])
+            for n in (int(s) for s in args.sizes.split(",") if s)]
+    if args.large:
+        rows.append((args.large, sem.DEFAULT_CAP,
+                     [large_af(rng, args.large, args.large_pieces, args.density)
+                      for _ in range(args.frameworks)]))
+    header = "%5s  %10s  %10s  %10s  %7s  %7s  %10s  %5s" % (
+        "n", "naive ms", "pref ms", "report ms", "#naive", "#pref", "oracle ms", "agree")
     print(header)
     print("-" * len(header))
-    for n in (int(s) for s in args.sizes.split(",") if s):
-        batch = [connected_af(rng, n, args.density) for _ in range(args.frameworks)]
-        t_naive, naive = median_ms(sem.naive_extensions, batch, args.repeats)
-        t_pref, pref = median_ms(sem.preferred_extensions, batch, args.repeats)
-        row = "%4d  %10.2f  %10.2f  %7d  %7d" % (
-            n, t_naive, t_pref, sum(map(len, naive)), sum(map(len, pref)))
+    for n, cap, batch in rows:
+        t_naive, naive = median_ms(sem.naive_extensions, batch, args.repeats, cap)
+        t_pref, pref = median_ms(sem.preferred_extensions, batch, args.repeats, cap)
+        t_report, _ = median_ms(sem.semantics_report, batch, args.repeats, cap)
+        row = "%5d  %10.2f  %10.2f  %10.2f  %7s  %7s" % (
+            n, t_naive, t_pref, t_report, count(naive), count(pref))
         if n <= sem.ORACLE_CAP:
             t0 = time.perf_counter()
             oracle = [(sem.oracle_extensions(f, sem.NAIVE),

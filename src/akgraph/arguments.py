@@ -3,9 +3,10 @@
 Every knowledge-base member (premise formula or rule) is an atomic argument;
 claim texts enter as atomic conclusion arguments.  Firing each rule replaces
 the atomic argument of its consequent with a derived argument carrying
-Prem/Conc/Sub structure.  Argument ids follow document order, with a derived
-argument numbered at its consequent's position and each paragraph's
-conclusions numbered after its premises and rules.
+Prem/Conc/Sub structure, unless an earlier firing used that atomic argument;
+then the derived argument is added right after it.  Argument ids follow
+document order, with a derived argument numbered at its consequent's position
+and each paragraph's conclusions numbered after its premises and rules.
 """
 
 import heapq
@@ -101,16 +102,14 @@ def _modus_ponens(ekb, rule, feeders, antecedents, rule_ref, result_ref):
     antecedents holds the (premises, sub) pair of each antecedent argument;
     the refs are whatever the caller uses to name arguments.  Prem is the
     union of the antecedents' premises; Sub lists their subarguments in
-    order, then the rule argument, then the derived argument itself.  On a
-    rule cycle an antecedent's Sub already names the derived argument; it
-    is still listed once, last.
+    order, then the rule argument, then the derived argument itself.
     """
     premises = set()
     sub = []
     for ant_premises, ant_sub in antecedents:
         premises |= ant_premises
         for s in ant_sub:
-            if s != result_ref and s not in sub:
+            if s not in sub:
                 sub.append(s)
     if rule_ref not in sub:
         sub.append(rule_ref)
@@ -154,7 +153,10 @@ def derive_argument_set(ekb):
     cycle of rules causes, the earliest unfired rule fires.  A firing
     replaces the atomic argument of its consequent, so every later rule
     takes that consequent in derived form.  A consequent derived by a second
-    rule becomes an additional argument placed right after the first.
+    rule becomes an additional argument placed right after the first.  So
+    does one whose atomic argument an earlier firing took as an antecedent,
+    which only a cycle of rules causes: replacing it would put each of the
+    two arguments in the other's Sub.
     """
     rules = ekb.rules
     position = {r.rule_id: j for j, r in enumerate(rules)}
@@ -181,6 +183,7 @@ def derive_argument_set(ekb):
             waits[position[rid]] += 1
     ready = [j for j, w in enumerate(waits) if w == 0]
     fired = [False] * len(rules)
+    used = set()     # records some firing took as an antecedent
     earliest = 0
     applications = []
     for _ in rules:
@@ -198,18 +201,20 @@ def derive_argument_set(ekb):
             if waits[k] == 0 and not fired[k]:
                 heapq.heappush(ready, k)
         ant_idx = [current[a] for a in r.antecedents]
+        used.update(ant_idx)
         rule_idx = current[r.rule_id]
         target = current[r.consequent]
-        # the first derivation upgrades the atomic placeholder in place,
-        # keeping its position; a later one becomes an extra argument
-        result_idx = target if records[target]["atomic"] else len(records)
+        # the first derivation upgrades an unused atomic placeholder in
+        # place, keeping its position; any other becomes an extra argument
+        in_place = records[target]["atomic"] and target not in used
+        result_idx = target if in_place else len(records)
         kind, premises, sub = _modus_ponens(
             ekb, r, feeders,
             [(records[i]["premises"], records[i]["sub"]) for i in ant_idx],
             rule_idx, result_idx)
         derived = {"kind": kind, "content": r.consequent, "premises": premises,
                    "sub": sub, "top_rule": r.rule_id, "atomic": False}
-        if result_idx == target:
+        if in_place:
             records[target] = derived
         else:
             records.append(derived)

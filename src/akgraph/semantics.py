@@ -5,26 +5,29 @@ attack pairs); conflict-freeness, acceptability and admissibility are direct
 set predicates, and the naive / preferred families are the inclusion-maximal
 conflict-free / admissible sets.
 
-Enumeration strategy: arguments not involved in any attack belong to every
-maximal extension.  Naive and preferred extensions of a disjoint union are
-the products of the parts' extensions, so the search runs separately over
-each weakly connected piece of the attack graph and the answer is the free
-arguments joined to every combination of piece extensions.  Inside a piece,
-over int bitmasks of its members: naive extensions are the maximal
-independent sets of the symmetric conflict graph over the members that do
-not attack themselves, listed by Bron-Kerbosch with pivoting; preferred
-extensions come from an include/exclude search that starts at the grounded
-extension and cuts a branch once the chosen set can no longer be defended
-or can only reach subsets of an extension already found.  Neither search
-visits a non-maximal set at a leaf.  A raw 2^n oracle (vectorized,
-independently coded) serves as the reference implementation for
-cross-checking.
+Enumeration strategy: every set of arguments, from search to report, is one
+int over natural-order bits: of n arguments sorted by natural_key, the one at
+position p is bit n-1-p.  Arguments not involved in any attack belong to
+every maximal extension.  Naive and preferred extensions of a disjoint union
+are the products of the parts' extensions, so the search runs separately
+over each weakly connected piece of the attack graph and each extension is
+the free arguments OR-ed with one extension of every piece.  Inside a piece,
+naive extensions are the maximal independent sets of the symmetric conflict
+graph over the members that do not attack themselves, listed by
+Bron-Kerbosch with pivoting; preferred extensions come from an
+include/exclude search that starts at the grounded extension and cuts a
+branch once the chosen set can no longer be defended or can only reach
+subsets of an extension already found.  Neither search visits a non-maximal
+set at a leaf.  Descending int order is the report's order (see _family),
+and each mask is decoded to ids in O(n) C-level work.  A raw 2^n oracle
+(vectorized, independently coded) serves as the reference implementation
+for cross-checking.
 """
 
-import itertools
 import math
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from functools import reduce
+from itertools import compress
 from operator import or_
 from typing import NamedTuple
 
@@ -34,6 +37,7 @@ from .kbgraph import natural_key
 DEFAULT_CAP = 64           # largest weakly connected attack piece enumerated
 MAX_EXTENSIONS = 1 << 16   # largest extension family materialised
 ORACLE_CAP = 20
+_SELECTOR = bytes.maketrans(b"01", b"\0\1")   # binary digits as compress selectors
 
 NAIVE = "Naive"
 PREFERRED = "Preferred"
@@ -88,24 +92,33 @@ def project_af(akg):
     return AFProjection(args, atts)
 
 
-def _check_subset(af, S):
-    extra = set(S) - set(af.args)
+def _check_subset(known, S):
+    extra = set(S).difference(known)
     if extra:
         raise MemberOutsideAF("not in the framework: %s" % sorted(extra))
     return set(S)
 
 
+def _conflict_free(atts, S):
+    return not any(a in S and b in S for a, b in atts)
+
+
+def _admissible(atts, S):
+    """Conflict-free, and every attacker of a member is struck by S."""
+    struck = {b for a, b in atts if a in S}
+    return _conflict_free(atts, S) and all(a in struck for a, b in atts if b in S)
+
+
 def is_conflict_free(af, S):
     """No attack pair inside S."""
-    S = _check_subset(af, S)
-    return not any(a in S and b in S for a, b in af.atts)
+    return _conflict_free(af.atts, _check_subset(af.args, S))
 
 
 def set_attacks(af, S, b):
     """Does some member of S attack b?"""
     if b not in af.args:
         raise UnknownArgument("no argument %r" % b)
-    S = _check_subset(af, S)
+    S = _check_subset(af.args, S)
     return any(x == b and a in S for a, x in af.atts)
 
 
@@ -113,15 +126,14 @@ def is_acceptable(af, a, S):
     """Every attacker of a is attacked by S."""
     if a not in af.args:
         raise UnknownArgument("no argument %r" % a)
-    S = _check_subset(af, S)
-    attackers = [x for x, y in af.atts if y == a]
-    return all(set_attacks(af, S, x) for x in attackers)
+    S = _check_subset(af.args, S)
+    struck = {y for x, y in af.atts if x in S}
+    return all(x in struck for x, y in af.atts if y == a)
 
 
 def is_admissible(af, S):
     """Conflict-free and every member is acceptable with respect to S."""
-    S = _check_subset(af, S)
-    return is_conflict_free(af, S) and all(is_acceptable(af, a, S) for a in S)
+    return _admissible(af.atts, _check_subset(af.args, S))
 
 
 # -- enumeration --
@@ -134,67 +146,45 @@ def _natural_order(args):
 
 
 class _Piece(NamedTuple):
-    """One weakly connected piece of the attack graph.  Bit i of a mask
-    stands for positions[i], the i-th smallest natural-order position of
-    the piece's arguments."""
-    positions: list
-    conflict: list    # per member: every member it attacks or is attacked by
-    attacks: list     # per member: the members it attacks
-    attackers: list   # per member: the members attacking it
+    """A weakly connected piece of the attack graph; tables map member bits to masks."""
+    members: int
     allowed: int      # the members that do not attack themselves
+    conflict: dict    # every member it attacks or is attacked by
+    attacks: dict
+    attackers: dict
 
 
-def _piece_masks(positions, edges):
-    index = {p: i for i, p in enumerate(positions)}
-    k = len(positions)
-    conflict, attacks, attackers = [0] * k, [0] * k, [0] * k
-    for a, b in edges:
-        i, j = index[a], index[b]
-        conflict[i] |= 1 << j
-        conflict[j] |= 1 << i
-        attacks[i] |= 1 << j
-        attackers[j] |= 1 << i
-    allowed = sum(1 << i for i in range(k) if not conflict[i] >> i & 1)
-    return _Piece(positions, conflict, attacks, attackers, allowed)
-
-
-def _pieces(af, cap, rank):
-    """The weakly connected pieces of the attack graph over the arguments'
-    natural-order positions (rank); raises TooLarge when the largest has more
-    than cap members."""
-    edges = [(rank[a], rank[b]) for a, b in af.atts]
-    parent = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in edges:
-        parent.setdefault(a, a)
-        parent.setdefault(b, b)
-        parent[find(a)] = find(b)
-    members, piece_edges = {}, {}
-    for x in parent:
-        members.setdefault(find(x), []).append(x)
-    largest = max(map(len, members.values()), default=0)
+def _pieces(af, cap, rank, n):
+    """The weakly connected pieces of the attack graph, over natural-order
+    bits (position p of n is bit n-1-p); raises TooLarge when the largest has
+    more than cap members."""
+    attacks, attackers = defaultdict(int), defaultdict(int)
+    for a, b in af.atts:
+        x, y = 1 << n - 1 - rank[a], 1 << n - 1 - rank[b]
+        attacks[x] |= y
+        attackers[y] |= x
+    conflict = {x: attacks[x] | attackers[x] for x in attacks.keys() | attackers.keys()}
+    pieces, seen = [], 0
+    for x in conflict:
+        if x & seen:
+            continue
+        members = frontier = x
+        near = {}
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            near[low] = c = conflict[low]
+            c &= ~members
+            members |= c
+            frontier |= c
+        seen |= members
+        pieces.append(_Piece(members, sum(b for b, c in near.items() if not c & b), near,
+                             {b: attacks[b] for b in near}, {b: attackers[b] for b in near}))
+    largest = max((len(p.conflict) for p in pieces), default=0)
     if largest > cap:
         raise TooLarge("a connected piece of %d arguments exceeds the cap of %d"
                        % (largest, cap))
-    for a, b in edges:
-        piece_edges.setdefault(find(a), []).append((a, b))
-    return [_piece_masks(sorted(members[root]), piece_edges[root]) for root in members]
-
-
-def _select(items, mask):
-    """items[i] for each bit i of mask, in ascending i."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(items[low.bit_length() - 1])
-        mask ^= low
-    return out
+    return pieces
 
 
 def _keep(found, mask, which):
@@ -212,21 +202,21 @@ def _naive_masks(piece):
     Bron-Kerbosch with pivoting lists those without reaching a non-maximal
     set: it extends chosen by candidates compatible with all of it, and
     excluded holds the compatible members already tried, so a set that could
-    still take one of them is not reported.
+    still take one of them is not reported.  A child left with at most one
+    candidate is settled without a call: its only maximal extension takes
+    that candidate, if no excluded member could still join.
     """
-    compatible = [piece.allowed & ~(c | 1 << i) for i, c in enumerate(piece.conflict)]
+    allowed = piece.allowed
+    compatible = {b: allowed & ~(c | b) for b, c in piece.conflict.items()}
     found = []
 
     def expand(chosen, cand, excluded):
-        if not (cand | excluded):
-            _keep(found, chosen, NAIVE)
-            return
         # pivot: the member compatible with the most candidates; branching
         # only on candidates outside its compatible set misses no maximal set
         best, pivot, rest = -1, 0, cand | excluded
         while rest:
             low = rest & -rest
-            near = compatible[low.bit_length() - 1]
+            near = compatible[low]
             count = (cand & near).bit_count()
             if count > best:
                 best, pivot = count, near
@@ -234,13 +224,22 @@ def _naive_masks(piece):
         rest = cand & ~pivot
         while rest:
             low = rest & -rest
-            near = compatible[low.bit_length() - 1]
-            expand(chosen | low, cand & near, excluded & near)
+            near = compatible[low]
+            sub, out = cand & near, excluded & near
+            if not sub:
+                if not out:
+                    _keep(found, chosen | low, NAIVE)
+            elif sub & (sub - 1):
+                expand(chosen | low, sub, out)
+            elif not out & compatible[sub]:
+                _keep(found, chosen | low | sub, NAIVE)
             cand ^= low
             excluded |= low
             rest ^= low
 
-    expand(0, piece.allowed, 0)
+    if not allowed:     # every member attacks itself
+        return [0]
+    expand(0, allowed, 0)
     return found
 
 
@@ -259,7 +258,7 @@ def _preferred_masks(piece):
     candidate able to answer the attacker with the fewest such candidates,
     or the first candidate when every attacker is answered.
     """
-    conflict, attacks, attackers = piece.conflict, piece.attacks, piece.attackers
+    _, allowed, conflict, attacks, attackers = piece
     found = []
 
     def search(chosen, cand, need, struck):
@@ -267,7 +266,7 @@ def _preferred_masks(piece):
         fewest = cand
         while unmet:
             low = unmet & -unmet
-            defenders = attackers[low.bit_length() - 1] & cand
+            defenders = attackers[low] & cand
             if not defenders:
                 return
             if defenders.bit_count() < fewest.bit_count():
@@ -281,44 +280,49 @@ def _preferred_masks(piece):
             _keep(found, chosen, PREFERRED)
             return
         low = fewest & -fewest
-        i = low.bit_length() - 1
-        search(chosen | low, cand & ~(low | conflict[i]),
-               need | attackers[i], struck | attacks[i])
+        search(chosen | low, cand & ~(low | conflict[low]),
+               need | attackers[low], struck | attacks[low])
         search(chosen, cand ^ low, need, struck)
 
     # the grounded extension: the least set holding every member it defends
     grounded = struck = 0
     while True:
-        defended = sum(1 << i for i, a in enumerate(attackers) if not a & ~struck)
+        defended = sum(b for b, a in attackers.items() if not a & ~struck)
         if defended == grounded:
             break
-        grounded, struck = defended, reduce(or_, _select(attacks, defended), 0)
-    clash = reduce(or_, _select(conflict, grounded), 0)
-    search(grounded, piece.allowed & ~(grounded | clash), 0, struck)
+        grounded = defended
+        struck = reduce(or_, [a for b, a in attacks.items() if b & defended], 0)
+    clash = reduce(or_, [c for b, c in conflict.items() if b & grounded], 0)
+    search(grounded, allowed & ~(grounded | clash), 0, struck)
     return found
 
 
-def _family(which, pieces, n):
-    """Every extension of a framework of n arguments with these attack pieces,
-    as the ascending natural-order positions of its members, in list order."""
+def _family(which, pieces, order):
+    """Every extension of a framework with these attack pieces, as an iterator
+    over its arguments in natural order, in the report's order: that of their
+    position lists.  A family is an antichain, so the lowest position where
+    two differ decides it; that is their highest differing bit, so the order
+    is descending int order.
+    """
     search = _naive_masks if which == NAIVE else _preferred_masks
-    families = [[_select(p.positions, m) for m in search(p)] for p in pieces]
-    total = math.prod(len(f) for f in families)
+    families = [search(p) for p in pieces]
+    total = math.prod(map(len, families))
     if total > MAX_EXTENSIONS:
         raise TooLarge("%d %s extensions exceed the limit of %d"
                        % (total, which.lower(), MAX_EXTENSIONS))
-    touched = {i for p in pieces for i in p.positions}
-    free = [i for i in range(n) if i not in touched]
-    family = [sorted(itertools.chain(free, *combo))
-              for combo in itertools.product(*families)]
-    family.sort()
-    return family
+    # the free arguments, plus bit n so that bin() gives '0b1' and then n digits
+    masks = [(2 << len(order)) - 1 & ~reduce(or_, [p.members for p in pieces], 0)]
+    for family in families:     # OR product, piece by piece
+        masks = [m | e for m in masks for e in family]
+    masks.sort(reverse=True)
+    # one C pass per mask; a loop over its n bits would be quadratic
+    return [compress(order, bin(m)[3:].encode().translate(_SELECTOR)) for m in masks]
 
 
 def _enumerate(af, which, cap):
     order, rank = _natural_order(af.args)
-    return tuple(Extension(frozenset(map(order.__getitem__, positions)), which)
-                 for positions in _family(which, _pieces(af, cap, rank), len(order)))
+    return tuple(Extension(frozenset(members), which)
+                 for members in _family(which, _pieces(af, cap, rank, len(order)), order))
 
 
 def naive_extensions(af, cap=DEFAULT_CAP):
@@ -367,24 +371,20 @@ def semantics_report(af, cap=DEFAULT_CAP, check_sets=()):
     """JSON-ready summary: framework, naive / preferred families, and
     conflict-free/admissible verdicts for any requested sets."""
     order, rank = _natural_order(af.args)
-    pieces = _pieces(af, cap, rank)
-
-    def listed(which):
-        return [[order[i] for i in positions]
-                for positions in _family(which, pieces, len(order))]
-
+    pieces = _pieces(af, cap, rank, len(order))
+    atts = sorted((rank[a], rank[b]) for a, b in af.atts)
     report = {
         "args": order,
-        "atts": [list(p) for p in sorted(af.atts,
-                                         key=lambda p: (rank[p[0]], rank[p[1]]))],
-        "naive": listed(NAIVE),
-        "preferred": listed(PREFERRED),
+        "atts": [[order[i], order[j]] for i, j in atts],
+        "naive": list(map(list, _family(NAIVE, pieces, order))),
+        "preferred": list(map(list, _family(PREFERRED, pieces, order))),
         "checked_sets": [],
     }
     for S in check_sets:
+        members = _check_subset(rank, S)
         report["checked_sets"].append({
             "set": sorted(S, key=natural_key),
-            "conflict_free": is_conflict_free(af, S),
-            "admissible": is_admissible(af, S),
+            "conflict_free": _conflict_free(af.atts, members),
+            "admissible": _admissible(af.atts, members),
         })
     return report

@@ -126,14 +126,24 @@ def test_rule_cycle_fires_in_document_order():
                     ("T3", "MajorClaim", "ice melted indeed")],
                    [("T1", "T2"), ("T2", "T3")])
     aset = A.derive_argument_set(kb)
+    # R1 takes the atomic T1+T3 (A4), so R2's derivation of T1+T3 does not
+    # replace A4 but follows it as A5
     assert [(m.rule_arg, m.antecedent_args, m.result_arg)
             for m in aset.mp_applications] == [("A1", ("A4",), "A2"),
-                                               ("A3", ("A2",), "A4")]
+                                               ("A3", ("A2",), "A5")]
+    a4, a5 = aset.argument("A4"), aset.argument("A5")
+    assert not a4.derived and a4.subargs == ("A4",)
+    assert a5.top_rule == "R2" and a5.content == a4.content
+    assert a5.subargs == ("A4", "A1", "A2", "A3", "A5")
     # every Sub names each argument once and ends with the argument itself
     for a in aset.arguments:
         assert len(set(a.subargs)) == len(a.subargs)
         assert a.subargs[-1] == a.arg_id
-    assert aset.argument("A4").subargs == ("A1", "A2", "A3", "A4")
+    # no two arguments lie in each other's Sub
+    for a in aset.arguments:
+        for s in a.subargs[:-1]:
+            assert a.arg_id not in aset.argument(s).subargs, (a.arg_id, s)
+    assert_structure_closed(aset)
 
 
 def test_apply_modus_ponens_matches_pipeline(chain_kb):

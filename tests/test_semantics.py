@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from akgraph import semantics as sem
@@ -52,6 +52,66 @@ def test_member_outside_af():
         sem.set_attacks(f, {"a1"}, "zz")
     with pytest.raises(sem.UnknownArgument):
         sem.is_acceptable(f, "zz", {"a1"})
+
+
+def literal_verdicts(f, S, a):
+    """Conflict-freeness, attack on a, acceptability of a and admissibility
+    of S, straight from the definitions."""
+    atts = set(f.atts)
+
+    def attacks(T, b):
+        return any((x, b) in atts for x in T)
+
+    def acceptable(b):
+        return all(attacks(S, x) for x in f.args if (x, b) in atts)
+
+    free = not any((x, y) in atts for x in S for y in S)
+    return free, attacks(S, a), acceptable(a), free and all(map(acceptable, S))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_predicates_match_definitions(data):
+    f = data.draw(random_af())
+    if not f.args:
+        f = af(1, [])
+    S = data.draw(st.sets(st.sampled_from(f.args)))
+    a = data.draw(st.sampled_from(f.args))
+    assert (sem.is_conflict_free(f, S), sem.set_attacks(f, S, a), sem.is_acceptable(f, a, S),
+            sem.is_admissible(f, S)) == literal_verdicts(f, S, a)
+    rep = sem.semantics_report(f, check_sets=[tuple(S)])
+    assert rep["checked_sets"] == [{"set": sorted(S, key=sem.natural_key),
+                                    "conflict_free": sem.is_conflict_free(f, S),
+                                    "admissible": sem.is_admissible(f, S)}]
+    # an outside member is refused by every predicate, an unknown argument first
+    outside = S | {"zz"}
+    for check in (lambda: sem.is_conflict_free(f, outside), lambda: sem.is_admissible(f, outside),
+                  lambda: sem.set_attacks(f, outside, a), lambda: sem.is_acceptable(f, a, outside),
+                  lambda: sem.semantics_report(f, check_sets=[outside])):
+        with pytest.raises(sem.MemberOutsideAF, match=r"not in the framework: \['zz'\]"):
+            check()
+    for check in (lambda: sem.set_attacks(f, outside, "zz"), lambda: sem.is_acceptable(f, "zz", outside)):
+        with pytest.raises(sem.UnknownArgument, match="no argument 'zz'"):
+            check()
+
+
+def test_predicates_linear_on_large_frameworks():
+    # 40,000 arguments, 400 attacks in 2-cycles, and a 20,000-member set:
+    # one pass over the arguments and attacks per call, not one per member
+    code = ("from akgraph import semantics as sem\n"
+            "args = tuple('a%d' % i for i in range(1, 40001))\n"
+            "atts = [p for i in range(0, 400, 2) for p in ((args[i], args[i + 1]),"
+            " (args[i + 1], args[i]))]\n"
+            "f = sem.AFProjection(args, tuple(atts))\n"
+            "odd, pair = set(args[::2]), {'a1', 'a2'}\n"
+            "print(sem.is_admissible(f, odd), sem.is_conflict_free(f, odd),\n"
+            "      sem.is_acceptable(f, 'a1', odd), sem.set_attacks(f, odd, 'a2'),\n"
+            "      not sem.is_admissible(f, pair), not sem.is_conflict_free(f, pair),\n"
+            "      not sem.is_acceptable(f, 'a1', args[1000::2]))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(sem.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=30, env=env)
+    assert done.stdout.split() == ["True"] * 7, done.stderr
 
 
 def test_attack_endpoints_validated():
@@ -296,6 +356,71 @@ def test_report_lists_extensions_as_enumerated():
     for which, exts in (("naive", sem.naive_extensions(f)),
                         ("preferred", sem.preferred_extensions(f))):
         assert rep[which] == [list(e.sorted_members) for e in exts]
+
+
+def reference_lists(f, which):
+    """A family listed without bitmasks: brute force over natural positions,
+    each extension as its sorted positions, the list of lists sorted, then
+    positions mapped to ids."""
+    order = sorted(f.args, key=sem.natural_key)
+    pos = {a: i for i, a in enumerate(order)}
+    atts = {(pos[a], pos[b]) for a, b in f.atts}
+    n = len(order)
+
+    def ok(S):
+        if any((x, y) in atts for x in S for y in S):
+            return False
+        struck = {y for x, y in atts if x in S}
+        return which == sem.NAIVE or all(x in struck for x, y in atts if y in S)
+
+    found = [set(c) for r in range(n + 1) for c in itertools.combinations(range(n), r)
+             if ok(c)]
+    family = sorted(sorted(S) for S in found if not any(S < T for T in found))
+    return [[order[i] for i in positions] for positions in family]
+
+
+IDS = ["A1", "A01", "A2", "A002", "A10", "a3", "B1", "B", "x"]
+
+
+@st.composite
+def named_af(draw):
+    """Up to 8 distinct ids, some with equal natural keys, in any order, and
+    attacks among them, self-attacks included."""
+    args = draw(st.lists(st.sampled_from(IDS), unique=True, max_size=8))
+    pairs = [(a, b) for a in args for b in args]
+    atts = draw(st.lists(st.sampled_from(pairs), max_size=10) if pairs else st.just([]))
+    return sem.AFProjection(tuple(args), tuple(atts))
+
+
+@settings(max_examples=150, deadline=None)
+@given(named_af())
+@example(sem.AFProjection(("A01", "B", "A1", "x", "A2", "A10", "a3"),
+                          (("A1", "A01"), ("A01", "A1"), ("A2", "A2"), ("A2", "A10"),
+                           ("B", "a3"), ("a3", "B"))))
+def test_report_lists_match_position_reference(f):
+    rep = sem.semantics_report(f)
+    assert rep["args"] == sorted(f.args, key=sem.natural_key)
+    assert rep["naive"] == reference_lists(f, sem.NAIVE)
+    assert rep["preferred"] == reference_lists(f, sem.PREFERRED)
+
+
+def test_report_on_large_framework_decodes_in_linear_time():
+    # 5,000 arguments with 12 disjoint 2-cycles: 4,096 extensions per family,
+    # each decoded from a 5,000-bit mask; a loop over the bits of each mask
+    # would not finish in time
+    code = ("from akgraph import semantics as sem\n"
+            "args = tuple('a%d' % i for i in range(1, 5001))\n"
+            "pairs = [(args[400 * k + 7], args[400 * k + 300]) for k in range(12)]\n"
+            "atts = tuple(p for x, y in pairs for p in ((x, y), (y, x)))\n"
+            "rep = sem.semantics_report(sem.AFProjection(args, atts))\n"
+            "first = [a for a in args if a not in {y for x, y in pairs}]\n"
+            "last = [a for a in args if a not in {x for x, y in pairs}]\n"
+            "for family in (rep['naive'], rep['preferred']):\n"
+            "    print(len(family) == 4096, family[0] == first, family[-1] == last)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(sem.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=30, env=env)
+    assert done.stdout.split() == ["True"] * 6, done.stderr
 
 
 def test_report_shape():
