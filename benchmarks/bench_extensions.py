@@ -10,12 +10,12 @@ the 2^n subset-table oracle and whether its families agree.
 Sizes above DEFAULT_CAP run with the cap raised to the size, to show what
 the cap guards: a family larger than MAX_EXTENSIONS is refused with
 TooLarge, and its count reads "over".  A last row times a large document:
---large arguments, almost all free, with --large-pieces small attack pieces
+--large arguments, almost all free, with LARGE_PIECES small attack pieces
 among them, where decoding each extension of n bits is the cost to watch.
 
 Usage: python3 benchmarks/bench_extensions.py [--sizes 12,16,20,24,32,64,96]
        [--frameworks 4] [--density 0.15] [--repeats 5] [--seed 1]
-       [--large 5000] [--large-pieces 4]
+       [--large 5000]
 """
 
 import argparse
@@ -24,6 +24,8 @@ import statistics
 import time
 
 from akgraph import semantics as sem
+
+LARGE_PIECES = 4
 
 
 def connected_atts(rng, n, density):
@@ -91,8 +93,6 @@ def main():
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--large", type=int, default=5000,
                     help="arguments of the large-document row (0: no such row)")
-    ap.add_argument("--large-pieces", type=int, default=4,
-                    help="attack pieces of the large-document row")
     args = ap.parse_args()
 
     rng = random.Random(args.seed)
@@ -101,7 +101,7 @@ def main():
             for n in (int(s) for s in args.sizes.split(",") if s)]
     if args.large:
         rows.append((args.large, sem.DEFAULT_CAP,
-                     [large_af(rng, args.large, args.large_pieces, args.density)
+                     [large_af(rng, args.large, LARGE_PIECES, args.density)
                       for _ in range(args.frameworks)]))
     header = "%5s  %10s  %10s  %10s  %7s  %7s  %10s  %5s" % (
         "n", "naive ms", "pref ms", "report ms", "#naive", "#pref", "oracle ms", "agree")

@@ -5,29 +5,26 @@ attack pairs); conflict-freeness, acceptability and admissibility are direct
 set predicates, and the naive / preferred families are the inclusion-maximal
 conflict-free / admissible sets.
 
-Enumeration strategy: every set of arguments, from search to report, is one
-int over natural-order bits: of n arguments sorted by natural_key, the one at
-position p is bit n-1-p.  Arguments not involved in any attack belong to
-every maximal extension.  Naive and preferred extensions of a disjoint union
-are the products of the parts' extensions, so the search runs separately
-over each weakly connected piece of the attack graph and each extension is
-the free arguments OR-ed with one extension of every piece.  Inside a piece,
-naive extensions are the maximal independent sets of the symmetric conflict
-graph over the members that do not attack themselves, listed by
+Enumeration strategy: arguments not involved in any attack belong to every
+maximal extension.  Naive and preferred extensions of a disjoint union are
+the products of the parts' extensions, so the search runs separately over
+each weakly connected piece of the attack graph, over int bitmasks of its
+members: naive extensions are the maximal independent sets of the symmetric
+conflict graph over the members that do not attack themselves, listed by
 Bron-Kerbosch with pivoting; preferred extensions come from an
 include/exclude search that starts at the grounded extension and cuts a
 branch once the chosen set can no longer be defended or can only reach
 subsets of an extension already found.  Neither search visits a non-maximal
-set at a leaf.  Descending int order is the report's order (see _family),
-and each mask is decoded to ids in O(n) C-level work.  A raw 2^n oracle
-(vectorized, independently coded) serves as the reference implementation
-for cross-checking.
+set at a leaf.  Each extension is the free arguments OR-ed with one of every
+piece, as a natural-order bitmask (position p of n is bit n-1-p).  A raw
+2^n oracle (vectorized, independently coded) serves as the reference
+implementation for cross-checking.
 """
 
 import math
 from collections import defaultdict, namedtuple
 from functools import reduce
-from itertools import compress
+from itertools import chain, compress
 from operator import or_
 from typing import NamedTuple
 
@@ -145,46 +142,36 @@ def _natural_order(args):
     return order, {a: i for i, a in enumerate(order)}
 
 
-class _Piece(NamedTuple):
-    """A weakly connected piece of the attack graph; tables map member bits to masks."""
-    members: int
-    allowed: int      # the members that do not attack themselves
-    conflict: dict    # every member it attacks or is attacked by
-    attacks: dict
-    attackers: dict
-
-
-def _pieces(af, cap, rank, n):
-    """The weakly connected pieces of the attack graph, over natural-order
-    bits (position p of n is bit n-1-p); raises TooLarge when the largest has
-    more than cap members."""
-    attacks, attackers = defaultdict(int), defaultdict(int)
-    for a, b in af.atts:
-        x, y = 1 << n - 1 - rank[a], 1 << n - 1 - rank[b]
-        attacks[x] |= y
-        attackers[y] |= x
-    conflict = {x: attacks[x] | attackers[x] for x in attacks.keys() | attackers.keys()}
-    pieces, seen = [], 0
-    for x in conflict:
-        if x & seen:
-            continue
-        members = frontier = x
-        near = {}
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            near[low] = c = conflict[low]
-            c &= ~members
-            members |= c
-            frontier |= c
-        seen |= members
-        pieces.append(_Piece(members, sum(b for b, c in near.items() if not c & b), near,
-                             {b: attacks[b] for b in near}, {b: attackers[b] for b in near}))
-    largest = max((len(p.conflict) for p in pieces), default=0)
+def _pieces(af, cap, rank):
+    """The weakly connected pieces of the attack graph as (positions, attacks,
+    attackers): the members' natural positions, ascending, and tables from
+    member bits to masks, where the member at the i-th highest position is
+    bit i.  Raises TooLarge, before any search, if one has over cap members."""
+    pairs = [(rank[a], rank[b]) for a, b in af.atts]
+    near = defaultdict(set)
+    for p, q in pairs:
+        near[p].add(q)
+        near[q].add(p)
+    groups = []
+    for p in sorted(near):      # flood fill, so pieces come in natural order
+        if p in near:   # not yet in a piece
+            members, frontier = {p}, [p]
+            while frontier:
+                new = near.pop(frontier.pop()) - members
+                members |= new
+                frontier += new
+            groups.append(sorted(members))
+    largest = max(map(len, groups), default=0)
     if largest > cap:
         raise TooLarge("a connected piece of %d arguments exceeds the cap of %d"
                        % (largest, cap))
-    return pieces
+    bit = {p: 1 << i for positions in groups for i, p in enumerate(reversed(positions))}
+    attacks, attackers = dict.fromkeys(bit, 0), dict.fromkeys(bit, 0)
+    for p, q in pairs:
+        attacks[p] |= bit[q]
+        attackers[q] |= bit[p]
+    return [(positions, {bit[p]: attacks[p] for p in positions},
+             {bit[p]: attackers[p] for p in positions}) for positions in groups]
 
 
 def _keep(found, mask, which):
@@ -206,8 +193,9 @@ def _naive_masks(piece):
     candidate is settled without a call: its only maximal extension takes
     that candidate, if no excluded member could still join.
     """
-    allowed = piece.allowed
-    compatible = {b: allowed & ~(c | b) for b, c in piece.conflict.items()}
+    _, attacks, attackers = piece
+    allowed = sum(b for b, a in attacks.items() if not a & b)   # no self-attack
+    compatible = {b: allowed & ~(a | attackers[b] | b) for b, a in attacks.items()}
     found = []
 
     def expand(chosen, cand, excluded):
@@ -258,7 +246,9 @@ def _preferred_masks(piece):
     candidate able to answer the attacker with the fewest such candidates,
     or the first candidate when every attacker is answered.
     """
-    _, allowed, conflict, attacks, attackers = piece
+    _, attacks, attackers = piece
+    allowed = sum(b for b, a in attacks.items() if not a & b)   # no self-attack
+    conflict = {b: a | attackers[b] for b, a in attacks.items()}
     found = []
 
     def search(chosen, cand, need, struck):
@@ -302,27 +292,37 @@ def _family(which, pieces, order):
     over its arguments in natural order, in the report's order: that of their
     position lists.  A family is an antichain, so the lowest position where
     two differ decides it; that is their highest differing bit, so the order
-    is descending int order.
-    """
+    is descending int order."""
     search = _naive_masks if which == NAIVE else _preferred_masks
     families = [search(p) for p in pieces]
     total = math.prod(map(len, families))
     if total > MAX_EXTENSIONS:
         raise TooLarge("%d %s extensions exceed the limit of %d"
                        % (total, which.lower(), MAX_EXTENSIONS))
-    # the free arguments, plus bit n so that bin() gives '0b1' and then n digits
-    masks = [(2 << len(order)) - 1 & ~reduce(or_, [p.members for p in pieces], 0)]
-    for family in families:     # OR product, piece by piece
+    # a mask with bit len(items) set decodes to items in one C pass through
+    # its binary digits; a loop over the bits of n-bit masks would be quadratic
+    decode = lambda items, m: compress(items, bin(m)[3:].encode().translate(_SELECTOR))
+    n = len(order)
+    digits = bytearray(b"1" * (n + 1))  # bit n, and the free arguments
+    for p in chain.from_iterable(positions for positions, _, _ in pieces):
+        digits[p + 1] = ord("0")
+    masks = [int(digits, 2)]
+    for (positions, _, _), family in zip(pieces, families):     # OR product
+        first, last, k = positions[0], positions[-1], len(positions)
+        if last - first < k:    # lift to natural-order bits: a shift if consecutive
+            family = [e << n - 1 - last for e in family]
+        else:
+            bits = [1 << n - 1 - p for p in positions]
+            family = [sum(decode(bits, e | 1 << k)) for e in family]
         masks = [m | e for m in masks for e in family]
     masks.sort(reverse=True)
-    # one C pass per mask; a loop over its n bits would be quadratic
-    return [compress(order, bin(m)[3:].encode().translate(_SELECTOR)) for m in masks]
+    return [decode(order, m) for m in masks]
 
 
 def _enumerate(af, which, cap):
     order, rank = _natural_order(af.args)
     return tuple(Extension(frozenset(members), which)
-                 for members in _family(which, _pieces(af, cap, rank, len(order)), order))
+                 for members in _family(which, _pieces(af, cap, rank), order))
 
 
 def naive_extensions(af, cap=DEFAULT_CAP):
@@ -371,7 +371,7 @@ def semantics_report(af, cap=DEFAULT_CAP, check_sets=()):
     """JSON-ready summary: framework, naive / preferred families, and
     conflict-free/admissible verdicts for any requested sets."""
     order, rank = _natural_order(af.args)
-    pieces = _pieces(af, cap, rank, len(order))
+    pieces = _pieces(af, cap, rank)
     atts = sorted((rank[a], rank[b]) for a, b in af.atts)
     report = {
         "args": order,

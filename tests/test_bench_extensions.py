@@ -13,7 +13,7 @@ def test_bench_extensions_runs_and_agrees_with_oracle():
     done = subprocess.run(
         [sys.executable, str(ROOT / "benchmarks" / "bench_extensions.py"),
          "--sizes", "6,8,66", "--frameworks", "2", "--repeats", "1", "--density", "0.05",
-         "--large", "300", "--large-pieces", "3"],
+         "--large", "300"],
         capture_output=True, text=True, timeout=120, env=env)
     assert done.returncode == 0, done.stderr
     rows = [line.split() for line in done.stdout.splitlines()[2:]]

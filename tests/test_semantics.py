@@ -182,6 +182,20 @@ def test_cap_ignores_free_arguments():
     assert members(sem.preferred_extensions(f)) == [set(f.args) - {"a2", "a4"}]
 
 
+def test_piece_searched_over_its_own_bits():
+    # a 3-argument piece among 5,000 arguments: its tables and extensions are
+    # 3-bit masks, so its search costs the same whatever the framework's size
+    f = af(5000, [(7, 4000), (4000, 2500), (2500, 4000)])
+    piece, = sem._pieces(f, sem.DEFAULT_CAP, sem._natural_order(f.args)[1])
+    assert piece[0] == [6, 2499, 3999]
+    assert all(0 < x < 8 and 0 <= m < 8 for t in piece[1:] for x, m in t.items())
+    assert all(0 < e < 8 for e in sem._naive_masks(piece) + sem._preferred_masks(piece))
+    rep = sem.semantics_report(f)
+    without = lambda *out: [a for a in f.args if a not in out]
+    assert rep["naive"] == [without("a4000"), without("a7", "a2500")]
+    assert rep["preferred"] == [without("a4000")]
+
+
 def test_extension_count_limited():
     # 17 disjoint 2-cycles: every piece is small, the product has 2^17 members
     f = af(34, [(i, i + 1) for i in range(1, 34, 2)] + [(i + 1, i) for i in range(1, 34, 2)])
