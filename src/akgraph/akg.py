@@ -110,15 +110,17 @@ def convert_stances(stances, claim_to_arg, major_claim_node):
     return edges
 
 
-def _node_for(ekb, arg, rule_arg_ids, comp_kinds):
+def _node_for(ekb, arg, primary, comp_kinds):
+    """The node of arg; primary maps each content, a rule id among them, to
+    the id of the node that holds it."""
     if arg.kind == IRP:
         rule = ekb.rule(arg.content)
         ls = rule_preference_sets(ekb, rule.rule_id)
         if ls is None:
             l1 = l2 = None
         else:
-            l1 = frozenset(rule_arg_ids[x] for x in ls[0])
-            l2 = frozenset(rule_arg_ids[x] for x in ls[1])
+            l1 = frozenset(primary[x] for x in ls[0])
+            l2 = frozenset(primary[x] for x in ls[1])
         box = AttributeBox((arg.arg_id, rule.kind, _quote(rule.im), l1, l2))
         return AKGNode(arg.arg_id, RULE_PREMISE, box, content=arg.content,
                        text=ekb.rule_text(rule.rule_id))
@@ -148,20 +150,17 @@ def build_akg(kbg, aset, doc):
     """
     ekb = kbg.ekb
     comp_kinds = {c.comp_id: c.kind for c in doc.components}
-    rule_arg_ids = {}
-    for a in aset.arguments:
-        if a.kind == IRP and a.content not in rule_arg_ids:
-            rule_arg_ids[a.content] = a.arg_id
 
     # content-merged nodes: the first argument for a content owns the node
     primary = {}
+    for arg in aset.arguments:
+        primary.setdefault(arg.content, arg.arg_id)
     nodes = []
     for arg in aset.arguments:
-        if arg.content in primary:
+        if primary[arg.content] != arg.arg_id:
             logger.debug("merging %s into node %s", arg.arg_id, primary[arg.content])
             continue
-        primary[arg.content] = arg.arg_id
-        nodes.append(_node_for(ekb, arg, rule_arg_ids, comp_kinds))
+        nodes.append(_node_for(ekb, arg, primary, comp_kinds))
     node_by_id = {n.arg_id: n for n in nodes}
 
     member_of = dict(ekb.component_to_formula)

@@ -1,7 +1,8 @@
 """Command-line pipeline: ingest -> markers -> EKB -> graphs -> semantics -> exports.
 
 Verbs: ingest, build, semantics, export, run.  Inputs are either a text file
-plus a brat-style .ann file, or a single canonical JSON document.
+plus a brat-style .ann file, or a single canonical JSON document.  Every verb
+writes its outputs into --out, or to stdout when --out is absent or empty.
 """
 
 import argparse
@@ -28,18 +29,18 @@ from .markers import detect_ims, load_lexicon, resolve_implicit_ims
 
 logger = logging.getLogger(__name__)
 
-FORMATS = ("dot-kb", "dot-akg", "json-kb", "json-akg", "json-args", "apx",
-           "semantics")
-
-_SUFFIX = {
-    "dot-kb": "kb.dot",
-    "dot-akg": "akg.dot",
-    "json-kb": "kb.json",
-    "json-akg": "akg.json",
-    "json-args": "args.json",
-    "apx": "apx",
-    "semantics": "semantics.json",
+# format -> (file suffix, artifact it renders, exporter)
+_EXPORTS = {
+    "dot-kb": ("kb.dot", "kb_graph", exports.export_dot),
+    "dot-akg": ("akg.dot", "akg", exports.export_dot),
+    "json-kb": ("kb.json", "kb_graph", exports.export_json_kb),
+    "json-akg": ("akg.json", "akg", exports.export_json_akg),
+    "json-args": ("args.json", "aset", exports.export_json_args),
+    "apx": ("apx", "af", exports.export_apx),
+    "semantics": ("semantics.json", "semantics", exports.export_semantics_json),
 }
+FORMATS = tuple(_EXPORTS)
+_SUFFIX = {fmt: suffix for fmt, (suffix, _, _) in _EXPORTS.items()}
 
 
 class PipelineError(Exception):
@@ -172,38 +173,31 @@ def run_pipeline(config):
 
 
 def render_format(fmt, artifacts):
-    if fmt == "dot-kb":
-        return exports.export_dot(artifacts["kb_graph"])
-    if fmt == "dot-akg":
-        return exports.export_dot(artifacts["akg"])
-    if fmt == "json-kb":
-        return exports.export_json_kb(artifacts["kb_graph"])
-    if fmt == "json-akg":
-        return exports.export_json_akg(artifacts["akg"])
-    if fmt == "json-args":
-        return exports.export_json_args(artifacts["aset"])
-    if fmt == "apx":
-        return exports.export_apx(artifacts["af"])
-    if fmt == "semantics":
-        return exports.export_semantics_json(artifacts["semantics"])
-    raise PipelineError("unknown format %r" % fmt)
+    if fmt not in _EXPORTS:
+        raise PipelineError("unknown format %r" % fmt)
+    _, name, export = _EXPORTS[fmt]
+    return export(artifacts[name])
+
+
+def _emit(out_dir, name, payload):
+    """Write payload to out_dir/name and return that path; with no out_dir
+    (None or empty) print it to stdout and return None."""
+    if not out_dir:
+        sys.stdout.write(payload)
+        return None
+    target = Path(out_dir, name)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_text(payload, encoding="utf-8")
+    return str(target)
 
 
 def write_formats(config, report):
-    written = []
     doc_id = report.artifacts["doc"].document.doc_id
-    if config.out_dir is not None:
-        out = Path(config.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    written = []
     for fmt in config.formats:
         payload = render_format(fmt, report.artifacts)
-        if config.out_dir is None:
-            sys.stdout.write(payload)
-            continue
-        target = out / ("%s.%s" % (doc_id, _SUFFIX[fmt]))
-        target.write_text(payload, encoding="utf-8")
-        written.append(str(target))
-    return report._replace(written=tuple(written))
+        written.append(_emit(config.out_dir, "%s.%s" % (doc_id, _SUFFIX[fmt]), payload))
+    return report._replace(written=tuple(filter(None, written)))
 
 
 def _config_from(ns):
@@ -235,36 +229,23 @@ def _cmd_ingest(config):
     violations = validate_document(adoc)
     for v in violations:
         print("violation: %s" % (v,), file=sys.stderr)
-    payload = serialize_canonical_json(adoc)
-    if config.out_dir:
-        out = Path(config.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        target = out / ("%s.json" % adoc.document.doc_id)
-        target.write_text(payload, encoding="utf-8")
+    target = _emit(config.out_dir, "%s.json" % adoc.document.doc_id,
+                   serialize_canonical_json(adoc))
+    if target:
         print("wrote %s" % target)
-    else:
-        sys.stdout.write(payload)
     return 1 if violations else 0
 
 
 def _cmd_semantics(config):
-    report = run_pipeline(config)
-    payload = exports.export_semantics_json(report.artifacts["semantics"])
-    if config.out_dir:
-        out = Path(config.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        doc_id = report.artifacts["doc"].document.doc_id
-        target = out / ("%s.semantics.json" % doc_id)
-        target.write_text(payload, encoding="utf-8")
+    report = write_formats(config._replace(formats=("semantics",)),
+                           run_pipeline(config))
+    for target in report.written:
         print("wrote %s" % target)
-    else:
-        sys.stdout.write(payload)
-    return 0
+    return report.status
 
 
 def _cmd_build(config):
-    if not config.formats:
-        config = config._replace(formats=("json-akg",))
+    config = config._replace(formats=config.formats or ("json-akg",))
     report = write_formats(config, run_pipeline(config))
     for w in report.warnings:
         print("warning: %s" % w, file=sys.stderr)
@@ -278,8 +259,7 @@ def _cmd_export(config):
 
 
 def _cmd_run(config):
-    if not config.formats:
-        config = config._replace(formats=FORMATS)
+    config = config._replace(formats=config.formats or FORMATS)
     report = write_formats(config, run_pipeline(config))
     for line in report.summary_lines():
         print(line)
@@ -315,7 +295,8 @@ def build_parser():
         p.add_argument("--lexicon", help="marker lexicon file (tab-separated)")
         p.add_argument("--prefs", help="preference chain file")
         p.add_argument("--kinds", help="premise kind override file")
-        p.add_argument("--out", help="output directory")
+        p.add_argument("--out", help="output directory; without it, or when "
+                                     "empty, output goes to stdout")
         p.add_argument("--format", action="append",
                        help="export format(s), comma-separable; one of: "
                             + ", ".join(FORMATS))

@@ -79,7 +79,7 @@ class PreferenceConfig(NamedTuple):
     """Ordered preference chains over defeasible rules.
 
     Each chain lists ids from most to least preferred; ids may be rule ids
-    or the argument ids the rules will receive.
+    or the argument ids the rules receive when no implicit rule is added.
     """
     chains: tuple = ()
 
@@ -388,7 +388,10 @@ def build_ekb(doc, ims, prefs=None, kind_overrides=None, lexicon=None):
     member_order = tuple(m.formula_id if isinstance(m, Formula) else m.rule_id
                          for m in ordered)
 
-    provisional = {m: "A%d" % (i + 1) for i, m in enumerate(member_order)}
+    # preference ids number the members as they are without implicit rules
+    implicit = {r.rule_id for r in rules if r.heuristic == markers_mod.IMPLICIT}
+    provisional = {m: "A%d" % (i + 1) for i, m in enumerate(
+        m for m in member_order if m not in implicit)}
     rule_pref = frozenset()
     if prefs is not None and prefs.chains:
         rule_pref = _resolve_preferences(prefs, rules, provisional)

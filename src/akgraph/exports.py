@@ -6,11 +6,13 @@ joined to their owners by undecorated linker edges.
 
 Every JSON export is laid out as json.dumps(obj, indent=2,
 ensure_ascii=False) lays out the same object, byte for byte.  With an indent
-json.dumps runs its pure-Python encoder, so the three graph exports format
-their fixed-shape rows from templates instead, and every string goes through
-the C string encoder; the semantics report is walked by _json_text.
+json.dumps runs its pure-Python encoder, so the three graph exports fill one
+row template per set of keys (_row) instead, and every string goes through
+the C string encoder; the semantics report is walked by _json_text.  Only
+_row, _array, _strings and _json_text know the layout.
 """
 
+from functools import lru_cache
 from json.encoder import encode_basestring as _enc
 
 from . import akg as akgmod
@@ -71,8 +73,8 @@ def export_dot(graph):
             tail %= e.mp_group
         lines.append(_DOT_EDGE % (_esc(e.source), _esc(e.target), tail))
 
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines.append("}\n")
+    return "\n".join(lines)
 
 
 def _member_label(kbg, node):
@@ -84,17 +86,38 @@ def _member_label(kbg, node):
 # -- JSON --
 #
 # The graph exports are three levels deep: the top object, its lists at two
-# spaces, their rows at four and the rows' fields at six, so the row
-# templates carry their indentation.
+# spaces, their rows at four and the rows' fields at six.  Each row fills the
+# template that _row builds once for its keys; the keys are the literal
+# tuples below and the AKG edge shapes, so the cache stays small.
 
-def _array(rows, pad):
+@lru_cache(maxsize=None)
+def _row(keys, pad="    "):
+    """Template of a JSON object with these keys, its braces at pad and its
+    fields two deeper: one %s per field, for a value rendered at that depth."""
+    inner = pad + "  "
+    return "%s{\n%s\n%s}" % (pad, ",\n".join(
+        "%s%s: %%s" % (inner, _enc(k)) for k in keys), pad)
+
+
+def _rows(keys, values):
+    """A JSON array, at two spaces, of one row per tuple of rendered values."""
+    return _array(list(map(_row(keys).__mod__, values)))
+
+
+def _document(keys, values):
+    """A whole export: the top-level object and its closing newline, added
+    to the template rather than to the export, which would copy it."""
+    return (_row(keys, "") + "\n") % values
+
+
+def _array(rows, pad="  "):
     """A JSON array of rows already rendered at the indentation below pad."""
     if not rows:
         return "[]"
     return "[\n%s\n%s]" % (",\n".join(rows), pad)
 
 
-def _strings(items, pad):
+def _strings(items, pad="      "):
     """A JSON array of strings, encoded in one call, closing at pad."""
     if not items:
         return "[]"
@@ -130,58 +153,28 @@ def _json_text(obj, pad=""):
                     % type(obj).__name__)
 
 
-_KB_NODE = ('    {\n'
-            '      "id": %s,\n'
-            '      "kind": %s,\n'
-            '      "text": %s,\n'
-            '      "attributes": %s\n'
-            '    }')
-_KB_EDGE = ('    {\n'
-            '      "source": %s,\n'
-            '      "target": %s,\n'
-            '      "kind": %s\n'
-            '    }')
-
-
 def export_json_kb(kbg):
     nodes = sorted(kbg.nodes, key=lambda n: natural_key(n.node_id))
     edges = sorted(kbg.edges,
                    key=lambda e: (e.kind, natural_key(e.source), natural_key(e.target)))
-    return '{\n  "nodes": %s,\n  "edges": %s\n}\n' % (
-        _array([_KB_NODE % (_enc(n.node_id), _enc(n.kind),
-                            _enc(_member_label(kbg, n)),
-                            _strings(n.attributes.rendered, "      "))
-                for n in nodes], "  "),
-        _array([_KB_EDGE % (_enc(e.source), _enc(e.target), _enc(e.kind))
-                for e in edges], "  "))
-
-
-_AKG_NODE = ('    {\n'
-             '      "id": %s,\n'
-             '      "kind": %s,\n'
-             '      "member": %s,\n'
-             '      "text": %s,\n'
-             '      "attributes": %s\n'
-             '    }')
-_AKG_EDGE = ('    {\n'
-             '      "source": %s,\n'
-             '      "target": %s,\n'
-             '      "kind": %s')
-_PAIR = ('    [\n'
-         '      %s,\n'
-         '      %s\n'
-         '    ]')
+    return _document(("nodes", "edges"), (
+        _rows(("id", "kind", "text", "attributes"),
+              ((_enc(n.node_id), _enc(n.kind), _enc(_member_label(kbg, n)),
+                _strings(n.attributes.rendered)) for n in nodes)),
+        _rows(("source", "target", "kind"),
+              ((_enc(e.source), _enc(e.target), _enc(e.kind)) for e in edges))))
 
 
 def _akg_edge(e):
-    row = _AKG_EDGE % (_enc(e.source), _enc(e.target), _enc(e.kind))
+    """An AKG edge row; each optional field appears only when set."""
+    row = {"source": _enc(e.source), "target": _enc(e.target), "kind": _enc(e.kind)}
     if e.attack_type is not None:
-        row += ',\n      "attack_type": %s' % _enc(e.attack_type)
+        row["attack_type"] = _enc(e.attack_type)
     if e.contrary_undermine:
-        row += ',\n      "contrary_undermine": true'
+        row["contrary_undermine"] = "true"
     if e.mp_group is not None:
-        row += ',\n      "mp_group": %d' % e.mp_group
-    return row + "\n    }"
+        row["mp_group"] = int.__repr__(e.mp_group)
+    return _row(tuple(row)) % tuple(row.values())
 
 
 def export_json_akg(akg):
@@ -190,52 +183,31 @@ def export_json_akg(akg):
                    key=lambda e: (e.kind, natural_key(e.source),
                                   natural_key(e.target),
                                   e.mp_group if e.mp_group is not None else -1))
-    return ('{\n  "nodes": %s,\n  "edges": %s,\n  "mp_applications": %s,\n'
-            '  "pruned_supports": %s\n}\n') % (
-        _array([_AKG_NODE % (_enc(n.arg_id), _enc(n.kind), _json_text(n.content),
-                             _json_text(n.text),
-                             _strings(n.attributes.rendered, "      "))
-                for n in nodes], "  "),
-        _array(list(map(_akg_edge, edges)), "  "),
+    return _document(("nodes", "edges", "mp_applications", "pruned_supports"), (
+        _rows(("id", "kind", "member", "text", "attributes"),
+              ((_enc(n.arg_id), _enc(n.kind), _json_text(n.content),
+                _json_text(n.text), _strings(n.attributes.rendered)) for n in nodes)),
+        _array(list(map(_akg_edge, edges))),
         _mp_rows(akg.mp_applications),
-        _array([_PAIR % (_enc(s), _enc(t)) for s, t in akg.pruned_supports], "  "))
-
-
-_MP_ROW = ('    {\n'
-           '      "rule": %s,\n'
-           '      "antecedents": %s,\n'
-           '      "result": %s\n'
-           '    }')
+        _array(["    " + _strings(pair, "    ") for pair in akg.pruned_supports])))
 
 
 def _mp_rows(apps):
-    return _array([_MP_ROW % (_enc(app.rule_arg),
-                              _strings(sorted(app.antecedent_args, key=natural_key),
-                                       "      "),
-                              _enc(app.result_arg))
-                   for app in apps], "  ")
-
-
-_ARG_ROW = ('    {\n'
-            '      "id": %s,\n'
-            '      "kind": %s,\n'
-            '      "content": %s,\n'
-            '      "premises": %s,\n'
-            '      "conclusion": %s,\n'
-            '      "subargs": %s,\n'
-            '      "top_rule": %s\n'
-            '    }')
+    return _rows(("rule", "antecedents", "result"),
+                 ((_enc(app.rule_arg),
+                   _strings(sorted(app.antecedent_args, key=natural_key)),
+                   _enc(app.result_arg)) for app in apps))
 
 
 def export_json_args(aset):
     args = sorted(aset.arguments, key=lambda a: natural_key(a.arg_id))
-    return '{\n  "arguments": %s,\n  "mp_applications": %s\n}\n' % (
-        _array([_ARG_ROW % (_enc(a.arg_id), _enc(a.kind), _enc(a.content),
-                            _strings(sorted(a.premises, key=natural_key), "      "),
-                            _enc(a.conclusion), _strings(a.subargs, "      "),
-                            _json_text(a.top_rule))
-                for a in args], "  "),
-        _mp_rows(aset.mp_applications))
+    return _document(("arguments", "mp_applications"), (
+        _rows(("id", "kind", "content", "premises", "conclusion", "subargs",
+               "top_rule"),
+              ((_enc(a.arg_id), _enc(a.kind), _enc(a.content),
+                _strings(sorted(a.premises, key=natural_key)), _enc(a.conclusion),
+                _strings(a.subargs), _json_text(a.top_rule)) for a in args)),
+        _mp_rows(aset.mp_applications)))
 
 
 def export_semantics_json(report):
@@ -246,10 +218,8 @@ def export_semantics_json(report):
 
 def export_apx(af):
     """ICCMA-style apx text: arg()/att() facts, lowercase ids, sorted."""
-    lines = ["arg(%s)." % a.lower() for a in sorted(af.args, key=natural_key)]
-    lines += ["att(%s,%s)." % (a.lower(), b.lower())
+    lines = ["arg(%s).\n" % a.lower() for a in sorted(af.args, key=natural_key)]
+    lines += ["att(%s,%s).\n" % (a.lower(), b.lower())
               for a, b in sorted(af.atts, key=lambda p: (natural_key(p[0]),
                                                          natural_key(p[1])))]
-    if not lines:
-        return ""
-    return "\n".join(lines) + "\n"
+    return "".join(lines)

@@ -203,12 +203,9 @@ def _candidates(doc, lexicon):
     cands = []
 
     for i, (start, end, boundary) in enumerate(segs):
-        prev = segs[i - 1] if i > 0 else None
-        same_para = (prev is not None
-                     and doc.paragraph_of(prev[0]) == doc.paragraph_of(start))
-
-        # forward heuristics need an antecedent segment in the same paragraph
-        if same_para and boundary is not None:
+        # forward heuristics need an antecedent segment in the same paragraph;
+        # _segments restarts at each paragraph, so one with a boundary has one
+        if boundary is not None:
             surface = _match_at(text, start, claims)
             if surface is not None:
                 mend = start + len(surface)
@@ -228,7 +225,7 @@ def _candidates(doc, lexicon):
                             surface=text[start:mend],
                             span=(start, mend),
                             heuristic=heur,
-                            antecedent_span=(prev[0], prev[1]),
+                            antecedent_span=segs[i - 1][:2],
                             consequent_span=(cstart, end),
                             indicator=CLAIM_INDICATOR,
                             low_confidence=not has_comma))

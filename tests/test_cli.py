@@ -141,6 +141,29 @@ def test_run_writes_everything(tmp_path, capsys):
     assert out.count("wrote ") == 7
 
 
+def test_semantics_out_matches_run(tmp_path, capsys):
+    assert run(["semantics", "--out", str(tmp_path / "s")] + ESSAY) == 0
+    target = tmp_path / "s" / "essay056.semantics.json"
+    assert capsys.readouterr().out == "wrote %s\n" % target
+    assert run(["run", "--out", str(tmp_path / "r")] + ESSAY) == 0
+    assert [p.name for p in (tmp_path / "s").iterdir()] == [target.name]
+    assert target.read_bytes() == \
+        (tmp_path / "r" / "essay056.semantics.json").read_bytes()
+
+
+@pytest.mark.parametrize("verb", [["ingest"], ["build"], ["semantics"],
+                                  ["export", "--format", "apx,json-args"], ["run"]],
+                         ids=lambda verb: verb[0])
+def test_empty_out_prints_to_stdout(tmp_path, monkeypatch, capsys, verb):
+    monkeypatch.chdir(tmp_path)
+    assert run(verb + ["--out", ""] + ESSAY) == 0
+    printed = capsys.readouterr().out
+    assert run(verb + ESSAY) == 0
+    assert printed == capsys.readouterr().out
+    assert printed and "wrote " not in printed
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------- options
 
 def test_check_set_flag(capsys):
@@ -151,6 +174,13 @@ def test_check_set_flag(capsys):
         {"set": ["A1", "A3", "A4"], "conflict_free": True, "admissible": True},
         {"set": ["A2", "A3"], "conflict_free": False, "admissible": False},
     ]
+
+
+def test_prefs_with_implicit_ims(tmp_path, capsys):
+    # the preference file names explicit rules by the argument ids they get
+    # without implicit rules, whether or not the flag adds some
+    assert run(["run", "--implicit-ims", "--out", str(tmp_path)] + ESSAY) == 0
+    assert "rules: 6" in capsys.readouterr().out
 
 
 def test_cap_exceeded_exit_1(capsys):

@@ -1,8 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from akgraph import ekb as E
 from akgraph import markers
 from akgraph.arguments import derive_argument_set
+from akgraph.cli import PipelineConfig, run_pipeline
 from akgraph.ingest import (
     AnnotatedDocument,
     ComponentAnnotation,
@@ -10,6 +13,8 @@ from akgraph.ingest import (
     make_text_document,
     parse_brat_ann,
 )
+
+from conftest import DATA
 
 TXT = "Cats purr when happy. Therefore, cats can be happy. Dogs disagree.\n"
 ANN = "\n".join([
@@ -91,6 +96,33 @@ def test_preferences_by_rule_or_argument_id(essay):
     doc, ims = essay["doc"], essay["ims"]
     again = E.build_ekb(doc, ims, prefs=E.parse_preference_file("R2 > R1 > R3 > R4\n"))
     assert again.rule_pref == kb.rule_pref
+
+
+@pytest.fixture(scope="module")
+def essay_implicit():
+    """essay056 with the implicit markers that --implicit-ims adds."""
+    return run_pipeline(PipelineConfig(
+        input_path=str(DATA / "essay056.txt"), ann_path=str(DATA / "essay056.ann"),
+        implicit_ims=True)).artifacts
+
+
+def _pref_spans(kb):
+    """rule_pref with each rule named by its marker span, which implicit
+    rules do not renumber."""
+    span = {r.rule_id: r.im_span for r in kb.rules}
+    return {(span[a], span[b]) for a, b in kb.rule_pref}
+
+
+# A2, A5, A10 and A15 are essay056's four explicit rules
+@settings(max_examples=30, deadline=None)
+@given(st.permutations(["A2", "A5", "A10", "A15"]), st.integers(2, 4))
+def test_preferences_unchanged_by_implicit_rules(essay, essay_implicit, order, length):
+    prefs = E.PreferenceConfig((tuple(order[:length]),))
+    plain = E.build_ekb(essay["doc"], essay["ims"], prefs=prefs)
+    extra = E.build_ekb(essay_implicit["doc"], essay_implicit["ims"], prefs=prefs)
+    assert len(extra.rules) > len(plain.rules)
+    assert _pref_spans(extra) == _pref_spans(plain)
+    assert len(plain.rule_pref) == length * (length - 1) // 2
 
 
 def test_preference_sets(essay):

@@ -279,6 +279,28 @@ def test_json_akg_optional_fields_and_empty_lists():
         json.dumps(_akg_dict(akg), indent=2, ensure_ascii=False) + "\n"
 
 
+# AKG rows of every shape: each combination of the optional edge fields, and
+# node members and texts that are missing or need escaping
+_ID = st.sampled_from(["A1", "A2", "A10", 'A"3', "A\\φ"])
+_AKG_NODE = st.builds(
+    AKGNode, _ID, st.sampled_from(["Premise", "Conclusion"]),
+    st.builds(AttributeBox, st.tuples(st.none() | _TEXT, st.frozensets(_ID, max_size=2))),
+    content=st.none() | _TEXT, text=st.none() | _TEXT)
+_AKG_EDGE = st.builds(
+    AKGEdge, _ID, _ID, st.sampled_from(["Support", "Attack", "ModusPonens"]),
+    attack_type=st.none() | st.sampled_from(["Reb", "UM", "UC"]),
+    mp_group=st.none() | st.integers(0, 20), contrary_undermine=st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_AKG_NODE, max_size=4), st.lists(_AKG_EDGE, max_size=8),
+       st.lists(st.tuples(_ID, _ID), max_size=3))
+def test_json_akg_rows_match_json_dumps(nodes, edges, pruned):
+    akg = AKG(tuple(nodes), tuple(edges), (), tuple(pruned))
+    assert X.export_json_akg(akg) == \
+        json.dumps(_akg_dict(akg), indent=2, ensure_ascii=False) + "\n"
+
+
 # ---------------------------------------------------------------- apx
 
 def test_apx_essay(essay):
