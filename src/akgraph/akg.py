@@ -28,7 +28,7 @@ UNDERMINE = "UM"
 UNDERCUT = "UC"
 
 
-class AKGError(Exception):
+class AKGError(ValueError):
     pass
 
 

@@ -10,19 +10,16 @@ and each paragraph's conclusions numbered after its premises and rules.
 """
 
 import heapq
-import logging
 from collections import namedtuple
 from functools import cached_property
 from typing import NamedTuple
-
-logger = logging.getLogger(__name__)
 
 P = "P"
 IRP = "IRP"
 C = "C"
 
 
-class DerivationError(Exception):
+class DerivationError(ValueError):
     pass
 
 

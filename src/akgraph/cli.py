@@ -14,20 +14,12 @@ from typing import NamedTuple
 
 from . import exports
 from . import semantics as sem
-from .akg import AKGError, build_akg
-from .arguments import DerivationError, derive_argument_set
-from .ekb import EKBError, build_ekb, parse_kind_override_file, parse_preference_file
-from .ingest import (
-    IngestError,
-    parse_brat_ann,
-    parse_canonical_json,
-    serialize_canonical_json,
-    validate_document,
-)
+from .akg import build_akg
+from .arguments import derive_argument_set
+from .ekb import build_ekb, parse_kind_override_file, parse_preference_file
+from .ingest import parse_brat_ann, parse_canonical_json, serialize_canonical_json
 from .kbgraph import build_kb_graph
 from .markers import detect_ims, load_lexicon, resolve_implicit_ims
-
-logger = logging.getLogger(__name__)
 
 # format -> (file suffix, artifact it renders, exporter)
 _EXPORTS = {
@@ -43,7 +35,7 @@ FORMATS = tuple(_EXPORTS)
 _SUFFIX = {fmt: suffix for fmt, (suffix, _, _) in _EXPORTS.items()}
 
 
-class PipelineError(Exception):
+class PipelineError(ValueError):
     pass
 
 
@@ -110,6 +102,10 @@ def _related_spans(adoc):
     return pairs
 
 
+def _pruned_warnings(akg):
+    return ["pruned redundant support %s -> %s" % st for st in akg.pruned_supports]
+
+
 def run_pipeline(config):
     """Execute the full chain and return an ExitReport with summary counts,
     collected warnings, and every built artifact."""
@@ -118,11 +114,6 @@ def run_pipeline(config):
     root.addHandler(tap)
     try:
         adoc = load_document(config)
-        violations = validate_document(adoc)
-        if violations:
-            raise PipelineError("invalid document: "
-                                + "; ".join(str(v) for v in violations))
-
         lexicon = load_lexicon(
             Path(config.lexicon_path).read_text(encoding="utf-8")
             if config.lexicon_path else None)
@@ -150,9 +141,7 @@ def run_pipeline(config):
     finally:
         root.removeHandler(tap)
 
-    warnings = list(tap.records)
-    for s, t in akg.pruned_supports:
-        warnings.append("pruned redundant support %s -> %s" % (s, t))
+    warnings = tap.records + _pruned_warnings(akg)
 
     counts = {
         "components": len(adoc.components),
@@ -226,14 +215,11 @@ def _config_from(ns):
 
 def _cmd_ingest(config):
     adoc = load_document(config)
-    violations = validate_document(adoc)
-    for v in violations:
-        print("violation: %s" % (v,), file=sys.stderr)
     target = _emit(config.out_dir, "%s.json" % adoc.document.doc_id,
                    serialize_canonical_json(adoc))
     if target:
         print("wrote %s" % target)
-    return 1 if violations else 0
+    return 0
 
 
 def _cmd_semantics(config):
@@ -247,7 +233,8 @@ def _cmd_semantics(config):
 def _cmd_build(config):
     config = config._replace(formats=config.formats or ("json-akg",))
     report = write_formats(config, run_pipeline(config))
-    for w in report.warnings:
+    # logging has printed every other warning as it was raised
+    for w in _pruned_warnings(report.artifacts["akg"]):
         print("warning: %s" % w, file=sys.stderr)
     return report.status
 
@@ -319,8 +306,7 @@ def main(argv=None):
     try:
         config = _config_from(ns)
         return _COMMANDS[ns.command](config)
-    except (PipelineError, IngestError, EKBError, DerivationError, AKGError,
-            sem.SemanticsError, OSError, ValueError) as exc:
+    except (ValueError, OSError) as exc:   # every akgraph error is a ValueError
         print("%s.%s: %s" % (exc.__class__.__module__,
                              exc.__class__.__name__, exc), file=sys.stderr)
         return 1

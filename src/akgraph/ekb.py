@@ -9,10 +9,10 @@ kind: they live outside K and only ever appear as rule consequents.
 """
 
 import logging
-import re
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from functools import cached_property
+from itertools import count
 from typing import NamedTuple
 
 from . import markers as markers_mod
@@ -30,7 +30,7 @@ DEFEASIBLE = "D"
 RULE_ARROW = "⇒"   # the consequent arrow used in rendered rule text
 
 
-class EKBError(Exception):
+class EKBError(ValueError):
     pass
 
 
@@ -307,6 +307,8 @@ def build_ekb(doc, ims, prefs=None, kind_overrides=None, lexicon=None):
         comp_to_formula[c.comp_id] = c.comp_id
     if mc_parts:
         fid = "+".join(c.comp_id for c in mc_parts)
+        while fid in comp_to_formula:   # a component may carry the merged id
+            fid += "+"
         formulas.append(Formula(
             formula_id=fid,
             text="; ".join(c.surface_text for c in mc_parts),
@@ -322,6 +324,9 @@ def build_ekb(doc, ims, prefs=None, kind_overrides=None, lexicon=None):
     dropped = []
     rel_pairs = {(r.source, r.target): r.kind for r in doc.relations}
     contained = _containment(doc.components)
+    # rule ids skip component and rule-span ids; relation ids may repeat them
+    taken = {c.comp_id for c in doc.components} | {rs.span_id for rs in doc.rule_spans}
+    rule_ids = (rid for rid in map("R{}".format, count(1)) if rid not in taken)
     for im in sorted(ims, key=lambda m: m.span[0]):
         cons_comps = contained(im.consequent_span)
         ant_comps = contained(im.antecedent_span)
@@ -333,7 +338,8 @@ def build_ekb(doc, ims, prefs=None, kind_overrides=None, lexicon=None):
         if len(cons_comps) > 1:
             logger.debug("IM %r: several consequent candidates, taking first", im.surface)
         consequent = cons_comps[0]
-        antecedents = [c for c in ant_comps if c.comp_id != consequent.comp_id]
+        cons_fid = comp_to_formula[consequent.comp_id]
+        antecedents = [c for c in ant_comps if comp_to_formula[c.comp_id] != cons_fid]
         if not antecedents:
             dropped.append(im)
             continue
@@ -344,9 +350,10 @@ def build_ekb(doc, ims, prefs=None, kind_overrides=None, lexicon=None):
             dropped.append(im)
             continue
         rules.append(InferenceRule(
-            rule_id="R%d" % (len(rules) + 1),
-            antecedents=tuple(comp_to_formula[a.comp_id] for a in antecedents),
-            consequent=comp_to_formula[consequent.comp_id],
+            rule_id=next(rule_ids),
+            antecedents=tuple(dict.fromkeys(
+                comp_to_formula[a.comp_id] for a in antecedents)),
+            consequent=cons_fid,
             kind=DEFEASIBLE,
             im=im.surface.casefold() if im.surface else None,
             im_span=im.span,

@@ -24,13 +24,14 @@ RULE_SPAN_KIND = "InferenceRule"
 RELATION_KINDS = ("Supports", "Attacks")
 STANCE_VALUES = ("For", "Against")
 
-# brat standoff line shapes
-_ENT_PATT = re.compile(r"^(T\d+)\t(\S+) (\d+) (\d+)\t(.*)$")
+# brat standoff line shapes; offsets are bounded because int() refuses
+# strings of over 4300 digits
+_ENT_PATT = re.compile(r"^(T\d+)\t(\S+) (\d{1,18}) (\d{1,18})\t(.*)$")
 _REL_PATT = re.compile(r"^(R\d+)\t(\S+) Arg1:(\S+) Arg2:(\S+)\s*$")
 _ATTR_PATT = re.compile(r"^(A\d+)\t(\S+) (\S+) (\S+)\s*$")
 
 
-class IngestError(Exception):
+class IngestError(ValueError):
     """Base class for annotation parsing failures."""
 
 
@@ -231,9 +232,13 @@ def _check_references(doc):
                 raise DanglingReference("%s cites missing id %s" % (rel.rel_id, ref))
         if rel.source == rel.target:
             raise MalformedLine("%s relates %s to itself" % (rel.rel_id, rel.source))
+    claims = {c.comp_id for c in doc.components if c.kind == "Claim"}
     for st in doc.stances:
         if st.claim not in known:
             raise DanglingReference("%s cites missing id %s" % (st.attr_id, st.claim))
+        if st.claim not in claims:
+            raise MalformedLine("%s sets a stance on %s, which is not a Claim"
+                                % (st.attr_id, st.claim))
 
 
 def _want(obj, key, kind, path):
@@ -277,7 +282,7 @@ def parse_canonical_json(content, doc_id=None):
     """
     try:
         data = json.loads(content)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:   # JSONDecodeError is a ValueError
         raise SchemaViolation("$: not valid JSON: %s" % e)
     if not isinstance(data, dict):
         raise SchemaViolation("$: expected object")

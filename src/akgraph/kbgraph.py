@@ -11,7 +11,7 @@ from collections import namedtuple
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
-from .ekb import validate_ekb
+from .ekb import EKBError, rule_preference_sets, validate_ekb
 
 PREMISE = "Premise"
 RULE_PREMISE = "InferenceRulePremise"
@@ -70,7 +70,6 @@ def premise_attribute_box(f):
 
 def rule_attribute_box(ekb, r):
     """[rule id, S|D, IM, L1|N, L2|N]; strict rules take N for both L-sets."""
-    from .ekb import rule_preference_sets
     ls = rule_preference_sets(ekb, r.rule_id)
     l1, l2 = (None, None) if ls is None else ls
     return AttributeBox((r.rule_id, r.kind, _quote(r.im), l1, l2))
@@ -107,20 +106,17 @@ def build_kb_graph(ekb):
     pair.  Node order follows the member order; edges are sorted."""
     violations = validate_ekb(ekb)
     if violations:
-        raise ValueError("refusing to build from an invalid EKB: %s"
-                         % "; ".join(str(v) for v in violations))
+        raise EKBError("refusing to build from an invalid EKB: %s"
+                       % "; ".join(str(v) for v in violations))
 
-    rules = {r.rule_id: r for r in ekb.rules}
-    k_formulas = {f.formula_id: f for f in ekb.K}
     nodes = []
     for member_id in ekb.kb_members:
-        if member_id in rules:
-            r = rules[member_id]
+        if member_id in ekb._rule_index:
             nodes.append(KBNode(member_id, RULE_PREMISE, member_id,
-                                rule_attribute_box(ekb, r)))
+                                rule_attribute_box(ekb, ekb.rule(member_id))))
         else:
-            f = k_formulas[member_id]
-            nodes.append(KBNode(member_id, PREMISE, member_id, premise_attribute_box(f)))
+            nodes.append(KBNode(member_id, PREMISE, member_id,
+                                premise_attribute_box(ekb.formula(member_id))))
 
     edges = [KBEdge(a, b, AGREEMENT) for a, b in ekb.agreements]
     edges += [KBEdge(a, b, CONTRARY) for a, b in ekb.contraries]

@@ -39,7 +39,7 @@ _WORD = re.compile(r"\w")
 _WORDS = re.compile(r"\w+")
 
 
-class MalformedLexiconLine(Exception):
+class MalformedLexiconLine(ValueError):
     pass
 
 

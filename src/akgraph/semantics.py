@@ -40,7 +40,7 @@ NAIVE = "Naive"
 PREFERRED = "Preferred"
 
 
-class SemanticsError(Exception):
+class SemanticsError(ValueError):
     pass
 
 

@@ -1,15 +1,19 @@
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
+import akgraph
 from akgraph import cli, ekb, ingest, markers
 from akgraph import semantics as sem
 
-from conftest import DATA
+from conftest import DATA, canonical_docs
 
 ESSAY = [
     "--input", str(DATA / "essay056.txt"),
@@ -48,8 +52,11 @@ def test_ingest_violations_exit_1(tmp_path, capsys):
     ann.write_text("T1\tPremise 0 9\tCats purr\n"
                    "A1\tStance T1 For\n")           # stance must cite a Claim
     assert run(["ingest", "--input", str(txt), "--ann", str(ann)]) == 1
-    err = capsys.readouterr().err
-    assert "violation:" in err and "StanceOnNonClaim" in err
+    out, err = capsys.readouterr()
+    # the parser refuses it in one typed line; no JSON is printed
+    assert out == ""
+    assert err.splitlines() == [
+        "akgraph.ingest.MalformedLine: A1 sets a stance on T1, which is not a Claim"]
 
 
 CATS = {"id": "T1", "kind": "Premise", "start": 0, "end": 4}
@@ -328,3 +335,81 @@ def test_run_without_numpy(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         "essay056.%s" % ext for ext in ("kb.dot", "akg.dot", "kb.json", "akg.json",
                                         "args.json", "apx", "semantics.json"))
+
+
+
+# ---------------------------------------------------------------- refusals
+
+def test_every_error_is_a_value_error():
+    # main refuses (ValueError, OSError), so that no akgraph error escapes it
+    errors = []
+    for info in pkgutil.iter_modules(akgraph.__path__):
+        module = importlib.import_module("akgraph." + info.name)
+        errors += [obj for obj in vars(module).values()
+                   if isinstance(obj, type) and issubclass(obj, BaseException)
+                   and obj.__module__ == module.__name__]
+    assert {e.__name__ for e in errors} >= {
+        "IngestError", "MalformedLexiconLine", "EKBError", "DerivationError",
+        "AKGError", "SemanticsError", "PipelineError"}
+    assert [e for e in errors if not issubclass(e, ValueError)] == []
+
+
+def _akgraph(*argv):
+    """The CLI in a fresh interpreter, where main's logging set-up applies."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "akgraph.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+def test_malformed_lexicon_refused_in_one_line(tmp_path):
+    lex = tmp_path / "bad.tsv"
+    lex.write_text("therefore Claim\n")     # no tab
+    done = _akgraph("run", *POLLOCK_JSON, "--lexicon", str(lex))
+    assert done.returncode == 1
+    assert done.stderr.splitlines() == [
+        "akgraph.markers.MalformedLexiconLine: line 1: expected surface<TAB>indicator"]
+
+
+def test_build_prints_each_warning_once(tmp_path):
+    done = _akgraph("build", *ESSAY, "--out", str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    # logging names the logger, the pruned supports start with "warning"
+    messages = [line.split(": ", 1)[1] for line in done.stderr.splitlines()]
+    assert len(messages) == len(set(messages))
+    assert "IM 'as' at (1014, 1016) aligns with no component pair; dropped" in messages
+    assert "pruned redundant support A1 -> A3" in messages
+
+
+def test_build_warns_before_refusing():
+    done = _akgraph("build", *ESSAY, "--check-set", "A99")
+    assert done.returncode == 1
+    assert done.stderr.splitlines() == [
+        "akgraph.ekb: IM 'as' at (1014, 1016) aligns with no component pair; dropped",
+        "akgraph.semantics.MemberOutsideAF: not in the framework: ['A99']"]
+
+
+PETS = "Pets are nice. Therefore, get a pet."
+
+
+@pytest.mark.parametrize("text, components, rules", [
+    (PETS, [("R1", "Premise", 0, 13), ("T2", "Claim", 26, 35)], 1),
+    (PETS, [("T1", "MajorClaim", 0, 13), ("T2", "MajorClaim", 26, 35)], 0),
+    (PETS + " Dogs bark.", [("T1", "MajorClaim", 0, 13), ("T2", "MajorClaim", 26, 35),
+                            ("T1+T2", "Premise", 37, 46)], 0),
+], ids=["premise-named-like-a-rule", "marker-inside-merged-claim",
+        "premise-named-like-the-merge"])
+def test_generated_ids_refuse_no_valid_input(tmp_path, capsys, text, components, rules):
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({"doc_id": "doc", "text": text, "components": [
+        dict(zip(("id", "kind", "start", "end"), c)) for c in components]}))
+    assert run(["run", "--input", str(doc), "--out", str(tmp_path)]) == 0
+    assert "rules: %d" % rules in capsys.readouterr().out.splitlines()
+
+
+@settings(max_examples=100, deadline=None)
+@given(canonical_docs())
+def test_parsed_documents_run_to_a_report(tmp_path_factory, content):
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(content, encoding="utf-8")
+    report = cli.run_pipeline(cli.PipelineConfig(input_path=str(path)))
+    assert report.status == 0 and report.artifacts["semantics"]["preferred"]

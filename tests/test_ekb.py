@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,9 +14,10 @@ from akgraph.ingest import (
     RelationAnnotation,
     make_text_document,
     parse_brat_ann,
+    parse_canonical_json,
 )
 
-from conftest import DATA
+from conftest import DATA, canonical_docs
 
 TXT = "Cats purr when happy. Therefore, cats can be happy. Dogs disagree.\n"
 ANN = "\n".join([
@@ -291,3 +294,35 @@ def test_rule_preference_sets_match_scan(essay):
         else:
             assert got == (frozenset(a for a, b in kb.rule_pref if b == r.rule_id),
                            frozenset(b for a, b in kb.rule_pref if a == r.rule_id))
+
+
+# ids the EKB makes up (rule ids, merged major claims) never clash with the
+# document's own, and no IM becomes a rule with its consequent among its
+# antecedents
+@settings(max_examples=150, deadline=None)
+@given(canonical_docs())
+def test_built_ekb_is_valid(content):
+    doc = parse_canonical_json(content)
+    assert E.validate_ekb(E.build_ekb(doc, markers.detect_ims(doc.document))) == []
+
+
+def test_rule_ids_skip_component_ids():
+    doc = parse_canonical_json(json.dumps({
+        "doc_id": "d", "text": "Pets are nice. Therefore, get a pet.",
+        "components": [{"id": "R1", "kind": "Premise", "start": 0, "end": 13},
+                       {"id": "T2", "kind": "Claim", "start": 26, "end": 35}],
+        "relations": [{"id": "R1", "kind": "Supports", "source": "R1", "target": "T2"}]}))
+    kb = E.build_ekb(doc, markers.detect_ims(doc.document))
+    # relation ids are no members, so they do not renumber rules
+    assert [(r.rule_id, r.antecedents, r.consequent)
+            for r in kb.rules] == [("R2", ("R1",), "T2")]
+
+
+def test_merged_claim_is_one_antecedent():
+    doc = parse_canonical_json(json.dumps({
+        "doc_id": "d", "text": "Pets are nice and dogs bark. Therefore, get a pet.",
+        "components": [{"id": "T1", "kind": "MajorClaim", "start": 0, "end": 13},
+                       {"id": "T3", "kind": "MajorClaim", "start": 18, "end": 27},
+                       {"id": "T2", "kind": "Claim", "start": 40, "end": 49}]}))
+    kb = E.build_ekb(doc, markers.detect_ims(doc.document))
+    assert [(r.antecedents, r.consequent) for r in kb.rules] == [(("T1+T3",), "T2")]

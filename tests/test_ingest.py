@@ -1,4 +1,5 @@
 import json
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -167,6 +168,17 @@ def test_canonical_json_schema_errors():
         ingest.parse_canonical_json(json.dumps(bad))
 
 
+def test_huge_numbers_refused():
+    # int() refuses strings of over 4300 digits with a plain ValueError
+    with pytest.raises(ingest.MalformedLine):
+        ingest.parse_brat_ann(TXT, "T1\tPremise 0 %s\tx\n" % ("1" * 5000))
+    with pytest.raises(ingest.SchemaViolation):
+        ingest.parse_canonical_json('{"text": 1%s}' % ("0" * 5000))
+    # too deep for the decoder: a RecursionError
+    with pytest.raises(ingest.SchemaViolation):
+        ingest.parse_canonical_json("[" * 100000)
+
+
 def test_canonical_json_refuses_duplicate_ids():
     def doc(components, rule_spans=()):
         return json.dumps({"doc_id": "x", "text": "Cats purr.",
@@ -210,3 +222,86 @@ def test_lookups_take_first_of_duplicate_ids():
     assert doc.component("T1").kind == "Premise"
     assert doc.rule_span("T2").surface_text == "Therefore"
     assert doc.component("T2") is None and doc.rule_span("T1") is None
+
+
+# ------------------------------------------------------------ parser fuzz
+
+@settings(max_examples=200, deadline=None)
+@given(st.text())
+def test_any_string_parses_or_refuses(content):
+    for parse in (lambda: ingest.parse_brat_ann(TXT, content),
+                  lambda: ingest.parse_canonical_json(content)):
+        try:
+            assert isinstance(parse(), ingest.AnnotatedDocument)
+        except ingest.IngestError:
+            pass
+
+
+# each field is mostly valid, so that a fair share of documents parses
+_T = st.integers(1, 3)
+_SPAN = st.one_of(*[st.lists(st.integers(0, len(TXT) - 1), min_size=2, max_size=2)
+                    .map(sorted)] * 3,
+                  st.lists(st.integers(0, len(TXT) + 1), min_size=2, max_size=2))
+_ENTITY = st.tuples(st.just("T"), _T, st.sampled_from(ingest.COMPONENT_KINDS * 2 + (
+    ingest.RULE_SPAN_KIND, "Widget")), _SPAN)
+_RELATION = st.tuples(st.just("R"), st.integers(1, 3), st.sampled_from(
+    ingest.RELATION_KINDS * 2 + ("supports", "Rebuts")), _T, _T)
+_STANCE = st.tuples(st.just("A"), st.integers(1, 3), st.sampled_from(
+    ingest.STANCE_VALUES * 2 + ("Maybe",)), _T)
+# entities with distinct ids, then relations, stances and entities that may
+# repeat an id
+_RECORDS = st.builds(lambda *parts: [rec for part in parts for rec in part],
+                     st.lists(_ENTITY, min_size=2, max_size=3, unique_by=itemgetter(1)),
+                     st.lists(st.one_of(_RELATION, _STANCE, _RELATION, _STANCE, _ENTITY),
+                              max_size=3))
+
+
+def _as_brat(records):
+    lines = []
+    for rec in records:
+        if rec[0] == "T":
+            _, i, kind, (start, end) = rec
+            lines.append("T%d\t%s %d %d\t%s" % (i, kind, start, end, TXT[start:end]))
+        elif rec[0] == "R":
+            lines.append("R%d\t%s Arg1:T%d Arg2:T%d" % rec[1:])
+        else:
+            lines.append("A%d\tStance T%d %s" % (rec[1], rec[3], rec[2]))
+    return make_ann(lines)
+
+
+def _as_json(records):
+    data = {"doc_id": "doc", "text": TXT, "components": [], "rule_spans": [],
+            "relations": [], "stances": []}
+    for rec in records:
+        if rec[0] == "T":
+            _, i, kind, (start, end) = rec
+            entry = {"id": "T%d" % i, "start": start, "end": end}
+            if kind == ingest.RULE_SPAN_KIND:
+                data["rule_spans"].append(entry)
+            else:
+                data["components"].append(dict(entry, kind=kind))
+        elif rec[0] == "R":
+            _, i, kind, src, tgt = rec
+            data["relations"].append({"id": "R%d" % i, "kind": kind,
+                                      "source": "T%d" % src, "target": "T%d" % tgt})
+        else:
+            _, i, value, claim = rec
+            data["stances"].append({"id": "A%d" % i, "claim": "T%d" % claim,
+                                    "stance": value})
+    return json.dumps(data)
+
+
+# the parsers are a run's only document check: whatever they accept must
+# hold every invariant validate_document checks
+@settings(max_examples=300, deadline=None)
+@given(_RECORDS)
+def test_accepted_documents_are_valid(records):
+    for parse in (lambda: ingest.parse_brat_ann(TXT, _as_brat(records)),
+                  lambda: ingest.parse_canonical_json(_as_json(records))):
+        try:
+            doc = parse()
+        except ingest.IngestError:
+            continue
+        assert ingest.validate_document(doc) == []
+        again = ingest.parse_canonical_json(ingest.serialize_canonical_json(doc))
+        assert again == doc
