@@ -7,6 +7,7 @@ writes its outputs into --out, or to stdout when --out is absent or empty.
 
 import argparse
 import logging
+import os
 import sys
 from collections import namedtuple
 from pathlib import Path
@@ -305,7 +306,14 @@ def main(argv=None):
     ns = build_parser().parse_args(argv)
     try:
         config = _config_from(ns)
-        return _COMMANDS[ns.command](config)
+        status = _COMMANDS[ns.command](config)
+        sys.stdout.flush()   # so that a closed pipe shows here, not at exit
+        return status
+    except BrokenPipeError:
+        # the reader closed stdout early: the interpreter's final flush of
+        # stdout would fail again, so it goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError) as exc:   # every akgraph error is a ValueError
         print("%s.%s: %s" % (exc.__class__.__module__,
                              exc.__class__.__name__, exc), file=sys.stderr)

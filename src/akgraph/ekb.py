@@ -202,16 +202,16 @@ def rule_preference_sets(ekb, rule_id):
 
 # -- construction --
 
-def _member_sort_key(doc, formulas, rules):
+def _member_sort_key(doc):
     """Sort key (paragraph, class, anchor): premises and rules of a paragraph
     come before its conclusions; merged formulas anchor at their last part."""
+    paragraph_of = doc.document.paragraph_of
+
     def key(member):
         if isinstance(member, InferenceRule):
             start = member.im_span[0] if member.im_span else 0
-            return (doc.document.paragraph_of(start) or 0, 0, start)
-        para = max((doc.document.paragraph_of(s) or 0) for s, _ in member.spans)
-        anchor = max(s for s, _ in member.spans
-                     if (doc.document.paragraph_of(s) or 0) == para)
+            return (paragraph_of(start) or 0, 0, start)
+        para, anchor = max((paragraph_of(s) or 0, s) for s, _ in member.spans)
         klass = 0 if member.premise_kind is not None else 1
         return (para, klass, anchor)
     return key
@@ -330,23 +330,25 @@ def build_ekb(doc, ims, prefs=None, kind_overrides=None, lexicon=None):
     for im in sorted(ims, key=lambda m: m.span[0]):
         cons_comps = contained(im.consequent_span)
         ant_comps = contained(im.antecedent_span)
+        reason = None
         if not cons_comps or not ant_comps:
-            logger.warning("IM %r at %s aligns with no component pair; dropped",
-                           im.surface, im.span)
-            dropped.append(im)
-            continue
-        if len(cons_comps) > 1:
-            logger.debug("IM %r: several consequent candidates, taking first", im.surface)
-        consequent = cons_comps[0]
-        cons_fid = comp_to_formula[consequent.comp_id]
-        antecedents = [c for c in ant_comps if comp_to_formula[c.comp_id] != cons_fid]
-        if not antecedents:
-            dropped.append(im)
-            continue
-        # annotation is ground truth: a relation running consequent -> antecedent
-        # contradicts the detected direction
-        if any((consequent.comp_id, a.comp_id) in rel_pairs for a in antecedents):
-            logger.warning("IM %r contradicts an annotated relation; dropped", im.surface)
+            reason = "aligns with no component pair"
+        else:
+            if len(cons_comps) > 1:
+                logger.debug("IM %r: several consequent candidates, taking first",
+                             im.surface)
+            consequent = cons_comps[0]
+            cons_fid = comp_to_formula[consequent.comp_id]
+            antecedents = [c for c in ant_comps
+                           if comp_to_formula[c.comp_id] != cons_fid]
+            if not antecedents:
+                reason = "has no antecedent outside its consequent's formula"
+            # annotation is ground truth: a relation running consequent ->
+            # antecedent contradicts the detected direction
+            elif any((consequent.comp_id, a.comp_id) in rel_pairs for a in antecedents):
+                reason = "contradicts an annotated relation"
+        if reason is not None:
+            logger.warning("IM %r at %s %s; dropped", im.surface, im.span, reason)
             dropped.append(im)
             continue
         rules.append(InferenceRule(
@@ -390,7 +392,7 @@ def build_ekb(doc, ims, prefs=None, kind_overrides=None, lexicon=None):
             else:
                 agreements.add((src, tgt))
 
-    member_key = _member_sort_key(doc, formulas, rules)
+    member_key = _member_sort_key(doc)
     ordered = sorted(list(formulas) + list(rules), key=member_key)
     member_order = tuple(m.formula_id if isinstance(m, Formula) else m.rule_id
                          for m in ordered)

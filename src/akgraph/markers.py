@@ -37,6 +37,11 @@ _BRIDGE = "the fact that"
 
 _WORD = re.compile(r"\w")
 _WORDS = re.compile(r"\w+")
+_SPACES = re.compile(" *")
+_COMMA = re.compile(r"\s*,")
+# unrolled rather than lazy, which is twice as slow; it stays linear, as at
+# a space the lookahead fails at once and elsewhere the first path succeeds
+_SEGMENT = re.compile(r"(?=\S)[^.!?;]*(?:[.!?;]+(?!\s|$)[^.!?;]*)*(?:[.!?;]+|$)")
 
 
 class MalformedLexiconLine(ValueError):
@@ -85,6 +90,9 @@ def _compile(surfaces):
         groups.setdefault(key[0], {}).setdefault(len(s), {})[key] = s
     return {head: tuple(sorted(by_length.items(), reverse=True))
             for head, by_length in groups.items()}
+
+
+_BRIDGE_TABLE = _compile([_BRIDGE])
 
 
 class IMMatch(NamedTuple):
@@ -143,37 +151,18 @@ def load_lexicon(source=None):
 def _segments(doc):
     """Sentence-ish segments as (start, end, boundary_char_before) triples.
 
-    Segmentation splits on ., !, ? or ; followed by whitespace, and never
-    crosses paragraph boundaries.  A segment includes its closing punctuation.
+    A segment runs from a non-space character through the first run of .,
+    !, ? or ; followed by whitespace or the paragraph end, and never crosses
+    a paragraph boundary.  A segment includes its closing punctuation.
     """
     text = doc.raw_text
     out = []
     for pstart, pend in doc.paragraph_spans:
-        para = text[pstart:pend]
-        prev_end = 0
-        prev_boundary = None
-        for m in re.finditer(r"[.!?;]+(?=\s|$)", para):
-            seg = para[prev_end:m.end()]
-            lead = len(seg) - len(seg.lstrip())
-            if seg.strip():
-                out.append((pstart + prev_end + lead, pstart + m.end(), prev_boundary))
-            prev_boundary = m.group()[-1]
-            prev_end = m.end()
-        tail = para[prev_end:]
-        lead = len(tail) - len(tail.lstrip())
-        if tail.strip():
-            out.append((pstart + prev_end + lead, pend, prev_boundary))
+        boundary = None
+        for m in _SEGMENT.finditer(text, pstart, pend):
+            out.append((m.start(), m.end(), boundary))
+            boundary = text[m.end() - 1]
     return out
-
-
-def _starts_with(text, pos, surface):
-    """Does text[pos:] open with surface, ignoring case?
-
-    Only the window of the surface's own length is casefolded: casefolding
-    can change a string's length, so offsets into a casefolded copy of the
-    whole text would not be offsets into the text.
-    """
-    return text[pos:pos + len(surface)].casefold() == surface.casefold()
 
 
 def _match_at(text, pos, table):
@@ -181,7 +170,9 @@ def _match_at(text, pos, table):
 
     table comes from MarkerLexicon.match_tables.  Only surfaces whose
     casefold opens with the casefold of text[pos] are tried, and each of
-    their lengths casefolds one window of the text, as _starts_with does.
+    their lengths casefolds one window of the text: casefolding can change
+    a string's length, so offsets into a casefolded copy of the whole text
+    would not be offsets into the text.
     """
     if pos >= len(text):
         return None
@@ -204,58 +195,43 @@ def _candidates(doc, lexicon):
 
     for i, (start, end, boundary) in enumerate(segs):
         # forward heuristics need an antecedent segment in the same paragraph;
-        # _segments restarts at each paragraph, so one with a boundary has one
-        if boundary is not None:
-            surface = _match_at(text, start, claims)
-            if surface is not None:
-                mend = start + len(surface)
-                rest = text[mend:end]
-                has_comma = rest.lstrip().startswith(",")
-                multiword = " " in surface
-                ok = has_comma or multiword
-                if ok:
-                    cstart = mend
-                    if has_comma:
-                        cstart = mend + rest.index(",") + 1
-                    while cstart < end and text[cstart] == " ":
-                        cstart += 1
-                    if cstart < end:
-                        heur = FORWARD_MEDIAL if boundary == ";" else FORWARD_INITIAL
-                        cands.append(IMMatch(
-                            surface=text[start:mend],
-                            span=(start, mend),
-                            heuristic=heur,
-                            antecedent_span=segs[i - 1][:2],
-                            consequent_span=(cstart, end),
-                            indicator=CLAIM_INDICATOR,
-                            low_confidence=not has_comma))
+        # _segments restarts at each paragraph, so one with a boundary has one.
+        # A surface of a custom lexicon may run past the segment's end.
+        surface = boundary and _match_at(text, start, claims)
+        if surface and start + len(surface) < end:
+            mend = start + len(surface)
+            comma = _COMMA.match(text, mend, end)
+            cstart = _SPACES.match(text, comma.end() if comma else mend, end).end()
+            # a one-word indicator needs a comma after it
+            if (comma or " " in surface) and cstart < end:
+                cands.append(IMMatch(
+                    surface=text[start:mend],
+                    span=(start, mend),
+                    heuristic=FORWARD_MEDIAL if boundary == ";" else FORWARD_INITIAL,
+                    antecedent_span=segs[i - 1][:2],
+                    consequent_span=(cstart, end),
+                    indicator=CLAIM_INDICATOR,
+                    low_confidence=comma is None))
 
-        # backward causal: premise indicator with a non-empty leading clause
+        # backward causal: a premise indicator after the segment's first
+        # character, a non-space, so the leading clause is never empty
         for word in _WORDS.finditer(text, start, end):
             pos = word.start()
-            surface = _match_at(text, pos, premises)
-            if surface is not None and pos > start:
-                lead = text[start:pos].strip()
+            surface = pos > start and _match_at(text, pos, premises)
+            if surface and pos + len(surface) < end:
                 mend = pos + len(surface)
-                aspan_start = mend
-                while aspan_start < end and text[aspan_start] == " ":
-                    aspan_start += 1
+                aspan_start = _SPACES.match(text, mend, end).end()
                 # absorb the bridge phrase into the marker span
-                if _starts_with(text, aspan_start, _BRIDGE):
+                if _match_at(text, aspan_start, _BRIDGE_TABLE):
                     mend = aspan_start + len(_BRIDGE)
-                    aspan_start = mend
-                    while aspan_start < end and text[aspan_start] == " ":
-                        aspan_start += 1
-                if lead and aspan_start < end and text[aspan_start:end].strip():
-                    cstart, cend = start, pos
-                    while cend > cstart and text[cend - 1] == " ":
-                        cend -= 1
+                    aspan_start = _SPACES.match(text, mend, end).end()
+                if text[aspan_start:end].strip():
                     cands.append(IMMatch(
                         surface=text[pos:pos + len(surface)],
                         span=(pos, mend),
                         heuristic=BACKWARD_CAUSAL,
                         antecedent_span=(aspan_start, end),
-                        consequent_span=(cstart, cend),
+                        consequent_span=(start, start + len(text[start:pos].rstrip(" "))),
                         indicator=PREMISE_INDICATOR))
     return cands
 

@@ -354,11 +354,11 @@ def test_every_error_is_a_value_error():
     assert [e for e in errors if not issubclass(e, ValueError)] == []
 
 
-def _akgraph(*argv):
+def _akgraph(*argv, stdout=subprocess.PIPE):
     """The CLI in a fresh interpreter, where main's logging set-up applies."""
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     return subprocess.run([sys.executable, "-m", "akgraph.cli", *argv],
-                          capture_output=True, text=True, env=env)
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, env=env)
 
 
 def test_malformed_lexicon_refused_in_one_line(tmp_path):
@@ -404,6 +404,35 @@ def test_generated_ids_refuse_no_valid_input(tmp_path, capsys, text, components,
         dict(zip(("id", "kind", "start", "end"), c)) for c in components]}))
     assert run(["run", "--input", str(doc), "--out", str(tmp_path)]) == 0
     assert "rules: %d" % rules in capsys.readouterr().out.splitlines()
+
+
+def test_im_inside_merged_claim_dropped_with_a_warning(tmp_path):
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({"doc_id": "doc", "text": PETS, "components": [
+        {"id": "T1", "kind": "MajorClaim", "start": 0, "end": 13},
+        {"id": "T2", "kind": "MajorClaim", "start": 26, "end": 35}]}))
+    done = _akgraph("run", "--input", str(doc), "--out", str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    warning = ("IM 'Therefore' at (15, 24) has no antecedent outside its "
+               "consequent's formula; dropped")
+    assert done.stderr.splitlines() == ["akgraph.ekb: " + warning]
+    assert done.stdout.splitlines().count("warning: " + warning) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", *ESSAY, "--format", "json-args"],       # fails while writing
+    ["run", *POLLOCK_JSON, "--format", "apx"],      # fails at the last flush
+], ids=["long-output", "short-output"])
+def test_closed_stdout_pipe_ends_quietly(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)       # closed before the child writes: every write fails
+    try:
+        done = _akgraph(*argv, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    for noise in ("BrokenPipeError", "Traceback", "Exception ignored"):
+        assert noise not in done.stderr
 
 
 @settings(max_examples=100, deadline=None)

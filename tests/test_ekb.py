@@ -247,6 +247,8 @@ def test_reversed_relation_contradicts_im(caplog):
     kb = E.build_ekb(doc, markers.detect_ims(doc.document))
     assert kb.rules == ()
     assert len(kb.dropped_ims) == 1
+    assert caplog.messages == [
+        "IM 'Therefore' at (22, 31) contradicts an annotated relation; dropped"]
 
 
 def test_major_claims_merge(essay):

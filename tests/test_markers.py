@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from hypothesis import given, settings
@@ -131,6 +133,41 @@ def test_backward_causal_plain():
     assert text[m.antecedent_span[0]:m.antecedent_span[1]] == "it rained."
 
 
+def test_bridge_phrase_ends_at_a_word_boundary():
+    # "the fact thatched" holds no bridge phrase, as "thustle" holds no "thus"
+    text = "Roads are wet due to the fact thatched roofs leak."
+    m = only(markers.detect_ims(doc(text)))
+    assert m.span == (14, 20)
+    assert m.antecedent_span == (21, 50)
+
+
+def test_bridge_phrase_absorbed_in_any_case():
+    text = "Roads are wet due to The Fact That it rained."
+    m = only(markers.detect_ims(doc(text)))
+    assert text[m.span[0]:m.span[1]] == "due to The Fact That"
+    assert text[m.antecedent_span[0]:m.antecedent_span[1]] == "it rained."
+
+
+@pytest.mark.parametrize("space", ["\xa0", "\t"])
+def test_comma_after_any_whitespace_counts(space):
+    text = "It was wet. Therefore%s, it rained.\n" % space
+    m = only(markers.detect_ims(doc(text)))
+    assert not m.low_confidence
+    assert text[m.consequent_span[0]:m.consequent_span[1]] == "it rained."
+
+
+@pytest.mark.parametrize("text", ["Because it rained, roads flooded.\n",
+                                  "It was wet. Because it rained, roads flooded.\n"])
+def test_segment_initial_premise_indicator_no_candidate(text):
+    assert markers._candidates(doc(text), DEFAULT_LEXICON) == []
+
+
+def test_surface_past_segment_end_gives_no_candidate():
+    lex = markers.load_lexicon("Rain. so\tClaim\nwet. so\tPremise\n")
+    text = "It was wet. so it is. Rain. so it goes.\n"
+    assert markers._candidates(doc(text), lex) == []
+
+
 @pytest.mark.parametrize("prefix", ["Straße ok. ", "İ ok. "])
 @pytest.mark.parametrize("body, marked", [
     ("The road is wet because it rained.\n", "because"),
@@ -208,6 +245,44 @@ def test_detected_spans_well_formed(text):
     # survivors never overlap
     for a, b in zip(ims, ims[1:]):
         assert a.span[1] <= b.span[0]
+
+
+# -- segments against the loop they replaced --
+
+def _reference_segments(d):
+    text = d.raw_text
+    out = []
+    for pstart, pend in d.paragraph_spans:
+        para = text[pstart:pend]
+        prev_end = 0
+        prev_boundary = None
+        for m in re.finditer(r"[.!?;]+(?=\s|$)", para):
+            seg = para[prev_end:m.end()]
+            lead = len(seg) - len(seg.lstrip())
+            if seg.strip():
+                out.append((pstart + prev_end + lead, pstart + m.end(), prev_boundary))
+            prev_boundary = m.group()[-1]
+            prev_end = m.end()
+        tail = para[prev_end:]
+        lead = len(tail) - len(tail.lstrip())
+        if tail.strip():
+            out.append((pstart + prev_end + lead, pend, prev_boundary))
+    return out
+
+
+# letters, punctuation runs, whitespace that is not " " and newlines
+segment_texts = st.lists(st.one_of(
+    st.text(alphabet="ab", min_size=1, max_size=3),
+    st.text(alphabet=".!?;,", min_size=1, max_size=3),
+    st.sampled_from([" ", "\t", "\x0b", "\x1c", "\xa0", "\u2028", "\n"])),
+    max_size=40).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(segment_texts)
+def test_segments_agree_with_reference_loop(text):
+    d = doc(text)
+    assert markers._segments(d) == _reference_segments(d)
 
 
 # -- compiled matcher against the per-surface scan it replaced --
