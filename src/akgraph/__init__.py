@@ -6,7 +6,7 @@ knowledge graph -> compute naive / preferred extensions -> export.
 """
 
 from .akg import AKG, AKGEdge, AKGNode, build_akg, classify_attack
-from .arguments import Argument, ArgumentSet, apply_modus_ponens, derive_argument_set
+from .arguments import Argument, ArgumentSet, derive_argument_set
 from .ekb import (
     EKB,
     Formula,
@@ -45,7 +45,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AKG", "AKGEdge", "AKGNode", "build_akg", "classify_attack",
-    "Argument", "ArgumentSet", "apply_modus_ponens", "derive_argument_set",
+    "Argument", "ArgumentSet", "derive_argument_set",
     "EKB", "Formula", "InferenceRule", "build_ekb",
     "parse_kind_override_file", "parse_preference_file", "validate_ekb",
     "AnnotatedDocument", "TextDocument", "make_text_document",

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 from .arguments import C, IRP
 from .ekb import AXIOM, ASSUMPTION, rule_preference_sets
-from .kbgraph import PREMISE, RULE_PREMISE, AttributeBox, _quote
+from .kbgraph import PREMISE, RULE_PREMISE, AttributeBox, _quote, natural_key
 
 logger = logging.getLogger(__name__)
 
@@ -208,16 +208,20 @@ def build_akg(kbg, aset, doc):
 
 def prune_redundant_support(akg):
     """Drop each support edge that parallels a modus-ponens group: a support
-    s -> t is redundant when some application into t already includes s."""
+    s -> t is redundant when some application into t already includes s.
+    The pruned pairs are listed in natural-key order, whatever the order of
+    the relation lines they came from."""
     mp_pairs = {(e.source, e.target) for e in akg.edges if e.kind == MODUS_PONENS}
     kept, pruned = [], []
     for e in akg.edges:
         if e.kind == SUPPORT and (e.source, e.target) in mp_pairs:
             pruned.append((e.source, e.target))
-            logger.info("pruned redundant support %s -> %s", e.source, e.target)
-            continue
-        kept.append(e)
+        else:
+            kept.append(e)
     if not pruned:
         return akg
+    pruned.sort(key=lambda st: (natural_key(st[0]), natural_key(st[1])))
+    for st in pruned:
+        logger.info("pruned redundant support %s -> %s", *st)
     return akg._replace(edges=tuple(kept),
                         pruned_supports=akg.pruned_supports + tuple(pruned))

@@ -23,10 +23,6 @@ class DerivationError(ValueError):
     pass
 
 
-class AntecedentMismatch(DerivationError):
-    pass
-
-
 class UnknownArgument(DerivationError):
     pass
 
@@ -75,72 +71,6 @@ class ArgumentSet(namedtuple("ArgumentSet", "arguments mp_applications",
         return [a.arg_id for a in self.arguments if a.kind == kind]
 
 
-def classify_consequent_role(ekb, consequent_id, feeds_further_rule):
-    """P for consequents annotated as premises or feeding another rule,
-    C for annotated claims and for pure terminal inferences."""
-    f = ekb.formula(consequent_id)
-    if f.premise_kind is not None or feeds_further_rule:
-        return P
-    return C
-
-
-def _feeders(rules):
-    """formula id -> ids of the rules taking it as an antecedent."""
-    feeders = {}
-    for r in rules:
-        for a in r.antecedents:
-            feeders.setdefault(a, set()).add(r.rule_id)
-    return feeders
-
-
-def _modus_ponens(ekb, rule, feeders, antecedents, rule_ref, result_ref):
-    """Role, Prem and Sub of the argument one firing of rule derives.
-
-    antecedents holds the (premises, sub) pair of each antecedent argument;
-    the refs are whatever the caller uses to name arguments.  Prem is the
-    union of the antecedents' premises; Sub lists their subarguments in
-    order, then the rule argument, then the derived argument itself.
-    """
-    premises = set()
-    sub = []
-    for ant_premises, ant_sub in antecedents:
-        premises |= ant_premises
-        for s in ant_sub:
-            if s not in sub:
-                sub.append(s)
-    if rule_ref not in sub:
-        sub.append(rule_ref)
-    sub.append(result_ref)
-    feeds = any(rid != rule.rule_id for rid in feeders.get(rule.consequent, ()))
-    return classify_consequent_role(ekb, rule.consequent, feeds), premises, sub
-
-
-def apply_modus_ponens(ekb, rule_arg, antecedent_args, arg_id="A?"):
-    """Build the derived argument for one rule application.
-
-    The antecedent arguments' contents must cover the rule's antecedent
-    formulas exactly; the result concludes the rule's consequent.
-    """
-    if rule_arg.kind != IRP:
-        raise AntecedentMismatch("%s is not an inference-rule argument" % rule_arg.arg_id)
-    rule = ekb.rule(rule_arg.content)
-    given = sorted(a.content for a in antecedent_args)
-    wanted = sorted(rule.antecedents)
-    if given != wanted:
-        raise AntecedentMismatch("rule %s wants antecedents %s, got %s"
-                                 % (rule.rule_id, wanted, given))
-    kind, premises, sub = _modus_ponens(
-        ekb, rule, _feeders(ekb.rules),
-        [(a.premises, a.subargs) for a in antecedent_args], rule_arg.arg_id, arg_id)
-    return Argument(arg_id=arg_id,
-                    kind=kind,
-                    content=rule.consequent,
-                    premises=frozenset(premises),
-                    conclusion=rule.consequent,
-                    subargs=tuple(sub),
-                    top_rule=rule.rule_id)
-
-
 def derive_argument_set(ekb):
     """Derive the full argument set for a knowledge base.
 
@@ -157,7 +87,10 @@ def derive_argument_set(ekb):
     """
     rules = ekb.rules
     position = {r.rule_id: j for j, r in enumerate(rules)}
-    feeders = _feeders(rules)
+    feeders = {}     # formula id -> ids of the rules taking it as an antecedent
+    for r in rules:
+        for a in r.antecedents:
+            feeders.setdefault(a, set()).add(r.rule_id)
 
     # one mutable record per argument; member slots keep document positions
     records = []
@@ -171,7 +104,7 @@ def derive_argument_set(ekb):
         member_records[member_id] = [len(records)]
         current[member_id] = len(records)
         records.append({"kind": kind, "content": member_id, "premises": {member_id},
-                        "sub": [len(records)], "top_rule": None, "atomic": True})
+                        "sub": [len(records)], "top_rule": None})
 
     # waits[j]: unfired rules deriving an antecedent of rule j
     waits = [0] * len(rules)
@@ -203,14 +136,21 @@ def derive_argument_set(ekb):
         target = current[r.consequent]
         # the first derivation upgrades an unused atomic placeholder in
         # place, keeping its position; any other becomes an extra argument
-        in_place = records[target]["atomic"] and target not in used
+        in_place = records[target]["top_rule"] is None and target not in used
         result_idx = target if in_place else len(records)
-        kind, premises, sub = _modus_ponens(
-            ekb, r, feeders,
-            [(records[i]["premises"], records[i]["sub"]) for i in ant_idx],
-            rule_idx, result_idx)
-        derived = {"kind": kind, "content": r.consequent, "premises": premises,
-                   "sub": sub, "top_rule": r.rule_id, "atomic": False}
+        # modus ponens: Prem is the union of the antecedents' premises; Sub
+        # lists their subarguments in order, then the rule argument, then
+        # the derived argument itself.  The consequent is a premise when
+        # annotated as one or when it feeds another rule, else a conclusion.
+        is_premise = (ekb.formula(r.consequent).premise_kind is not None
+                      or any(rid != r.rule_id for rid in feeders.get(r.consequent, ())))
+        derived = {
+            "kind": P if is_premise else C,
+            "content": r.consequent,
+            "premises": set().union(*(records[i]["premises"] for i in ant_idx)),
+            "sub": list(dict.fromkeys(
+                [s for i in ant_idx for s in records[i]["sub"]] + [rule_idx, result_idx])),
+            "top_rule": r.rule_id}
         if in_place:
             records[target] = derived
         else:

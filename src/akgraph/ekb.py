@@ -210,7 +210,10 @@ def _member_sort_key(doc):
     def key(member):
         if isinstance(member, InferenceRule):
             start = member.im_span[0] if member.im_span else 0
-            return (paragraph_of(start) or 0, 0, start)
+            para = paragraph_of(start)
+            if para is None:   # an implicit anchor at its paragraph's end
+                para = paragraph_of(start - 1)
+            return (para or 0, 0, start)
         para, anchor = max((paragraph_of(s) or 0, s) for s, _ in member.spans)
         klass = 0 if member.premise_kind is not None else 1
         return (para, klass, anchor)

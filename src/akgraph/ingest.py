@@ -126,15 +126,8 @@ class AnnotatedDocument(namedtuple(
     def _component_index(self):
         return {c.comp_id: c for c in reversed(self.components)}
 
-    @cached_property
-    def _rule_span_index(self):
-        return {r.span_id: r for r in reversed(self.rule_spans)}
-
     def component(self, comp_id):
         return self._component_index.get(comp_id)
-
-    def rule_span(self, span_id):
-        return self._rule_span_index.get(span_id)
 
 
 class Violation(NamedTuple):

@@ -88,22 +88,23 @@ class KBEdge(NamedTuple):
     kind: str       # Agreement | Contrary
 
 
-class KBGraph(namedtuple("KBGraph", "nodes edges ekb", defaults=(None,))):
+class KBGraph(NamedTuple):
     """KBNode and KBEdge tuples; ekb is the source EKB, read by build_akg
     and the exports."""
-
-    # reversed, so that of duplicate ids the first wins, as in a scan
-    @cached_property
-    def _index(self):
-        return {n.node_id: n for n in reversed(self.nodes)}
-
-    def node(self, node_id):
-        return self._index.get(node_id)
+    nodes: tuple
+    edges: tuple
+    ekb: object = None
 
 
 def build_kb_graph(ekb):
     """One node per K formula and per rule, one edge per agreement/contrary
-    pair.  Node order follows the member order; edges are sorted."""
+    pair.  Node order follows the member order; edges are sorted.
+
+    An invalid EKB is refused.  build_ekb's output always passes that check
+    (test_ekb.py::test_built_ekb_is_valid), so in a pipeline run it is a
+    second look at valid input; it stays to guard EKBs built or edited in
+    code, which reach this function without build_ekb.
+    """
     violations = validate_ekb(ekb)
     if violations:
         raise EKBError("refusing to build from an invalid EKB: %s"

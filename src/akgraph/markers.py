@@ -9,8 +9,8 @@ inference rule between text spans.  Three heuristics are implemented:
   3. BackwardCausal  - a premise indicator inside a sentence; the leading
      clause is the consequent, the trailing clause the antecedent.
 
-Additionally, end-of-sentence punctuation can stand in for a marker when an
-annotated relation has no explicit IM between its spans (implicit IMs).
+Additionally, a segment end can stand in for a marker when an annotated
+relation has no explicit IM between its spans (implicit IMs).
 """
 
 import logging
@@ -271,14 +271,17 @@ def resolve_implicit_ims(doc, related_pairs, explicit_ims=None, lexicon=None):
     """Derive implicit IMs from annotated relations lacking an explicit marker.
 
     related_pairs is a list of (source_span, target_span) tuples.  For each
-    pair whose spans are separated by sentence-final punctuation and carry no
-    explicit IM in the gap, a zero-width Implicit match is emitted at the
-    punctuation closing the earlier span.  Pairs without such a boundary are
-    skipped with a warning.
+    pair whose gap holds no explicit IM, a zero-width Implicit match is
+    emitted at the first segment end at or after the end of the earlier
+    span, if it comes no later than the start of the later one.  These are
+    the segments explicit IMs are found in, so the "." of "3.5" ends none.
+    A paragraph end closes a segment, so a gap that crosses a paragraph
+    break anchors at the latest at the end of the earlier span's paragraph.
+    Pairs whose gap holds no segment end are skipped with a warning.
     """
     if explicit_ims is None:
         explicit_ims = detect_ims(doc, lexicon)
-    text = doc.raw_text
+    ends = [end for _, end, _ in _segments(doc)]
     out = []
     for source_span, target_span in related_pairs:
         earlier, later = sorted([tuple(source_span), tuple(target_span)])
@@ -289,12 +292,12 @@ def resolve_implicit_ims(doc, related_pairs, explicit_ims=None, lexicon=None):
             continue
         if any(gap[0] <= m.span[0] < gap[1] for m in explicit_ims):
             continue   # explicit marker takes precedence
-        m = re.search(r"[.!?;]", text[gap[0]:gap[1]])
-        if m is None:
+        i = bisect_left(ends, gap[0])
+        if i == len(ends) or ends[i] > gap[1]:
             logger.warning("implicit IM: no sentence boundary between %s and %s; skipped",
                            source_span, target_span)
             continue
-        anchor = gap[0] + m.end()
+        anchor = ends[i]
         out.append(IMMatch(
             surface="",
             span=(anchor, anchor),

@@ -1,9 +1,12 @@
 import pytest
+from hypothesis import given, settings
 
 from akgraph import arguments as A
 from akgraph import ekb as E
 from akgraph import markers
-from akgraph.ingest import parse_brat_ann
+from akgraph.ingest import parse_brat_ann, parse_canonical_json
+
+from conftest import canonical_docs
 
 
 def kb_from(txt, ann):
@@ -119,13 +122,17 @@ def test_rule_fires_after_the_rules_deriving_its_antecedents(essay, pollock):
         assert_structure_closed(s)
 
 
-def test_rule_cycle_fires_in_document_order():
+def rule_cycle_kb():
     # R1: T1+T3 => T2 and R2: T2 => T1+T3 wait on each other
     kb, _ = doc_of("Ice melted. Therefore, roads got wet. Hence, ice melted indeed.",
                    [("T1", "MajorClaim", "Ice melted"), ("T2", "Premise", "roads got wet"),
                     ("T3", "MajorClaim", "ice melted indeed")],
                    [("T1", "T2"), ("T2", "T3")])
-    aset = A.derive_argument_set(kb)
+    return kb
+
+
+def test_rule_cycle_fires_in_document_order():
+    aset = A.derive_argument_set(rule_cycle_kb())
     # R1 takes the atomic T1+T3 (A4), so R2's derivation of T1+T3 does not
     # replace A4 but follows it as A5
     assert [(m.rule_arg, m.antecedent_args, m.result_arg)
@@ -144,26 +151,6 @@ def test_rule_cycle_fires_in_document_order():
         for s in a.subargs[:-1]:
             assert a.arg_id not in aset.argument(s).subargs, (a.arg_id, s)
     assert_structure_closed(aset)
-
-
-def test_apply_modus_ponens_matches_pipeline(chain_kb):
-    kb, _ = chain_kb
-    aset = A.derive_argument_set(kb)
-    rule_arg = aset.argument("A2")
-    built = A.apply_modus_ponens(kb, rule_arg, [aset.argument("A1")], arg_id="A3")
-    assert built == aset.argument("A3")
-
-
-def test_apply_modus_ponens_rejects_wrong_antecedents(chain_kb):
-    kb, _ = chain_kb
-    aset = A.derive_argument_set(kb)
-    with pytest.raises(A.AntecedentMismatch):
-        A.apply_modus_ponens(kb, aset.argument("A2"), [aset.argument("A5")])
-    with pytest.raises(A.AntecedentMismatch):
-        A.apply_modus_ponens(kb, aset.argument("A2"), [])
-    with pytest.raises(A.AntecedentMismatch):
-        # not a rule argument
-        A.apply_modus_ponens(kb, aset.argument("A1"), [aset.argument("A1")])
 
 
 def shared_consequent_doc():
@@ -193,6 +180,58 @@ def test_two_rules_same_consequent():
     assert first.top_rule == "R1" and second.top_rule == "R2"
     assert first.derived and second.derived
     assert len(aset.mp_applications) == 2
+
+
+def reference_step(kb, aset, app):
+    """The argument that one modus-ponens step builds from the rule and
+    antecedent arguments an application names, built without the firing
+    loop."""
+    rule_arg = aset.argument(app.rule_arg)
+    assert rule_arg.kind == A.IRP
+    rule = kb.rule(rule_arg.content)
+    ants = [aset.argument(x) for x in app.antecedent_args]
+    assert tuple(a.content for a in ants) == rule.antecedents
+    sub = []
+    for s in [s for a in ants for s in a.subargs] + [app.rule_arg, app.result_arg]:
+        if s not in sub:
+            sub.append(s)
+    feeds = any(rule.consequent in r.antecedents for r in kb.rules
+                if r.rule_id != rule.rule_id)
+    premise = feeds or kb.formula(rule.consequent).premise_kind is not None
+    return A.Argument(arg_id=app.result_arg,
+                      kind=A.P if premise else A.C,
+                      content=rule.consequent,
+                      premises=frozenset().union(*(a.premises for a in ants)),
+                      conclusion=rule.consequent,
+                      subargs=tuple(sub),
+                      top_rule=rule.rule_id)
+
+
+def assert_one_step_each(kb, aset):
+    """Every application is one modus-ponens step, and every derived
+    argument is the result of exactly one application."""
+    for app in aset.mp_applications:
+        assert aset.argument(app.result_arg) == reference_step(kb, aset, app), app
+    assert sorted(app.result_arg for app in aset.mp_applications) == \
+        sorted(a.arg_id for a in aset.arguments if a.derived)
+
+
+def test_each_application_is_one_step(essay, pollock, chain_kb):
+    shared = shared_consequent_doc()
+    kbs = [essay["ekb"], pollock["ekb"], chain_kb[0], rule_cycle_kb(),
+           E.build_ekb(shared, markers.detect_ims(shared.document))]
+    for kb in kbs:
+        aset = A.derive_argument_set(kb)
+        assert aset.mp_applications
+        assert_one_step_each(kb, aset)
+
+
+@settings(max_examples=100, deadline=None)
+@given(canonical_docs())
+def test_each_application_is_one_step_on_parsed_documents(content):
+    doc = parse_canonical_json(content)
+    kb = E.build_ekb(doc, markers.detect_ims(doc.document))
+    assert_one_step_each(kb, A.derive_argument_set(kb))
 
 
 def test_determinism(essay):

@@ -292,7 +292,6 @@ CONTAINERS = {
     "AnnotatedDocument": (lambda a: a["doc"], "components", "_component_index"),
     "EKB.formulas": (lambda a: a["ekb"], "formulas", "_formula_index"),
     "EKB.rules": (lambda a: a["ekb"], "rules", "_rule_index"),
-    "KBGraph": (lambda a: a["kb_graph"], "nodes", "_index"),
     "AttributeBox": (lambda a: a["kb_graph"].nodes[0].attributes, "values", "rendered"),
     "ArgumentSet": (lambda a: a["aset"], "arguments", "_index"),
     "AKG": (lambda a: a["akg"], "nodes", "_index"),

@@ -36,6 +36,21 @@ def small():
     return doc, ims
 
 
+def test_rule_anchored_at_paragraph_end_sorts_in_its_paragraph():
+    # the implicit anchor of R1 is the offset right after "lot.", the end of
+    # the second paragraph, which no paragraph contains
+    txt = "Intro text here.\nDogs bark a lot.\nSo pets are nice.\n"
+    doc = parse_brat_ann(txt, "\n".join([
+        "T1\tPremise 0 15\tIntro text here",
+        "T2\tPremise 17 32\tDogs bark a lot",
+        "T3\tClaim 37 50\tpets are nice",
+        "R1\tSupports Arg1:T2 Arg2:T3",
+    ]) + "\n")
+    ims = markers.resolve_implicit_ims(doc.document, [((17, 32), (37, 50))])
+    assert [m.span for m in ims] == [(33, 33)]
+    assert E.build_ekb(doc, ims).member_order == ("T1", "T2", "R1", "T3")
+
+
 def test_small_kb_shape(small):
     doc, ims = small
     kb = E.build_ekb(doc, ims)

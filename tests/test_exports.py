@@ -242,12 +242,18 @@ def _args_dict(aset):
     }
 
 
-def _replicated_essay(tmp_path, copies):
-    """essay056 repeated as one document, by the benchmark's input builder."""
+def _perfbench_inputs():
+    """The benchmark's input builder, which imports nothing from akgraph."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_inputs", DATA.parents[1] / "perfbench" / "inputs.py")
     inputs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(inputs)
+    return inputs
+
+
+def _replicated_essay(tmp_path, copies):
+    """essay056 repeated as one document, by the benchmark's input builder."""
+    inputs = _perfbench_inputs()
     paths = {}
     for ext, body in zip(("txt", "ann", "prefs"),
                          inputs.replicate(*inputs.read_essay(), copies)):
@@ -345,7 +351,29 @@ def test_exports_byte_identical_across_runs(essay_report):
             render_format(fmt, again.artifacts), fmt
 
 
-# sha256 of every format's bytes for three fixed runs: any change to the
+def test_ann_line_order_changes_nothing(tmp_path, monkeypatch, capsys):
+    # same seven files, same stdout and stderr, whatever the order of the
+    # .ann lines; each run writes to ./out, so the printed paths agree too
+    ann = (DATA / "essay056.ann").read_text(encoding="utf-8")
+    anns = {"plain": DATA / "essay056.ann"}
+    for seed in (1, 2, 3):
+        anns["seed%d" % seed] = tmp_path / ("essay056-%d.ann" % seed)
+        anns["seed%d" % seed].write_text(_perfbench_inputs().shuffle_ann(ann, seed),
+                                         encoding="utf-8")
+    runs = {}
+    for name, ann_path in anns.items():
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        assert main(["run", "--input", str(DATA / "essay056.txt"), "--ann", str(ann_path),
+                     "--prefs", str(DATA / "essay056.prefs"), "--out", "out"]) == 0
+        files = {p.name: p.read_bytes() for p in (tmp_path / name / "out").iterdir()}
+        runs[name] = (files, capsys.readouterr())
+    assert len(runs["plain"][0]) == 7
+    for name, run in runs.items():
+        assert run == runs["plain"], name
+
+
+# sha256 of every format's bytes for fixed runs: any change to the
 # bytes of an export fails here.
 GOLDEN = {
     "essay056": {
@@ -367,6 +395,22 @@ GOLDEN = {
         "semantics": "ff57d08eddf37a629e736984806cf8e99196bd3b34a737bca7b2cab5a1e93fc4",
     },
 }
+GOLDEN["essay056-implicit"] = {
+    "dot-kb": "75a751e02a6acc17ef6f8fdc25038e35e9f7e323d29e4b31c47c9bf9aa243bc1",
+    "dot-akg": "1d321a52dbbd721d9b81db4fb8461261524d983b29d6f294f20897d4bb23db7e",
+    "json-kb": "efa87d0c32dcdf5439e2e36db222079baa2364f54967b4ab992091a013ebfa2f",
+    "json-akg": "6cfb254a772ed8c8623bc3ad95a58fd7887b532e325e1dbe58ff5e724eadbdbb",
+    "json-args": "ac8f9ae7e19a29bcc5b5f803858dd4b6a4776d9212735323f15aa78584401940",
+    "apx": "2946e655fd20e9cb4fe4681258cfa7e9186c5d82b623be99b6a7ba8e52b0a26d",
+    "semantics": "9170491665986116f35a3243e88e1ce63539c59e88136ac3f738e67eb2898c72",
+}
+# without prefs only the attribute boxes' L-sets differ
+GOLDEN["essay056-implicit-noprefs"] = dict(
+    GOLDEN["essay056-implicit"],
+    **{"dot-kb": "07f5c6c060a14b7205fe6b4487c55a01a49a9dbdfdac4372138aea0c23d7b771",
+       "dot-akg": "d5666a759bf9188abf5f23c0fdbba1c0e92cadbf00806b9077efb7fdd949bfd7",
+       "json-kb": "77a0faaacc640b4f25d954e61b1f0c0734d775f903a298cd54bdb6aa705a7091",
+       "json-akg": "f6a546b984703e91e4c8eb08dadfdfcb048a062a65f0442d625828e44463eb32"})
 GOLDEN["pollock-json"] = dict(
     GOLDEN["pollock-ann"],
     semantics="674b9d302b27210dbf8406c1214f82c7e8a952ca7511f50c3cd424390d5054b6")
@@ -377,6 +421,8 @@ GOLDEN_ARGS = {
     "pollock-ann": ["--input", str(DATA / "pollock.txt"), "--ann", str(DATA / "pollock.ann")],
     "pollock-json": ["--input", str(DATA / "pollock.json"), "--check-set", "A1,A2"],
 }
+GOLDEN_ARGS["essay056-implicit"] = GOLDEN_ARGS["essay056"] + ["--implicit-ims"]
+GOLDEN_ARGS["essay056-implicit-noprefs"] = GOLDEN_ARGS["essay056"][:4] + ["--implicit-ims"]
 
 
 def test_golden_digests(tmp_path, capsys):

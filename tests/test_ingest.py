@@ -84,7 +84,8 @@ def test_parse_brat_inference_rule_entity():
         "R1\tAttacks Arg1:T1 Arg2:T2",
     ])
     doc = ingest.parse_brat_ann(TXT, ann)
-    assert doc.rule_span("T2").surface_text == "Therefore"
+    assert doc.rule_spans == (ingest.RuleSpanAnnotation("T2", 16, 25, "Therefore"),)
+    assert doc.component("T2") is None
     assert doc.relations[0].target == "T2"
 
 
@@ -217,11 +218,9 @@ def test_lookups_take_first_of_duplicate_ids():
         ingest.make_text_document("d", TXT),
         components=(ingest.ComponentAnnotation("T1", "Premise", 0, 14, "Cats are great"),
                     ingest.ComponentAnnotation("T1", "Claim", 27, 47, "you should get a cat")),
-        rule_spans=(ingest.RuleSpanAnnotation("T2", 16, 25, "Therefore"),
-                    ingest.RuleSpanAnnotation("T2", 27, 30, "you")))
+        rule_spans=(ingest.RuleSpanAnnotation("T2", 16, 25, "Therefore"),))
     assert doc.component("T1").kind == "Premise"
-    assert doc.rule_span("T2").surface_text == "Therefore"
-    assert doc.component("T2") is None and doc.rule_span("T1") is None
+    assert doc.component("T2") is None
 
 
 # ------------------------------------------------------------ parser fuzz

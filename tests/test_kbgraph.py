@@ -87,13 +87,3 @@ def test_build_rejects_invalid_ekb():
 
 def test_graph_carries_ekb(essay):
     assert essay["kb_graph"].ekb is essay["ekb"]
-
-
-def test_node_lookup_takes_first_of_duplicate_ids(essay):
-    kbg = essay["kb_graph"]
-    for n in kbg.nodes:
-        assert kbg.node(n.node_id) is n
-    assert kbg.node("nothing") is None
-    first = kbg.nodes[0]
-    dup = KG.KBGraph((first, first._replace(payload="other")), ())
-    assert dup.node(first.node_id) is first

@@ -208,6 +208,26 @@ def test_implicit_im_no_boundary_warns(caplog):
     assert any("no sentence boundary" in r.message for r in caplog.records)
 
 
+def test_implicit_im_not_inside_a_number(caplog):
+    # the "." of "3.5" ends no segment, so it is no sentence boundary
+    text = "Prices rose by 3.5 percent and sales fell."
+    assert markers.resolve_implicit_ims(doc(text), [((0, 11), (31, 41))]) == []
+    assert [r.message for r in caplog.records] == [
+        "implicit IM: no sentence boundary between (0, 11) and (31, 41); skipped"]
+
+
+def test_implicit_im_across_paragraphs_anchors_at_paragraph_end():
+    # the earlier span ends its paragraph without punctuation: the paragraph
+    # end is the anchor, not the period in the next paragraph
+    text = "Dogs bark a lot\nThey are loyal. So get a dog.\n"
+    m = only(markers.resolve_implicit_ims(doc(text), [((0, 15), (38, 46))]))
+    assert m.span == (15, 15)
+    # an earlier span that holds its closing period anchors at its own end
+    text = "It rained all day.\nThe game was canceled.\n"
+    m = only(markers.resolve_implicit_ims(doc(text), [((0, 18), (19, 41))]))
+    assert m.span == (18, 18)
+
+
 # -- attribute markers --
 
 def test_attribute_marker_prefers_longest():
