@@ -11,8 +11,8 @@ from collections import namedtuple
 from functools import cached_property
 from typing import NamedTuple
 
-from .arguments import C, IRP
-from .ekb import AXIOM, ASSUMPTION, rule_preference_sets
+from .arguments import C
+from .ekb import AXIOM, ASSUMPTION
 from .kbgraph import PREMISE, RULE_PREMISE, AttributeBox, _quote, natural_key
 
 logger = logging.getLogger(__name__)
@@ -110,69 +110,70 @@ def convert_stances(stances, claim_to_arg, major_claim_node):
     return edges
 
 
-def _node_for(ekb, arg, primary, comp_kinds):
-    """The node of arg; primary maps each content, a rule id among them, to
-    the id of the node that holds it."""
-    if arg.kind == IRP:
-        rule = ekb.rule(arg.content)
-        ls = rule_preference_sets(ekb, rule.rule_id)
-        if ls is None:
-            l1 = l2 = None
-        else:
-            l1 = frozenset(primary[x] for x in ls[0])
-            l2 = frozenset(primary[x] for x in ls[1])
-        box = AttributeBox((arg.arg_id, rule.kind, _quote(rule.im), l1, l2))
-        return AKGNode(arg.arg_id, RULE_PREMISE, box, content=arg.content,
-                       text=ekb.rule_text(rule.rule_id))
+def _member_node(arg_id, kb_node, primary):
+    """kb_node under argument id arg_id: same kind and text, arg_id followed
+    by the KB box values, a rule's L-sets renamed through primary, which maps
+    each content to the id of the node that holds it."""
+    values = kb_node.attributes.values
+    if kb_node.kind == PREMISE:   # marker, premise kind
+        return AKGNode(arg_id, PREMISE, AttributeBox((arg_id,) + values),
+                       content=kb_node.node_id, text=kb_node.text,
+                       premise_kind=values[1])
+    _, rule_kind, im, l1, l2 = values   # arg_id takes the rule id's place
+    l1, l2 = (ls if ls is None else frozenset(primary[x] for x in ls)
+              for ls in (l1, l2))
+    return AKGNode(arg_id, RULE_PREMISE, AttributeBox((arg_id, rule_kind, im, l1, l2)),
+                   content=kb_node.node_id, text=kb_node.text)
+
+
+def _claim_node(ekb, arg, comp_kinds):
+    """The node of an argument for a claim text, which has no KB node."""
     f = ekb.formula(arg.content)
-    if arg.kind == C:
-        tag = None
-        if f.components:
-            kinds = {comp_kinds.get(cid) for cid in f.components}
-            tag = "MajorClaim" if "MajorClaim" in kinds else "Claim"
-        values = (arg.arg_id, _quote(f.marker))
-        if tag:
-            values = values + (tag,)
-        return AKGNode(arg.arg_id, CONCLUSION, AttributeBox(values),
-                       content=arg.content, text=f.text, dataset_tag=tag)
-    box = AttributeBox((arg.arg_id, _quote(f.marker), f.premise_kind))
-    return AKGNode(arg.arg_id, PREMISE, box, content=arg.content, text=f.text,
-                   premise_kind=f.premise_kind)
+    values = (arg.arg_id, _quote(f.marker))
+    if arg.kind != C:   # derived, and feeding a rule: a premise of no kind
+        return AKGNode(arg.arg_id, PREMISE, AttributeBox(values + (None,)),
+                       content=arg.content, text=f.text)
+    tag = None
+    if f.components:
+        kinds = {comp_kinds.get(cid) for cid in f.components}
+        tag = "MajorClaim" if "MajorClaim" in kinds else "Claim"
+        values += (tag,)
+    return AKGNode(arg.arg_id, CONCLUSION, AttributeBox(values),
+                   content=arg.content, text=f.text, dataset_tag=tag)
 
 
 def build_akg(kbg, aset, doc):
     """Assemble the AKG from the knowledge-base graph, argument set and document.
 
     Arguments sharing content merge into one node (the earliest argument's
-    id).  Support/attack edges come from annotated relations and stances;
-    modus-ponens applications expand to one edge per antecedent plus one for
-    the rule; redundant supports are pruned last.
+    id).  The node of an argument for a K formula or a rule is that
+    member's KB node under the argument id; only claim texts get a box of
+    their own.  Support/attack edges come from annotated relations and
+    stances; modus-ponens applications expand to one edge per antecedent
+    plus one for the rule; redundant supports are pruned last.
     """
     ekb = kbg.ekb
+    kb_nodes = {n.node_id: n for n in kbg.nodes}
     comp_kinds = {c.comp_id: c.kind for c in doc.components}
 
     # content-merged nodes: the first argument for a content owns the node
     primary = {}
     for arg in aset.arguments:
         primary.setdefault(arg.content, arg.arg_id)
-    nodes = []
+    nodes = {}
     for arg in aset.arguments:
         if primary[arg.content] != arg.arg_id:
             logger.debug("merging %s into node %s", arg.arg_id, primary[arg.content])
-            continue
-        nodes.append(_node_for(ekb, arg, primary, comp_kinds))
-    node_by_id = {n.arg_id: n for n in nodes}
-
-    member_of = dict(ekb.component_to_formula)
-    member_of.update(ekb.span_to_rule)
-
-    def arg_of(ann_id):
-        member = member_of.get(ann_id)
-        return primary.get(member)
+        elif arg.content in kb_nodes:
+            nodes[arg.arg_id] = _member_node(arg.arg_id, kb_nodes[arg.content], primary)
+        else:
+            nodes[arg.arg_id] = _claim_node(ekb, arg, comp_kinds)
+    # annotation id -> node id; every member has an argument
+    node_of = {ann_id: primary[m] for ann_id, m in ekb.member_of}
 
     edges = []
     for rel in doc.relations:
-        src, tgt = arg_of(rel.source), arg_of(rel.target)
+        src, tgt = node_of.get(rel.source), node_of.get(rel.target)
         if src is None or tgt is None:
             logger.warning("relation %s endpoints missing from the graph; skipped",
                            rel.rel_id)
@@ -182,19 +183,16 @@ def build_akg(kbg, aset, doc):
         if rel.kind == "Supports":
             edges.append(AKGEdge(src, tgt, SUPPORT))
         else:
-            edges.append(_attack_edge(src, node_by_id[tgt]))
+            edges.append(_attack_edge(src, nodes[tgt]))
 
     if doc.stances:
-        mc_members = {m for cid, m in member_of.items()
-                      if comp_kinds.get(cid) == "MajorClaim"}
-        mc_nodes = sorted(primary[m] for m in mc_members if m in primary)
-        if not mc_nodes:
+        # every major-claim component maps to the one merged formula
+        mc = next((node_of[c.comp_id] for c in doc.components
+                   if c.kind == "MajorClaim"), None)
+        if mc is None:
             logger.warning("stances present but no major claim; skipped")
         else:
-            claim_to_arg = {cid: primary[m] for cid, m in member_of.items()
-                            if m in primary}
-            edges.extend(convert_stances(doc.stances, claim_to_arg,
-                                         node_by_id[mc_nodes[0]]))
+            edges.extend(convert_stances(doc.stances, node_of, nodes[mc]))
 
     for g, app in enumerate(aset.mp_applications):
         result = primary[aset.argument(app.result_arg).content]
@@ -202,7 +200,7 @@ def build_akg(kbg, aset, doc):
             edges.append(AKGEdge(primary[aset.argument(src).content], result,
                                  MODUS_PONENS, mp_group=g))
 
-    akg = AKG(tuple(nodes), tuple(edges), aset.mp_applications)
+    akg = AKG(tuple(nodes.values()), tuple(edges), aset.mp_applications)
     return prune_redundant_support(akg)
 
 

@@ -50,6 +50,10 @@ class UnknownPreferenceTarget(EKBError):
     pass
 
 
+class UnknownKindTarget(EKBError):
+    pass
+
+
 class Formula(NamedTuple):
     """An atomic statement of the logical language.
 
@@ -99,8 +103,9 @@ def parse_preference_file(content):
 
 
 def parse_kind_override_file(content):
-    """Parse `component_id<TAB>n|p|a` lines into an override map."""
-    out = {}
+    """Parse `component_id<TAB>n|p|a` lines into an override map; an id
+    given twice is refused."""
+    out, line_of = {}, {}
     for lineno, line in enumerate(content.split("\n"), 1):
         line = line.split("#")[0].strip()
         if not line:
@@ -108,13 +113,17 @@ def parse_kind_override_file(content):
         parts = line.split("\t")
         if len(parts) != 2 or parts[1] not in PREMISE_KINDS:
             raise EKBError("kind override line %d: expected `id<TAB>n|p|a`" % lineno)
+        if parts[0] in line_of:
+            raise EKBError("kind override line %d: id %s already given on line %d"
+                           % (lineno, parts[0], line_of[parts[0]]))
+        line_of[parts[0]] = lineno
         out[parts[0]] = parts[1]
     return out
 
 
 class EKB(namedtuple("EKB", "formulas rules contraries agreements rule_pref "
-                            "member_order dropped_ims span_to_rule component_to_formula",
-                     defaults=((), (), (), ()))):
+                            "member_order dropped_ims member_of",
+                     defaults=((), (), ()))):
     """The extended knowledge base.
 
     formulas holds every Formula (K members and claim texts), rules every
@@ -123,8 +132,8 @@ class EKB(namedtuple("EKB", "formulas rules contraries agreements rule_pref "
     transitively closed frozenset of (lesser, greater) rule-id pairs.
     member_order lists the formula/rule ids in derived argument order,
     dropped_ims the IMMatches that aligned with no component pair.
-    span_to_rule holds (annotated rule-span id, rule id) pairs and
-    component_to_formula (component id, formula id) pairs.
+    member_of holds sorted (annotation id, member id) pairs: each component
+    with its formula, each matched rule span with its rule.
     """
 
     # -- lookups --
@@ -158,9 +167,6 @@ class EKB(namedtuple("EKB", "formulas rules contraries agreements rule_pref "
             index.setdefault(b, (set(), set()))[0].add(a)
             index.setdefault(a, (set(), set()))[1].add(b)
         return {rid: (frozenset(l1), frozenset(l2)) for rid, (l1, l2) in index.items()}
-
-    def has_member(self, any_id):
-        return any_id in self._formula_index or any_id in self._rule_index
 
     @property
     def K(self):
@@ -281,13 +287,18 @@ def build_ekb(doc, ims, prefs=None, kind_overrides=None, lexicon=None):
     formula); one defeasible rule per IM whose antecedent/consequent regions
     contain annotated components.  Attack relations between knowledge-base
     members populate the contrary set, support relations the agreement set.
-    Node markers come from lexicon, the packaged one when it is None.
+    Node markers come from lexicon, the packaged one when it is None.  A
+    kind override for an id that names no component is refused.
     """
     kind_overrides = kind_overrides or {}
+    comp_ids = {c.comp_id for c in doc.components}
+    for cid in kind_overrides:
+        if cid not in comp_ids:
+            raise UnknownKindTarget("kind override id %r names no component" % cid)
     if lexicon is None:
         lexicon = markers_mod.load_lexicon()
     formulas = []
-    comp_to_formula = {}
+    member_of = {}   # annotation id -> member id; rule spans join below
 
     ordered_comps = sorted(doc.components, key=lambda c: (c.start, c.end))
     mc_parts = [c for c in ordered_comps if c.kind == "MajorClaim"]
@@ -307,10 +318,10 @@ def build_ekb(doc, ims, prefs=None, kind_overrides=None, lexicon=None):
             marker=markers_mod.attribute_marker(c.surface_text, lexicon),
             spans=((c.start, c.end),),
             components=(c.comp_id,)))
-        comp_to_formula[c.comp_id] = c.comp_id
+        member_of[c.comp_id] = c.comp_id
     if mc_parts:
         fid = "+".join(c.comp_id for c in mc_parts)
-        while fid in comp_to_formula:   # a component may carry the merged id
+        while fid in member_of:   # a component may carry the merged id
             fid += "+"
         formulas.append(Formula(
             formula_id=fid,
@@ -320,7 +331,7 @@ def build_ekb(doc, ims, prefs=None, kind_overrides=None, lexicon=None):
             spans=tuple((c.start, c.end) for c in mc_parts),
             components=tuple(c.comp_id for c in mc_parts)))
         for c in mc_parts:
-            comp_to_formula[c.comp_id] = fid
+            member_of[c.comp_id] = fid
 
     # rules from aligned inference markers
     rules = []
@@ -328,7 +339,7 @@ def build_ekb(doc, ims, prefs=None, kind_overrides=None, lexicon=None):
     rel_pairs = {(r.source, r.target): r.kind for r in doc.relations}
     contained = _containment(doc.components)
     # rule ids skip component and rule-span ids; relation ids may repeat them
-    taken = {c.comp_id for c in doc.components} | {rs.span_id for rs in doc.rule_spans}
+    taken = comp_ids | {rs.span_id for rs in doc.rule_spans}
     rule_ids = (rid for rid in map("R{}".format, count(1)) if rid not in taken)
     for im in sorted(ims, key=lambda m: m.span[0]):
         cons_comps = contained(im.consequent_span)
@@ -341,9 +352,9 @@ def build_ekb(doc, ims, prefs=None, kind_overrides=None, lexicon=None):
                 logger.debug("IM %r: several consequent candidates, taking first",
                              im.surface)
             consequent = cons_comps[0]
-            cons_fid = comp_to_formula[consequent.comp_id]
+            cons_fid = member_of[consequent.comp_id]
             antecedents = [c for c in ant_comps
-                           if comp_to_formula[c.comp_id] != cons_fid]
+                           if member_of[c.comp_id] != cons_fid]
             if not antecedents:
                 reason = "has no antecedent outside its consequent's formula"
             # annotation is ground truth: a relation running consequent ->
@@ -357,7 +368,7 @@ def build_ekb(doc, ims, prefs=None, kind_overrides=None, lexicon=None):
         rules.append(InferenceRule(
             rule_id=next(rule_ids),
             antecedents=tuple(dict.fromkeys(
-                comp_to_formula[a.comp_id] for a in antecedents)),
+                member_of[a.comp_id] for a in antecedents)),
             consequent=cons_fid,
             kind=DEFEASIBLE,
             im=im.surface.casefold() if im.surface else None,
@@ -365,19 +376,13 @@ def build_ekb(doc, ims, prefs=None, kind_overrides=None, lexicon=None):
             heuristic=im.heuristic))
 
     # map annotated rule spans onto detected rules by marker-span overlap
-    span_to_rule = []
     for rs in doc.rule_spans:
-        hit = None
-        for r in rules:
-            if r.im_span and r.im_span[0] < rs.end and rs.start < r.im_span[1]:
-                hit = r.rule_id
-                break
+        hit = next((r.rule_id for r in rules if r.im_span
+                    and r.im_span[0] < rs.end and rs.start < r.im_span[1]), None)
         if hit is None:
             logger.warning("annotated rule span %s matches no detected rule", rs.span_id)
         else:
-            span_to_rule.append((rs.span_id, hit))
-    member_of = dict(comp_to_formula)
-    member_of.update(span_to_rule)
+            member_of[rs.span_id] = hit
 
     # contrary / agreement pairs live at the knowledge-base level: both
     # endpoints must be K formulas or rules
@@ -415,8 +420,7 @@ def build_ekb(doc, ims, prefs=None, kind_overrides=None, lexicon=None):
                rule_pref=rule_pref,
                member_order=member_order,
                dropped_ims=tuple(dropped),
-               span_to_rule=tuple(span_to_rule),
-               component_to_formula=tuple(sorted(comp_to_formula.items())))
+               member_of=tuple(sorted(member_of.items())))
 
 
 def validate_ekb(ekb):

@@ -58,7 +58,7 @@ def export_dot(graph):
         if is_akg:
             node_id, label = _esc(n.arg_id), n.text or n.content
         else:
-            node_id, label = _esc(n.node_id), _member_label(graph, n)
+            node_id, label = _esc(n.node_id), n.text
         lines.append(_DOT_NODE % (node_id, _esc(label), _NODE_SHAPE[n.kind],
                                   node_id, _esc(n.attributes.render()),
                                   node_id, node_id))
@@ -75,12 +75,6 @@ def export_dot(graph):
 
     lines.append("}\n")
     return "\n".join(lines)
-
-
-def _member_label(kbg, node):
-    if kbg.ekb is not None and kbg.ekb.has_member(node.node_id):
-        return kbg.ekb.member_text(node.node_id)
-    return node.payload
 
 
 # -- JSON --
@@ -159,7 +153,7 @@ def export_json_kb(kbg):
                    key=lambda e: (e.kind, natural_key(e.source), natural_key(e.target)))
     return _document(("nodes", "edges"), (
         _rows(("id", "kind", "text", "attributes"),
-              ((_enc(n.node_id), _enc(n.kind), _enc(_member_label(kbg, n)),
+              ((_enc(n.node_id), _enc(n.kind), _enc(n.text),
                 _strings(n.attributes.rendered)) for n in nodes)),
         _rows(("source", "target", "kind"),
               ((_enc(e.source), _enc(e.target), _enc(e.kind)) for e in edges))))

@@ -78,7 +78,7 @@ def rule_attribute_box(ekb, r):
 class KBNode(NamedTuple):
     node_id: str
     kind: str       # Premise | InferenceRulePremise
-    payload: str    # formula or rule id
+    text: str       # rendered member text
     attributes: AttributeBox
 
 
@@ -89,16 +89,17 @@ class KBEdge(NamedTuple):
 
 
 class KBGraph(NamedTuple):
-    """KBNode and KBEdge tuples; ekb is the source EKB, read by build_akg
-    and the exports."""
+    """KBNode and KBEdge tuples; ekb is the source EKB, read by build_akg."""
     nodes: tuple
     edges: tuple
-    ekb: object = None
+    ekb: object
 
 
 def build_kb_graph(ekb):
     """One node per K formula and per rule, one edge per agreement/contrary
-    pair.  Node order follows the member order; edges are sorted.
+    pair.  Each node carries its member's rendered text and attribute box;
+    build_akg reuses both for the arguments that rest on the member.  Node
+    order follows the member order; edges are sorted.
 
     An invalid EKB is refused.  build_ekb's output always passes that check
     (test_ekb.py::test_built_ekb_is_valid), so in a pipeline run it is a
@@ -113,11 +114,10 @@ def build_kb_graph(ekb):
     nodes = []
     for member_id in ekb.kb_members:
         if member_id in ekb._rule_index:
-            nodes.append(KBNode(member_id, RULE_PREMISE, member_id,
-                                rule_attribute_box(ekb, ekb.rule(member_id))))
+            kind, box = RULE_PREMISE, rule_attribute_box(ekb, ekb.rule(member_id))
         else:
-            nodes.append(KBNode(member_id, PREMISE, member_id,
-                                premise_attribute_box(ekb.formula(member_id))))
+            kind, box = PREMISE, premise_attribute_box(ekb.formula(member_id))
+        nodes.append(KBNode(member_id, kind, ekb.member_text(member_id), box))
 
     edges = [KBEdge(a, b, AGREEMENT) for a, b in ekb.agreements]
     edges += [KBEdge(a, b, CONTRARY) for a, b in ekb.contraries]

@@ -1,11 +1,15 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from akgraph import akg as G
 from akgraph import arguments as A
 from akgraph import ekb as E
 from akgraph import markers
-from akgraph.ingest import StanceAnnotation, parse_brat_ann
-from akgraph.kbgraph import AttributeBox, build_kb_graph
+from akgraph.ingest import StanceAnnotation, parse_brat_ann, parse_canonical_json
+from akgraph.kbgraph import AttributeBox, _quote, build_kb_graph
+
+from conftest import canonical_docs
 
 
 def node(kind, arg_id="A1", premise_kind="p"):
@@ -176,3 +180,109 @@ def test_node_lookup_takes_first_of_duplicate_ids(essay):
     first = akg.nodes[0]
     dup = G.AKG((first, first._replace(text="other")), ())
     assert dup.node(first.arg_id) is first
+
+
+# ---------------------------------------------------------------- reference build
+
+def _reference_node(ekb, arg, primary, comp_kinds):
+    """Each node built from the EKB, its rule boxes from
+    rule_preference_sets: the build that reusing KB nodes replaced."""
+    if arg.kind == A.IRP:
+        rule = ekb.rule(arg.content)
+        ls = E.rule_preference_sets(ekb, rule.rule_id)
+        if ls is None:
+            l1 = l2 = None
+        else:
+            l1 = frozenset(primary[x] for x in ls[0])
+            l2 = frozenset(primary[x] for x in ls[1])
+        box = AttributeBox((arg.arg_id, rule.kind, _quote(rule.im), l1, l2))
+        return G.AKGNode(arg.arg_id, G.RULE_PREMISE, box, content=arg.content,
+                         text=ekb.rule_text(rule.rule_id))
+    f = ekb.formula(arg.content)
+    if arg.kind == A.C:
+        tag = None
+        if f.components:
+            kinds = {comp_kinds.get(cid) for cid in f.components}
+            tag = "MajorClaim" if "MajorClaim" in kinds else "Claim"
+        values = (arg.arg_id, _quote(f.marker))
+        if tag:
+            values = values + (tag,)
+        return G.AKGNode(arg.arg_id, G.CONCLUSION, AttributeBox(values),
+                         content=arg.content, text=f.text, dataset_tag=tag)
+    box = AttributeBox((arg.arg_id, _quote(f.marker), f.premise_kind))
+    return G.AKGNode(arg.arg_id, G.PREMISE, box, content=arg.content, text=f.text,
+                     premise_kind=f.premise_kind)
+
+
+def _reference_akg(ekb, aset, doc):
+    """The AKG with each annotation mapped to its member from the formulas'
+    components and the rule spans' marker overlaps, not from ekb.member_of."""
+    comp_kinds = {c.comp_id: c.kind for c in doc.components}
+    primary = {}
+    for arg in aset.arguments:
+        primary.setdefault(arg.content, arg.arg_id)
+    nodes = [_reference_node(ekb, arg, primary, comp_kinds)
+             for arg in aset.arguments if primary[arg.content] == arg.arg_id]
+    node_by_id = {n.arg_id: n for n in nodes}
+
+    member_of = {cid: f.formula_id for f in ekb.formulas for cid in f.components}
+    for rs in doc.rule_spans:
+        for r in ekb.rules:
+            if r.im_span and r.im_span[0] < rs.end and rs.start < r.im_span[1]:
+                member_of[rs.span_id] = r.rule_id
+                break
+
+    edges = []
+    for rel in doc.relations:
+        src, tgt = primary.get(member_of.get(rel.source)), primary.get(member_of.get(rel.target))
+        if src is None or tgt is None or src == tgt:
+            continue
+        if rel.kind == "Supports":
+            edges.append(G.AKGEdge(src, tgt, G.SUPPORT))
+        else:
+            edges.append(G._attack_edge(src, node_by_id[tgt]))
+    if doc.stances:
+        mc_members = {m for cid, m in member_of.items()
+                      if comp_kinds.get(cid) == "MajorClaim"}
+        mc_nodes = sorted(primary[m] for m in mc_members if m in primary)
+        if mc_nodes:
+            claim_to_arg = {cid: primary[m] for cid, m in member_of.items()
+                            if m in primary}
+            edges.extend(G.convert_stances(doc.stances, claim_to_arg,
+                                           node_by_id[mc_nodes[0]]))
+    for g, app in enumerate(aset.mp_applications):
+        result = primary[aset.argument(app.result_arg).content]
+        for src in list(app.antecedent_args) + [app.rule_arg]:
+            edges.append(G.AKGEdge(primary[aset.argument(src).content], result,
+                                   G.MODUS_PONENS, mp_group=g))
+    return G.prune_redundant_support(G.AKG(tuple(nodes), tuple(edges),
+                                           aset.mp_applications))
+
+
+def _assert_matches_reference(ekb, aset, doc):
+    akg = G.build_akg(build_kb_graph(ekb), aset, doc)
+    want = _reference_akg(ekb, aset, doc)
+    # AKGNode equality covers kind, box values, text, premise_kind and tag
+    assert akg.nodes == want.nodes
+    assert akg.edges == want.edges
+    assert akg.pruned_supports == want.pruned_supports
+
+
+def test_nodes_match_reference_on_fixtures(essay, pollock):
+    # essay056 carries preferences, so its rule boxes hold non-empty L-sets
+    for art in (essay, pollock):
+        _assert_matches_reference(art["ekb"], art["aset"], art["doc"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(canonical_docs(), st.data())
+def test_nodes_match_reference_on_parsed_documents(content, data):
+    doc = parse_canonical_json(content)
+    ims = markers.detect_ims(doc.document)
+    ekb = E.build_ekb(doc, ims)
+    # one chain over some of the rules, so that L-sets are not all empty
+    order = data.draw(st.permutations([r.rule_id for r in ekb.rules]))
+    if len(order) > 1:
+        chain = order[:data.draw(st.integers(2, len(order)))]
+        ekb = E.build_ekb(doc, ims, prefs=E.PreferenceConfig((tuple(chain),)))
+    _assert_matches_reference(ekb, A.derive_argument_set(ekb), doc)

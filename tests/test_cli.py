@@ -197,6 +197,19 @@ def test_cap_exceeded_exit_1(capsys):
     assert run(["semantics", "--cap", "2"] + POLLOCK_JSON) == 0
 
 
+@pytest.mark.parametrize("content, error", [
+    ("T99\tn\n", "UnknownKindTarget: kind override id 'T99' names no component"),
+    # T4 is pollock's InferenceRule span, not a component
+    ("T4\tn\n", "UnknownKindTarget: kind override id 'T4' names no component"),
+    ("T1\tn\nT1\tp\n", "line 2: id T1 already given on line 1"),
+])
+def test_kinds_file_refuses_what_it_cannot_apply(tmp_path, capsys, content, error):
+    kinds = tmp_path / "kinds.tsv"
+    kinds.write_text(content, encoding="utf-8")
+    assert run(["run", "--kinds", str(kinds)] + POLLOCK_JSON) == 1
+    assert error in capsys.readouterr().err
+
+
 def test_custom_lexicon_changes_rules(tmp_path, capsys):
     lex = tmp_path / "lex.tsv"
     lex.write_text("because\tPremise\n")

@@ -96,6 +96,17 @@ def test_parse_kind_override_file():
         E.parse_kind_override_file("T1\tq\n")
 
 
+def test_kind_override_for_unknown_id_refused(small):
+    doc, ims = small
+    with pytest.raises(E.UnknownKindTarget, match="T99"):
+        E.build_ekb(doc, ims, kind_overrides={"T1": E.AXIOM, "T99": E.AXIOM})
+
+
+def test_kind_override_file_refuses_repeated_id():
+    with pytest.raises(E.EKBError, match="line 4: id T1 already given on line 2"):
+        E.parse_kind_override_file("# c\nT1\tn\nT3\ta\nT1\tp\n")
+
+
 def test_parse_preference_file():
     prefs = E.parse_preference_file("# chain\nR1 > R2 > R3\nR9 > R4\n")
     assert prefs.chains == (("R1", "R2", "R3"), ("R9", "R4"))
@@ -204,8 +215,6 @@ def test_member_text_and_rule_text(small):
 def test_lookups_raise_on_unknown_ids(small):
     doc, ims = small
     kb = E.build_ekb(doc, ims)
-    assert kb.has_member("T1") and kb.has_member("R1")
-    assert not kb.has_member("R9")
     with pytest.raises(E.UnknownId):
         kb.formula("R1")
     with pytest.raises(E.UnknownRule):

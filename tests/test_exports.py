@@ -193,7 +193,7 @@ def _kb_dict(kbg):
                    key=lambda e: (e.kind, natural_key(e.source), natural_key(e.target)))
     return {
         "nodes": [{"id": n.node_id, "kind": n.kind,
-                   "text": X._member_label(kbg, n),
+                   "text": kbg.ekb.member_text(n.node_id),
                    "attributes": _box(n.attributes)} for n in nodes],
         "edges": [{"source": e.source, "target": e.target, "kind": e.kind}
                   for e in edges],

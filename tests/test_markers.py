@@ -443,3 +443,38 @@ def test_detection_shifts_under_non_ascii_prefix(text, prefix):
     prefixed = markers.detect_ims(doc(prefix + text), DEFAULT_LEXICON)
     assert ([_shifted(m, len(prefix)) for m in alone]
             == [_shifted(m, 0) for m in prefixed])
+
+
+# -- implicit IMs against the segments and explicit IMs of their gaps --
+
+@settings(max_examples=200, deadline=None)
+@given(texts, st.data())
+def test_implicit_ims_anchor_at_segment_ends_in_free_gaps(text, data):
+    d = doc(text)
+    span = st.lists(st.integers(0, len(text)), min_size=2, max_size=2).map(sorted).map(tuple)
+    pairs = data.draw(st.lists(st.tuples(span, span), max_size=6))
+    explicit = markers.detect_ims(d, DEFAULT_LEXICON)
+    ends = sorted({end for _, end, _ in _reference_segments(d)})
+
+    def gap(pair):
+        earlier, later = sorted(pair)
+        return earlier[1], later[0]
+
+    made = markers.resolve_implicit_ims(d, pairs, explicit, DEFAULT_LEXICON)
+    for m in made:
+        start, end = gap((m.antecedent_span, m.consequent_span))
+        anchor = m.span[0]
+        assert m.span == (anchor, anchor) and m.heuristic == markers.IMPLICIT
+        # the first segment end at or after the gap's start, and inside it
+        assert anchor in ends and start <= anchor <= end
+        assert not any(start <= e < anchor for e in ends)
+    # a pair gets an IM iff its gap is open, holds a segment end and no
+    # explicit IM starts in it
+    want = []
+    for pair in pairs:
+        start, end = gap(pair)
+        if (start < end and any(start <= e <= end for e in ends)
+                and not any(start <= m.span[0] < end for m in explicit)):
+            want.append(pair)
+    assert (sorted((m.antecedent_span, m.consequent_span) for m in made)
+            == sorted(want))
