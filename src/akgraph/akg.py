@@ -207,8 +207,8 @@ def build_akg(kbg, aset, doc):
 def prune_redundant_support(akg):
     """Drop each support edge that parallels a modus-ponens group: a support
     s -> t is redundant when some application into t already includes s.
-    The pruned pairs are listed in natural-key order, whatever the order of
-    the relation lines they came from."""
+    The pruned pairs are listed, and logged as warnings, in natural-key
+    order, whatever the order of the relation lines they came from."""
     mp_pairs = {(e.source, e.target) for e in akg.edges if e.kind == MODUS_PONENS}
     kept, pruned = [], []
     for e in akg.edges:
@@ -220,6 +220,6 @@ def prune_redundant_support(akg):
         return akg
     pruned.sort(key=lambda st: (natural_key(st[0]), natural_key(st[1])))
     for st in pruned:
-        logger.info("pruned redundant support %s -> %s", *st)
+        logger.warning("pruned redundant support %s -> %s", *st)
     return akg._replace(edges=tuple(kept),
                         pruned_supports=akg.pruned_supports + tuple(pruned))

@@ -1,8 +1,10 @@
 """Command-line pipeline: ingest -> markers -> EKB -> graphs -> semantics -> exports.
 
-Verbs: ingest, build, semantics, export, run.  Inputs are either a text file
-plus a brat-style .ann file, or a single canonical JSON document.  Every verb
-writes its outputs into --out, or to stdout when --out is absent or empty.
+Verbs: ingest, then four that run the same pipeline and differ only in the
+formats they write by default (_VERBS).  Inputs are either a text file plus a
+brat-style .ann file, or a single canonical JSON document.  Every verb writes
+its outputs into --out, announcing each file written, or to stdout when --out
+is absent or empty.
 """
 
 import argparse
@@ -34,6 +36,15 @@ _EXPORTS = {
 }
 FORMATS = tuple(_EXPORTS)
 _SUFFIX = {fmt: suffix for fmt, (suffix, _, _) in _EXPORTS.items()}
+
+# pipeline verb -> (help, formats written without --format, prints the summary)
+_VERBS = {
+    "build": ("run the pipeline and export the argument graph", ("json-akg",), False),
+    "semantics": ("compute naive/preferred extensions and set checks",
+                  ("semantics",), False),
+    "export": ("run the pipeline and write the chosen formats", (), False),
+    "run": ("full pipeline: all exports plus a summary report", FORMATS, True),
+}
 
 
 class PipelineError(ValueError):
@@ -103,10 +114,6 @@ def _related_spans(adoc):
     return pairs
 
 
-def _pruned_warnings(akg):
-    return ["pruned redundant support %s -> %s" % st for st in akg.pruned_supports]
-
-
 def run_pipeline(config):
     """Execute the full chain and return an ExitReport with summary counts,
     collected warnings, and every built artifact."""
@@ -142,8 +149,6 @@ def run_pipeline(config):
     finally:
         root.removeHandler(tap)
 
-    warnings = tap.records + _pruned_warnings(akg)
-
     counts = {
         "components": len(adoc.components),
         "relations": len(adoc.relations),
@@ -159,7 +164,7 @@ def run_pipeline(config):
     }
     artifacts = {"doc": adoc, "ims": tuple(ims), "ekb": ekb, "kb_graph": kbg,
                  "aset": aset, "akg": akg, "af": af, "semantics": report}
-    return ExitReport(0, counts, tuple(dict.fromkeys(warnings)), (), artifacts)
+    return ExitReport(0, counts, tuple(dict.fromkeys(tap.records)), (), artifacts)
 
 
 def render_format(fmt, artifacts):
@@ -223,44 +228,17 @@ def _cmd_ingest(config):
     return 0
 
 
-def _cmd_semantics(config):
-    report = write_formats(config._replace(formats=("semantics",)),
-                           run_pipeline(config))
-    for target in report.written:
-        print("wrote %s" % target)
-    return report.status
-
-
-def _cmd_build(config):
-    config = config._replace(formats=config.formats or ("json-akg",))
-    report = write_formats(config, run_pipeline(config))
-    # logging has printed every other warning as it was raised
-    for w in _pruned_warnings(report.artifacts["akg"]):
-        print("warning: %s" % w, file=sys.stderr)
-    return report.status
-
-
-def _cmd_export(config):
+def _cmd_pipeline(verb, config):
+    _, defaults, summary = _VERBS[verb]
+    config = config._replace(formats=config.formats or defaults)
     if not config.formats:
-        raise PipelineError("export needs at least one --format")
-    return write_formats(config, run_pipeline(config)).status
-
-
-def _cmd_run(config):
-    config = config._replace(formats=config.formats or FORMATS)
+        raise PipelineError("%s needs at least one --format" % verb)
     report = write_formats(config, run_pipeline(config))
-    for line in report.summary_lines():
+    lines = (report.summary_lines() if summary
+             else ["wrote %s" % p for p in report.written])
+    for line in lines:
         print(line)
     return report.status
-
-
-_COMMANDS = {
-    "ingest": _cmd_ingest,
-    "build": _cmd_build,
-    "semantics": _cmd_semantics,
-    "export": _cmd_export,
-    "run": _cmd_run,
-}
 
 
 def build_parser():
@@ -269,22 +247,20 @@ def build_parser():
         description="Build attributed knowledge-base and argument graphs "
                     "from annotated argumentative text.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for verb, help_text in [
-        ("ingest", "parse and validate annotations, emit canonical JSON"),
-        ("build", "run the pipeline and export the argument graph"),
-        ("semantics", "compute naive/preferred extensions and set checks"),
-        ("export", "run the pipeline and write the chosen formats"),
-        ("run", "full pipeline: all exports plus a summary report"),
-    ]:
+    verbs = [("ingest", "parse and validate annotations, emit canonical JSON")]
+    verbs += [(verb, help_text) for verb, (help_text, _, _) in _VERBS.items()]
+    for verb, help_text in verbs:
         p = sub.add_parser(verb, help=help_text)
         p.add_argument("--input", required=True,
                        help="input text file, or canonical JSON document")
         p.add_argument("--ann", help="brat-style annotation file (with --input text)")
+        p.add_argument("--out", help="output directory; without it, or when "
+                                     "empty, output goes to stdout")
+        if verb == "ingest":
+            continue
         p.add_argument("--lexicon", help="marker lexicon file (tab-separated)")
         p.add_argument("--prefs", help="preference chain file")
         p.add_argument("--kinds", help="premise kind override file")
-        p.add_argument("--out", help="output directory; without it, or when "
-                                     "empty, output goes to stdout")
         p.add_argument("--format", action="append",
                        help="export format(s), comma-separable; one of: "
                             + ", ".join(FORMATS))
@@ -305,8 +281,10 @@ def main(argv=None):
     logging.basicConfig(level=logging.WARNING, format="%(name)s: %(message)s")
     ns = build_parser().parse_args(argv)
     try:
-        config = _config_from(ns)
-        status = _COMMANDS[ns.command](config)
+        if ns.command == "ingest":
+            status = _cmd_ingest(PipelineConfig(ns.input, ns.ann, out_dir=ns.out))
+        else:
+            status = _cmd_pipeline(ns.command, _config_from(ns))
         sys.stdout.flush()   # so that a closed pipe shows here, not at exit
         return status
     except BrokenPipeError:

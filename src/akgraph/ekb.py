@@ -16,6 +16,7 @@ from itertools import count
 from typing import NamedTuple
 
 from . import markers as markers_mod
+from .arguments import IRP, derive_argument_set
 
 logger = logging.getLogger(__name__)
 
@@ -130,7 +131,9 @@ class EKB(namedtuple("EKB", "formulas rules contraries agreements rule_pref "
     InferenceRule.  contraries and agreements are frozensets of (phi, psi)
     pairs: phi is a contrary of psi, or agrees with it.  rule_pref is the
     transitively closed frozenset of (lesser, greater) rule-id pairs.
-    member_order lists the formula/rule ids in derived argument order,
+    member_order lists the formula/rule ids in the order arguments are
+    numbered: by paragraph, premises and rules before conclusions (an extra
+    derived argument is numbered right after its consequent's member),
     dropped_ims the IMMatches that aligned with no component pair.
     member_of holds sorted (annotation id, member id) pairs: each component
     with its formula, each matched rule span with its rule.
@@ -244,17 +247,24 @@ def _transitive_closure(pairs):
     return closed
 
 
-def _resolve_preferences(prefs, rules, provisional_ids):
-    rule_ids = {r.rule_id for r in rules}
-    arg_to_member = {a: m for m, a in provisional_ids.items()}
+def _resolve_preferences(prefs, ekb):
+    """The closed (lesser, greater) rule pairs of prefs.  A token is a rule
+    id, or the argument id a rule gets in a run without implicit rules."""
+    rule_ids = {r.rule_id for r in ekb.rules}
+    implicit = {r.rule_id for r in ekb.rules if r.heuristic == markers_mod.IMPLICIT}
+    explicit = ekb._replace(
+        rules=tuple(r for r in ekb.rules if r.rule_id not in implicit),
+        member_order=tuple(m for m in ekb.member_order if m not in implicit))
+    rule_of = {a.arg_id: a.content for a in derive_argument_set(explicit).arguments
+               if a.kind == IRP}
     lt = set()
     for chain in prefs.chains:
         resolved = []
         for token in chain:
             if token in rule_ids:
                 resolved.append(token)
-            elif token in arg_to_member and arg_to_member[token] in rule_ids:
-                resolved.append(arg_to_member[token])
+            elif token in rule_of:
+                resolved.append(rule_of[token])
             else:
                 raise UnknownPreferenceTarget(
                     "preference id %r names no defeasible rule" % token)
@@ -405,22 +415,17 @@ def build_ekb(doc, ims, prefs=None, kind_overrides=None, lexicon=None):
     member_order = tuple(m.formula_id if isinstance(m, Formula) else m.rule_id
                          for m in ordered)
 
-    # preference ids number the members as they are without implicit rules
-    implicit = {r.rule_id for r in rules if r.heuristic == markers_mod.IMPLICIT}
-    provisional = {m: "A%d" % (i + 1) for i, m in enumerate(
-        m for m in member_order if m not in implicit)}
-    rule_pref = frozenset()
+    ekb = EKB(formulas=tuple(formulas),
+              rules=tuple(rules),
+              contraries=frozenset(contraries),
+              agreements=frozenset(agreements),
+              rule_pref=frozenset(),
+              member_order=member_order,
+              dropped_ims=tuple(dropped),
+              member_of=tuple(sorted(member_of.items())))
     if prefs is not None and prefs.chains:
-        rule_pref = _resolve_preferences(prefs, rules, provisional)
-
-    return EKB(formulas=tuple(formulas),
-               rules=tuple(rules),
-               contraries=frozenset(contraries),
-               agreements=frozenset(agreements),
-               rule_pref=rule_pref,
-               member_order=member_order,
-               dropped_ims=tuple(dropped),
-               member_of=tuple(sorted(member_of.items())))
+        ekb = ekb._replace(rule_pref=_resolve_preferences(prefs, ekb))
+    return ekb
 
 
 def validate_ekb(ekb):

@@ -1,5 +1,6 @@
 import importlib
 import json
+import logging
 import os
 import pkgutil
 import subprocess
@@ -20,6 +21,7 @@ ESSAY = [
     "--ann", str(DATA / "essay056.ann"),
     "--prefs", str(DATA / "essay056.prefs"),
 ]
+ESSAY_DOC = ESSAY[:4]      # the document alone, as ingest takes it
 POLLOCK_JSON = ["--input", str(DATA / "pollock.json")]
 
 
@@ -37,7 +39,7 @@ def test_ingest_stdout(capsys):
 
 
 def test_ingest_writes_file(tmp_path, capsys):
-    assert run(["ingest", "--out", str(tmp_path)] + ESSAY) == 0
+    assert run(["ingest", "--out", str(tmp_path)] + ESSAY_DOC) == 0
     out = capsys.readouterr().out
     target = tmp_path / "essay056.json"
     assert target.exists()
@@ -99,6 +101,18 @@ def test_missing_input_exit_1(capsys):
     assert capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option", [
+    ["--prefs", "/nonexistent"], ["--check-set", "A9"], ["--format", "apx"],
+    ["--lexicon", "lex.tsv"], ["--kinds", "kinds.tsv"], ["--cap", "3"], ["--implicit-ims"],
+], ids=lambda option: option[0])
+def test_ingest_refuses_pipeline_options(capsys, option):
+    # ingest only parses the document; an option it would ignore is a usage error
+    with pytest.raises(SystemExit) as exc:
+        run(["ingest"] + ESSAY_DOC + option)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: %s" % option[0] in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- build / export
 
 def test_build_default_format_stdout(capsys):
@@ -107,13 +121,14 @@ def test_build_default_format_stdout(capsys):
     assert [n["id"] for n in data["nodes"]] == ["A1", "A2", "A3", "A4"]
 
 
-def test_build_writes_out_dir(tmp_path, capsys):
+def test_build_writes_out_dir(tmp_path, caplog):
     assert run(["build", "--out", str(tmp_path), "--format", "json-akg,apx"]
                + ESSAY) == 0
     assert (tmp_path / "essay056.akg.json").exists()
     assert (tmp_path / "essay056.apx").exists()
-    # pruned supports surface as warnings on stderr
-    assert "pruned redundant support" in capsys.readouterr().err
+    # pruned supports are logged as warnings, which main prints on stderr
+    assert any(r.levelno == logging.WARNING
+               and "pruned redundant support" in r.getMessage() for r in caplog.records)
 
 
 def test_export_requires_format(capsys):
@@ -158,14 +173,28 @@ def test_semantics_out_matches_run(tmp_path, capsys):
         (tmp_path / "r" / "essay056.semantics.json").read_bytes()
 
 
+@pytest.mark.parametrize("verbs, formats", [
+    (["build"], ["json-akg"]),
+    (["build", "--format", "apx,json-args"], ["apx", "json-args"]),
+    (["semantics", "--format", "apx"], ["apx"]),
+    (["export", "--format", "dot-kb"], ["dot-kb"]),
+], ids=["build", "build-format", "semantics-format", "export"])
+def test_each_verb_writes_its_formats_and_says_so(tmp_path, capsys, verbs, formats):
+    assert run(verbs + ["--out", str(tmp_path)] + ESSAY) == 0
+    written = [str(tmp_path / ("essay056." + cli._SUFFIX[f])) for f in formats]
+    assert sorted(str(p) for p in tmp_path.iterdir()) == sorted(written)
+    assert capsys.readouterr().out == "".join("wrote %s\n" % p for p in written)
+
+
 @pytest.mark.parametrize("verb", [["ingest"], ["build"], ["semantics"],
                                   ["export", "--format", "apx,json-args"], ["run"]],
                          ids=lambda verb: verb[0])
 def test_empty_out_prints_to_stdout(tmp_path, monkeypatch, capsys, verb):
     monkeypatch.chdir(tmp_path)
-    assert run(verb + ["--out", ""] + ESSAY) == 0
+    args = ESSAY_DOC if verb == ["ingest"] else ESSAY
+    assert run(verb + ["--out", ""] + args) == 0
     printed = capsys.readouterr().out
-    assert run(verb + ESSAY) == 0
+    assert run(verb + args) == 0
     assert printed == capsys.readouterr().out
     assert printed and "wrote " not in printed
     assert list(tmp_path.iterdir()) == []
@@ -385,7 +414,7 @@ def test_malformed_lexicon_refused_in_one_line(tmp_path):
 def test_build_prints_each_warning_once(tmp_path):
     done = _akgraph("build", *ESSAY, "--out", str(tmp_path))
     assert done.returncode == 0, done.stderr
-    # logging names the logger, the pruned supports start with "warning"
+    # logging names the logger before each message
     messages = [line.split(": ", 1)[1] for line in done.stderr.splitlines()]
     assert len(messages) == len(set(messages))
     assert "IM 'as' at (1014, 1016) aligns with no component pair; dropped" in messages
@@ -397,7 +426,24 @@ def test_build_warns_before_refusing():
     assert done.returncode == 1
     assert done.stderr.splitlines() == [
         "akgraph.ekb: IM 'as' at (1014, 1016) aligns with no component pair; dropped",
+        "akgraph.akg: pruned redundant support A1 -> A3",
+        "akgraph.akg: pruned redundant support A4 -> A6",
+        "akgraph.akg: pruned redundant support A9 -> A11",
+        "akgraph.akg: pruned redundant support A14 -> A17",
         "akgraph.semantics.MemberOutsideAF: not in the framework: ['A99']"]
+
+
+@pytest.mark.parametrize("verb", [["build"], ["semantics"], ["export", "--format", "apx"],
+                                  ["run"]], ids=lambda verb: verb[0])
+def test_every_verb_shows_every_warning_on_stderr(tmp_path, verb):
+    done = _akgraph(*verb, *ESSAY, "--out", str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.splitlines() == [
+        "akgraph.ekb: IM 'as' at (1014, 1016) aligns with no component pair; dropped",
+        "akgraph.akg: pruned redundant support A1 -> A3",
+        "akgraph.akg: pruned redundant support A4 -> A6",
+        "akgraph.akg: pruned redundant support A9 -> A11",
+        "akgraph.akg: pruned redundant support A14 -> A17"]
 
 
 PETS = "Pets are nice. Therefore, get a pet."

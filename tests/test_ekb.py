@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from akgraph import ekb as E
@@ -152,6 +152,63 @@ def test_preferences_unchanged_by_implicit_rules(essay, essay_implicit, order, l
     assert len(extra.rules) > len(plain.rules)
     assert _pref_spans(extra) == _pref_spans(plain)
     assert len(plain.rule_pref) == length * (length - 1) // 2
+
+
+# Two rules derive paragraph 1's merged major claim, so an extra argument
+# (A6) follows its first derivation and moves every later argument id.
+PETS_TWICE = ("Dogs are loyal. Therefore, get a pet. Cats are calm. Therefore, get a pet."
+              "\n\nFish are quiet. Therefore, fish are fine. Birds sing. Therefore, "
+              "birds are fine.")
+
+
+def _components(text, parts):
+    """Canonical components for (id, kind, surface) parts, found left to right."""
+    comps, start = [], 0
+    for comp_id, kind, surface in parts:
+        start = text.index(surface, start)
+        comps.append({"id": comp_id, "kind": kind, "start": start,
+                      "end": start + len(surface)})
+    return comps
+
+
+def test_preference_ids_count_extra_derived_arguments():
+    doc = parse_canonical_json(json.dumps({
+        "doc_id": "pets", "text": PETS_TWICE, "components": _components(PETS_TWICE, [
+            ("T1", "Premise", "Dogs are loyal"), ("T2", "MajorClaim", "get a pet"),
+            ("T3", "Premise", "Cats are calm"), ("T4", "MajorClaim", "get a pet"),
+            ("T5", "Premise", "Fish are quiet"), ("T6", "Claim", "fish are fine"),
+            ("T7", "Premise", "Birds sing"), ("T8", "Claim", "birds are fine")])}))
+    ims = markers.detect_ims(doc.document)
+    aset = derive_argument_set(E.build_ekb(doc, ims))
+    assert [(a.arg_id, a.content) for a in aset.arguments if a.kind == "IRP"] == [
+        ("A2", "R1"), ("A4", "R2"), ("A8", "R3"), ("A10", "R4")]
+    assert aset.argument("A6").top_rule == "R2"
+    # the ids the run prints name the rules; member positions do not
+    kb = E.build_ekb(doc, ims, prefs=E.parse_preference_file("A8 > A10\n"))
+    assert kb.rule_pref == {("R4", "R3")}
+    with pytest.raises(E.UnknownPreferenceTarget, match="'A7'"):
+        E.build_ekb(doc, ims, prefs=E.parse_preference_file("A7 > A9\n"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(canonical_docs(), st.data())
+def test_preference_ids_are_the_printed_argument_ids(tmp_path_factory, content, data):
+    # a chain over the rule-argument ids of a run without --implicit-ims
+    # orders those arguments' rules, with and without the flag
+    path = tmp_path_factory.getbasetemp() / "prefs-fuzz.json"
+    path.write_text(content, encoding="utf-8")
+    plain, extra = (run_pipeline(PipelineConfig(input_path=str(path), implicit_ims=flag))
+                    .artifacts for flag in (False, True))
+    rule_args = [a for a in plain["aset"].arguments if a.kind == "IRP"]
+    assume(len(rule_args) >= 2)
+    length = data.draw(st.integers(2, len(rule_args)))
+    chain = data.draw(st.permutations(rule_args))[:length]
+    prefs = E.PreferenceConfig((tuple(a.arg_id for a in chain),))
+    span = {r.rule_id: r.im_span for r in plain["ekb"].rules}
+    want = {(span[lo.content], span[hi.content])
+            for i, hi in enumerate(chain) for lo in chain[i + 1:]}
+    for art in (plain, extra):
+        assert _pref_spans(E.build_ekb(art["doc"], art["ims"], prefs=prefs)) == want
 
 
 def test_preference_sets(essay):

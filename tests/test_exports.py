@@ -4,7 +4,7 @@ import json
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from akgraph import exports as X
@@ -15,7 +15,7 @@ from akgraph.cli import (_SUFFIX, FORMATS, PipelineConfig, main, render_format,
                          run_pipeline)
 from akgraph.kbgraph import AttributeBox, _render_value, build_kb_graph, natural_key
 
-from conftest import DATA
+from conftest import DATA, canonical_docs
 
 NODE_RE = re.compile(r'^  "[^"]+" \[[^\]]*\];$')
 EDGE_RE = re.compile(r'^  "[^"]+" -> "[^"]+"( \[[^\]]*\])?;$')
@@ -371,6 +371,107 @@ def test_ann_line_order_changes_nothing(tmp_path, monkeypatch, capsys):
     assert len(runs["plain"][0]) == 7
     for name, run in runs.items():
         assert run == runs["plain"], name
+
+
+# words with no inference marker in them; the İ, ß and ﬁ each change length
+# when casefolded, so an offset taken from casefolded text shows
+_PREFIX_WORDS = ("Lorem", "ipsum", "dolor", "Die", "Straße", "ist", "naß", "İİİ", "ß", "ﬁ")
+_SPAN = re.compile(r"\((\d+), (\d+)\)")
+_ANN_SPAN = re.compile(r"^(T\d+\t\S+) (\d+) (\d+)\t", re.M)
+
+
+def _run_files(tmp_path_factory, name, text, ann, implicit):
+    """The seven renders and the warnings of a run on the document."""
+    d = tmp_path_factory.mktemp("doc")
+    if ann is None:
+        (d / "doc.json").write_text(text, encoding="utf-8")
+        config = PipelineConfig(input_path=str(d / "doc.json"), implicit_ims=implicit)
+    else:
+        for ext, body in (("txt", text), ("ann", ann)):
+            (d / ("%s.%s" % (name, ext))).write_text(body, encoding="utf-8")
+        prefs = DATA / "essay056.prefs" if name == "essay056" else None
+        config = PipelineConfig(input_path=str(d / (name + ".txt")),
+                                ann_path=str(d / (name + ".ann")),
+                                prefs_path=prefs and str(prefs), implicit_ims=implicit)
+    report = run_pipeline(config)
+    return {fmt: render_format(fmt, report.artifacts) for fmt in FORMATS}, report.warnings
+
+
+def _prepend(name, content, prefix):
+    """(text, ann) of a fixture (name) or canonical JSON document (content)
+    with prefix before its text and every annotation offset moved by its
+    length; ann is None for canonical JSON."""
+    n = len(prefix)
+    if name is None:
+        doc = json.loads(content)
+        for entry in doc["components"] + doc["rule_spans"]:
+            entry["start"] += n
+            entry["end"] += n
+        return json.dumps(dict(doc, text=prefix + doc["text"])), None
+    text, ann = ((DATA / ("%s.%s" % (name, ext))).read_text(encoding="utf-8")
+                 for ext in ("txt", "ann"))
+    return prefix + text, _ANN_SPAN.sub(
+        lambda m: "%s %d %d\t" % (m[1], int(m[2]) + n, int(m[3]) + n), ann)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.sampled_from([("essay056", None), ("pollock", None)]),
+                 canonical_docs().map(lambda doc: (None, doc))),
+       st.lists(st.sampled_from(_PREFIX_WORDS), min_size=1, max_size=6), st.booleans())
+@example(("essay056", None), ["Lorem", "ipsum", "dolor"], False)
+@example(("essay056", None), ["Die", "Straße", "ist", "naß"], False)
+@example(("essay056", None), ["İİİ", "ß", "ﬁ"], True)
+@example(("pollock", None), ["İİİ", "ß", "ﬁ"], False)
+def test_prepended_paragraph_moves_only_offsets(tmp_path_factory, document, words,
+                                                implicit):
+    # the same seven files, and each warning's spans move by the prefix length
+    name, content = document
+    prefix = " ".join(words) + ".\n\n"
+    base = _run_files(tmp_path_factory, name, *_prepend(name, content, ""), implicit)
+    files, warnings = _run_files(tmp_path_factory, name, *_prepend(name, content, prefix),
+                                 implicit)
+    assert files == base[0]
+    n = len(prefix)
+    assert warnings == tuple(
+        _SPAN.sub(lambda m: "(%d, %d)" % (int(m[1]) + n, int(m[2]) + n), w)
+        for w in base[1])
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 2 ** 16))
+def test_replicated_essay_grows_linearly(tmp_path_factory, essay_report, copies, seed):
+    # every copy adds the per-copy counts; the attacks stay in copy 1, so
+    # the extension families are the single essay's plus the new arguments
+    inputs = _perfbench_inputs()
+    text, ann, prefs = inputs.replicate(*inputs.read_essay(), copies)
+    d = tmp_path_factory.mktemp("replicated")
+    ann = inputs.shuffle_ann(ann, seed)
+    for ext, body in (("txt", text), ("ann", ann), ("prefs", prefs)):
+        (d / ("essay056." + ext)).write_text(body, encoding="utf-8")
+    report = run_pipeline(PipelineConfig(
+        input_path=str(d / "essay056.txt"), ann_path=str(d / "essay056.ann"),
+        prefs_path=str(d / "essay056.prefs"), cap=18 * copies))
+    one, doc, more = essay_report.counts, essay_report.artifacts["doc"], copies - 1
+    assert report.counts == dict(
+        one,
+        components=inputs.COMPONENTS_PER_COPY * copies,
+        rules=inputs.RULES_PER_COPY * copies,
+        arguments=inputs.ARGS_PER_COPY * copies + 1,
+        relations=one["relations"]
+        + more * sum(r.kind == "Supports" for r in doc.relations),
+        stances=one["stances"] + more * sum(s.stance == "For" for s in doc.stances),
+        **{"inference markers": one["inference markers"] * copies,
+           "formulas": one["formulas"] * copies,
+           "mp groups": inputs.RULES_PER_COPY * copies})
+    # the merged major claim is the single essay's last argument and the new one's
+    per_copy = inputs.ARGS_PER_COPY
+    claim = {"A%d" % (per_copy + 1): "A%d" % (per_copy * copies + 1)}
+    added = {"A%d" % i for i in range(per_copy + 1, per_copy * copies + 1)}
+    single = essay_report.artifacts["semantics"]
+    for family in ("naive", "preferred"):
+        want = {frozenset(claim.get(a, a) for a in ext) | added for ext in single[family]}
+        assert {frozenset(ext) for ext in report.artifacts["semantics"][family]} == want
+        assert len(report.artifacts["semantics"][family]) == len(want)
 
 
 # sha256 of every format's bytes for fixed runs: any change to the
