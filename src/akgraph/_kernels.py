@@ -8,15 +8,19 @@ numpy is needed for them alone.
 import numpy as np
 
 
+def _masks(n, keys, bits):
+    """m[k] with bit b set for each (k, b) pair of keys and bits."""
+    m = np.zeros(n, dtype=np.int64)
+    for k, b in zip(keys, bits):
+        m[k] |= np.int64(1) << np.int64(b)
+    return m
+
+
 def conflict_free_flags(n, src, dst):
-    """ok[S] iff subset S contains no attack pair."""
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
-    idx = np.arange(1 << n, dtype=np.int64)
-    ok = np.ones(1 << n, dtype=np.bool_)
-    for a, b in zip(src, dst):
-        ok &= ((idx >> np.int64(a)) & (idx >> np.int64(b)) & 1) == 0
-    return ok
+    """ok[S] iff subset S contains no attack pair: S attacks none of its
+    own members."""
+    struck = or_over_members(n, _masks(n, src, dst))
+    return (struck & np.arange(1 << n, dtype=np.int64)) == 0
 
 
 def or_over_members(n, masks):
@@ -30,17 +34,20 @@ def or_over_members(n, masks):
 
 
 def maximal_flags(flags, n):
-    """keep[S] iff flags[S] and no strict superset of S is flagged."""
+    """keep[S] iff flags[S] and no strict superset of S is flagged.
+
+    Viewed as shape (-1, 2, 2^i), the middle axis of a subset table is bit
+    i of S: [:, 0] holds the subsets without member i, [:, 1] the same
+    subsets with it.
+    """
     flags = np.asarray(flags, dtype=np.bool_)
-    idx = np.arange(1 << n, dtype=np.int64)
-    covered = flags.copy()
+    covered = flags.copy()   # covered[S]: S or a superset of S is flagged
     for i in range(n):
-        unset = np.nonzero(((idx >> i) & 1) == 0)[0]
-        covered[unset] |= covered[unset | (1 << i)]
-    strict = np.zeros(1 << n, dtype=np.bool_)
+        c = covered.reshape(-1, 2, 1 << i)
+        c[:, 0] |= c[:, 1]
+    strict = np.zeros_like(flags)
     for i in range(n):
-        unset = np.nonzero(((idx >> i) & 1) == 0)[0]
-        strict[unset] |= covered[unset | (1 << i)]
+        strict.reshape(-1, 2, 1 << i)[:, 0] |= covered.reshape(-1, 2, 1 << i)[:, 1]
     return flags & ~strict
 
 
@@ -50,12 +57,6 @@ def admissible_flags(n, src, dst):
     need[S] collects the attackers of S's members; struck[S] the arguments S
     attacks; S is admissible when every needed counter-attack is present.
     """
-    cf = conflict_free_flags(n, src, dst)
-    out_mask = np.zeros(n, dtype=np.int64)
-    in_mask = np.zeros(n, dtype=np.int64)
-    for a, b in zip(src, dst):
-        out_mask[a] |= np.int64(1) << np.int64(b)
-        in_mask[b] |= np.int64(1) << np.int64(a)
-    struck = or_over_members(n, out_mask)
-    need = or_over_members(n, in_mask)
-    return cf & ((need & ~struck) == 0)
+    struck = or_over_members(n, _masks(n, src, dst))
+    need = or_over_members(n, _masks(n, dst, src))
+    return conflict_free_flags(n, src, dst) & ((need & ~struck) == 0)

@@ -203,7 +203,7 @@ def _config_from(ns):
     if bad:
         raise PipelineError("unknown format(s): %s (choose from %s)"
                             % (", ".join(bad), ", ".join(FORMATS)))
-    check_sets = tuple(tuple(p for p in chunk.split(",") if p)
+    check_sets = tuple(tuple(dict.fromkeys(p for p in chunk.split(",") if p))
                        for chunk in (ns.check_set or []))
     return PipelineConfig(
         input_path=ns.input,
@@ -299,4 +299,7 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
+    # the imported module's main, so that under `python -m` the CLI's own
+    # errors are named akgraph.cli.*, as under the installed script
+    from akgraph.cli import main
     sys.exit(main(argv=sys.argv[1:]))

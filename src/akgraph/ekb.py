@@ -16,7 +16,7 @@ from itertools import count
 from typing import NamedTuple
 
 from . import markers as markers_mod
-from .arguments import IRP, derive_argument_set
+from .arguments import argument_ids
 
 logger = logging.getLogger(__name__)
 
@@ -255,8 +255,8 @@ def _resolve_preferences(prefs, ekb):
     explicit = ekb._replace(
         rules=tuple(r for r in ekb.rules if r.rule_id not in implicit),
         member_order=tuple(m for m in ekb.member_order if m not in implicit))
-    rule_of = {a.arg_id: a.content for a in derive_argument_set(explicit).arguments
-               if a.kind == IRP}
+    rule_of = {arg_id: member_id for arg_id, member_id in argument_ids(explicit)
+               if member_id in rule_ids}
     lt = set()
     for chain in prefs.chains:
         resolved = []

@@ -71,14 +71,37 @@ class MarkerLexicon(namedtuple("MarkerLexicon", "entries")):
                 for ind in (PREMISE_INDICATOR, CLAIM_INDICATOR)}
 
     @cached_property
-    def attribute_table(self):
-        """ATTRIBUTE_MARKERS and every lexicon surface, casefolded, as
-        (length, {surface}) groups, longest first."""
-        by_length = {}
-        for surface in ATTRIBUTE_MARKERS + tuple(self.surfaces()):
-            s = surface.casefold()
-            by_length.setdefault(len(s), set()).add(s)
-        return tuple(sorted(by_length.items(), reverse=True))
+    def ascii_scan(self):
+        """(claim pattern, {key: surface}, premise pattern, {key: surface})
+        for lowercased ASCII text.
+
+        Each pattern is a longest-first alternation of the match_tables keys
+        that a window of ASCII text can equal: those that are ASCII and as
+        long as their surface.  The claim pattern matches where it is
+        applied; the premise pattern finds every word start holding a key,
+        each match taking the non-word character before it.
+        """
+        claim_of, premise_of = (
+            {key: surface for groups in self.match_tables[ind].values()
+             for n, group in groups for key, surface in group.items()
+             if key.isascii() and len(key) == n}
+            for ind in (CLAIM_INDICATOR, PREMISE_INDICATOR))
+        return (re.compile(r"(?:%s)(?!\w)" % _alternation(claim_of)), claim_of,
+                re.compile(r"\W(?=\w)(?=(%s)(?!\w))" % _alternation(premise_of)),
+                premise_of)
+
+    @cached_property
+    def attribute_pattern(self):
+        """ATTRIBUTE_MARKERS and every lexicon surface, casefolded, as one
+        longest-first alternation ending at a word boundary."""
+        keys = {s.casefold() for s in ATTRIBUTE_MARKERS + tuple(self.surfaces())}
+        return re.compile(r"(?:%s)(?!\w)" % _alternation(keys))
+
+
+def _alternation(keys):
+    """Regex alternation of the literal keys, longest first; one that
+    matches nothing when there are none."""
+    return "|".join(map(re.escape, sorted(keys, key=lambda k: (-len(k), k)))) or "(?!)"
 
 
 def _compile(surfaces):
@@ -186,18 +209,51 @@ def _match_at(text, pos, table):
     return None
 
 
-def _candidates(doc, lexicon):
-    text = doc.raw_text
+def _scanner(text, lexicon):
+    """hits(start, end) for a segment of text: the claim surface at its
+    start, or None, and the premise surfaces at its word starts after the
+    first, as (position, surface) pairs.
+
+    Each hit is _match_at's: the longest surface with a word boundary after
+    it, read in the whole text, so it may run past the segment's end.
+    Where every such read is ASCII, casefold() is lower() and keeps every
+    offset, so the compiled patterns of ascii_scan run over the lowercased
+    text; elsewhere each position goes through _match_at.
+    """
+    claim_re, claim_of, premise_re, premise_of = lexicon.ascii_scan
     claims = lexicon.match_tables[CLAIM_INDICATOR]
     premises = lexicon.match_tables[PREMISE_INDICATOR]
+    # a match at a position before a segment's end, its word-boundary test
+    # included, reads no further past that end than the longest surface
+    reach = max(map(len, lexicon.surfaces()), default=0)
+
+    def hits(start, end):
+        window = text[start:end + reach]
+        if window.isascii():
+            low = window.lower()
+            claim = claim_re.match(low)
+            n = end - start
+            return (claim and claim_of[claim.group()],
+                    [(start + m.end(), premise_of[m.group(1)])
+                     for m in premise_re.finditer(low) if m.end() < n])
+        return (_match_at(text, start, claims),
+                [(w.start(), _match_at(text, w.start(), premises))
+                 for w in _WORDS.finditer(text, start, end) if w.start() > start])
+    return hits
+
+
+def _candidates(doc, lexicon):
+    text = doc.raw_text
+    hits = _scanner(text, lexicon)
     segs = _segments(doc)
     cands = []
 
     for i, (start, end, boundary) in enumerate(segs):
+        claim, premises = hits(start, end)
         # forward heuristics need an antecedent segment in the same paragraph;
         # _segments restarts at each paragraph, so one with a boundary has one.
         # A surface of a custom lexicon may run past the segment's end.
-        surface = boundary and _match_at(text, start, claims)
+        surface = boundary and claim
         if surface and start + len(surface) < end:
             mend = start + len(surface)
             comma = _COMMA.match(text, mend, end)
@@ -215,9 +271,7 @@ def _candidates(doc, lexicon):
 
         # backward causal: a premise indicator after the segment's first
         # character, a non-space, so the leading clause is never empty
-        for word in _WORDS.finditer(text, start, end):
-            pos = word.start()
-            surface = pos > start and _match_at(text, pos, premises)
+        for pos, surface in premises:
             if surface and pos + len(surface) < end:
                 mend = pos + len(surface)
                 aspan_start = _SPACES.match(text, mend, end).end()
@@ -282,6 +336,7 @@ def resolve_implicit_ims(doc, related_pairs, explicit_ims=None, lexicon=None):
     if explicit_ims is None:
         explicit_ims = detect_ims(doc, lexicon)
     ends = [end for _, end, _ in _segments(doc)]
+    starts = sorted(m.span[0] for m in explicit_ims)
     out = []
     for source_span, target_span in related_pairs:
         earlier, later = sorted([tuple(source_span), tuple(target_span)])
@@ -290,7 +345,8 @@ def resolve_implicit_ims(doc, related_pairs, explicit_ims=None, lexicon=None):
             logger.warning("implicit IM: spans %s / %s overlap or touch; skipped",
                            source_span, target_span)
             continue
-        if any(gap[0] <= m.span[0] < gap[1] for m in explicit_ims):
+        j = bisect_left(starts, gap[0])
+        if j < len(starts) and starts[j] < gap[1]:
             continue   # explicit marker takes precedence
         i = bisect_left(ends, gap[0])
         if i == len(ends) or ends[i] > gap[1]:
@@ -327,8 +383,5 @@ def attribute_marker(text_span, lexicon=None):
     """
     if lexicon is None:
         lexicon = load_lexicon()
-    low = text_span.casefold().lstrip()
-    for n, group in lexicon.attribute_table:
-        if low[:n] in group and not (len(low) > n and _WORD.match(low[n])):
-            return low[:n]
-    return None
+    m = lexicon.attribute_pattern.match(text_span.casefold().lstrip())
+    return m and m.group()

@@ -1,9 +1,11 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from akgraph import arguments as A
 from akgraph import ekb as E
 from akgraph import markers
+from akgraph.cli import PipelineConfig, run_pipeline
 from akgraph.ingest import parse_brat_ann, parse_canonical_json
 
 from conftest import canonical_docs
@@ -232,6 +234,25 @@ def test_each_application_is_one_step_on_parsed_documents(content):
     doc = parse_canonical_json(content)
     kb = E.build_ekb(doc, markers.detect_ims(doc.document))
     assert_one_step_each(kb, A.derive_argument_set(kb))
+
+
+@settings(max_examples=100, deadline=None)
+@given(canonical_docs(), st.booleans())
+def test_firing_pass_gives_the_derivation_ids(tmp_path_factory, content, implicit):
+    path = tmp_path_factory.getbasetemp() / "firing-fuzz.json"
+    path.write_text(content, encoding="utf-8")
+    kb = run_pipeline(PipelineConfig(input_path=str(path), implicit_ims=implicit)
+                      ).artifacts["ekb"]
+    aset = A.derive_argument_set(kb)
+    assert A.argument_ids(kb) == [(a.arg_id, a.content) for a in aset.arguments]
+    # the firing pass also places each result: an atomic argument stays
+    # beside a derivation of its formula only when a firing took it
+    took = {x for app in aset.mp_applications for x in app.antecedent_args}
+    first = {}
+    for a in aset.arguments:
+        first.setdefault(a.content, a)
+        if a.derived and not first[a.content].derived:
+            assert first[a.content].arg_id in took
 
 
 def test_determinism(essay):

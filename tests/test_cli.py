@@ -212,6 +212,13 @@ def test_check_set_flag(capsys):
     ]
 
 
+def test_check_set_lists_each_member_once(capsys):
+    assert run(["semantics", "--check-set", "A1,A1", "--check-set", "A3,A1,A3,"]
+               + POLLOCK_JSON) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert [c["set"] for c in rep["checked_sets"]] == [["A1"], ["A1", "A3"]]
+
+
 def test_prefs_with_implicit_ims(tmp_path, capsys):
     # the preference file names explicit rules by the argument ids they get
     # without implicit rules, whether or not the flag adds some
@@ -409,6 +416,15 @@ def test_malformed_lexicon_refused_in_one_line(tmp_path):
     assert done.returncode == 1
     assert done.stderr.splitlines() == [
         "akgraph.markers.MalformedLexiconLine: line 1: expected surface<TAB>indicator"]
+
+
+def test_cli_errors_named_after_their_module():
+    # under `python -m` the CLI module runs as __main__, yet its own errors
+    # carry the name the installed script prints
+    done = _akgraph("export", *POLLOCK_JSON)
+    assert done.returncode == 1
+    assert done.stderr.splitlines() == [
+        "akgraph.cli.PipelineError: export needs at least one --format"]
 
 
 def test_build_prints_each_warning_once(tmp_path):

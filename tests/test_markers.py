@@ -1,4 +1,5 @@
 import re
+from unittest import mock
 
 import pytest
 
@@ -478,3 +479,89 @@ def test_implicit_ims_anchor_at_segment_ends_in_free_gaps(text, data):
             want.append(pair)
     assert (sorted((m.antecedent_span, m.consequent_span) for m in made)
             == sorted(want))
+
+
+# -- compiled ASCII scan against the window scan on every segment --
+
+def _window_scanner(text, lexicon):
+    """The scan before ASCII segments got compiled patterns: _match_at at
+    the segment start and at every later word start."""
+    claims = lexicon.match_tables[markers.CLAIM_INDICATOR]
+    premises = lexicon.match_tables[markers.PREMISE_INDICATOR]
+
+    def hits(start, end):
+        return (markers._match_at(text, start, claims),
+                [(w.start(), markers._match_at(text, w.start(), premises))
+                 for w in markers._WORDS.finditer(text, start, end) if w.start() > start])
+    return hits
+
+
+# ASCII words and their casefold partners (ß -> ss, ﬁ -> fi, the Kelvin
+# sign -> k), and joins that hold a space or end a segment
+_LETTERS = ["a", "b", "ss", "fi", "k", "ß", "ﬁ", "\u212a", "İ"]
+_JOINS = [" ", "", ". ", "; "]
+
+
+@st.composite
+def tricky_lexicons(draw):
+    """Lexicons whose surfaces casefold to longer strings or to ASCII, or
+    hold a space or punctuation, so that one may run past a segment's end.
+    Each phrase enters with some of its prefixes, so that surfaces nest."""
+    entries, seen = [], set()
+    for _ in range(draw(st.integers(1, 3))):
+        join = draw(st.sampled_from(_JOINS))
+        words = draw(st.lists(st.sampled_from(_LETTERS), min_size=1, max_size=3))
+        indicator = draw(st.sampled_from([markers.PREMISE_INDICATOR,
+                                          markers.CLAIM_INDICATOR]))
+        for k in range(1, len(words) + 1):
+            surface = join.join(words[:k])
+            if surface.casefold() not in seen and (k == len(words) or draw(st.booleans())):
+                seen.add(surface.casefold())
+                entries.append((surface, indicator))
+    return markers.MarkerLexicon(tuple(entries))
+
+
+def mixed_texts(lex):
+    """Texts of the lexicon's surfaces as they are, in upper case and
+    casefolded, loose words and punctuation: ASCII and non-ASCII segments,
+    paragraph breaks."""
+    tokens = sorted({v for s in lex.surfaces() for v in (s, s.upper(), s.casefold())}
+                    | set(_LETTERS) | {".", ";", ",", "x", "A", "SS"})
+    ascii_tokens = [t for t in tokens if t.isascii()]
+    token = st.one_of(st.sampled_from(ascii_tokens), st.sampled_from(tokens))
+    words = st.lists(st.tuples(token, st.sampled_from([" ", " ", "", "\n"])), max_size=20)
+    return words.map(lambda ws: "".join(t + s for t, s in ws))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_detection_agrees_with_window_scan(data):
+    lex = data.draw(tricky_lexicons())
+    d = doc(data.draw(mixed_texts(lex)))
+    with mock.patch.object(markers, "_scanner", _window_scanner):
+        want = markers.detect_ims(d, lex)
+    assert markers.detect_ims(d, lex) == want
+
+
+def _reference_attribute_loop(text_span, lexicon):
+    """attribute_marker as a loop over casefolded surfaces grouped by
+    length, longest first."""
+    by_length = {}
+    for surface in markers.ATTRIBUTE_MARKERS + tuple(lexicon.surfaces()):
+        s = surface.casefold()
+        by_length.setdefault(len(s), set()).add(s)
+    low = text_span.casefold().lstrip()
+    for n, group in sorted(by_length.items(), reverse=True):
+        if low[:n] in group and not (len(low) > n and markers._WORD.match(low[n])):
+            return low[:n]
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_attribute_marker_agrees_with_length_loop(data):
+    lex = data.draw(tricky_lexicons())
+    text = data.draw(mixed_texts(lex))
+    for pos in range(len(text) + 1):
+        assert (markers.attribute_marker(text[pos:], lex)
+                == _reference_attribute_loop(text[pos:], lex))

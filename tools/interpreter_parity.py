@@ -1,0 +1,68 @@
+"""Check that other Python interpreters write the same exports as this one.
+
+Runs `python -m akgraph.cli run` from this checkout's src/ on the golden
+cases (essay056 with preferences, essay056 with --implicit-ims with and
+without preferences, pollock as .ann and as canonical JSON), first under
+the interpreter running this script, then under each interpreter given, and
+compares the seven written files of each case byte for byte, along with the
+exit status.  Standard library only, so that a bare interpreter can run it.
+
+    python tools/interpreter_parity.py /path/to/python3.10 /path/to/python3.13
+
+Prints one line per interpreter and case; exits 1 if any case differs.
+"""
+
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+DATA = ROOT / "tests" / "data"
+ESSAY = ["--input", str(DATA / "essay056.txt"), "--ann", str(DATA / "essay056.ann")]
+PREFS = ["--prefs", str(DATA / "essay056.prefs")]
+CASES = {
+    "essay056-prefs": ESSAY + PREFS,
+    "essay056-implicit": ESSAY + ["--implicit-ims"],
+    "essay056-implicit-prefs": ESSAY + ["--implicit-ims"] + PREFS,
+    "pollock-ann": ["--input", str(DATA / "pollock.txt"), "--ann", str(DATA / "pollock.ann")],
+    "pollock-json": ["--input", str(DATA / "pollock.json")],
+}
+
+
+def run_case(python, args, out):
+    """Exit status and {file name: bytes} of one run into the directory out."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run([python, "-m", "akgraph.cli", "run", *args, "--out", str(out)],
+                          env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    files = {p.name: p.read_bytes() for p in sorted(Path(out).iterdir())}
+    return done.returncode, files
+
+
+def main(pythons):
+    failed = False
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = {}
+        for k, python in enumerate([sys.executable] + pythons):
+            for case, args in CASES.items():
+                out = Path(tmp, str(k), case)
+                out.mkdir(parents=True)
+                runs[k, case] = run_case(python, args, out)
+        for k, python in enumerate(pythons, 1):
+            for case in CASES:
+                status, files = runs[k, case]
+                ref_status, ref_files = runs[0, case]
+                differ = sorted(name for name in set(files) | set(ref_files)
+                                if files.get(name) != ref_files.get(name))
+                same = status == ref_status and len(files) == 7 and not differ
+                failed |= not same
+                print("%s %s: %s" % (python, case, "same" if same else
+                                     "exit %d, differs in %s" % (status, differ or "-")))
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) < 2:
+        sys.exit(__doc__)
+    sys.exit(main(sys.argv[1:]))
