@@ -13,7 +13,8 @@ from typing import NamedTuple
 
 from .arguments import C
 from .ekb import AXIOM, ASSUMPTION
-from .kbgraph import PREMISE, RULE_PREMISE, AttributeBox, _quote, natural_key
+from .kbgraph import (PREMISE, RULE_PREMISE, AttributeBox, _quote, _render_value,
+                      natural_key)
 
 logger = logging.getLogger(__name__)
 
@@ -113,17 +114,20 @@ def convert_stances(stances, claim_to_arg, major_claim_node):
 def _member_node(arg_id, kb_node, primary):
     """kb_node under argument id arg_id: same kind and text, arg_id followed
     by the KB box values, a rule's L-sets renamed through primary, which maps
-    each content to the id of the node that holds it."""
-    values = kb_node.attributes.values
+    each content to the id of the node that holds it.  The box reuses the KB
+    box's rendered strings and renders only arg_id and the renamed L-sets."""
+    box = kb_node.attributes
+    values, rendered = box.values, box.rendered
     if kb_node.kind == PREMISE:   # marker, premise kind
-        return AKGNode(arg_id, PREMISE, AttributeBox((arg_id,) + values),
-                       content=kb_node.node_id, text=kb_node.text,
-                       premise_kind=values[1])
+        box = AttributeBox._prerendered((arg_id,) + values, (arg_id,) + rendered)
+        return AKGNode(arg_id, PREMISE, box, kb_node.node_id, kb_node.text, values[1])
     _, rule_kind, im, l1, l2 = values   # arg_id takes the rule id's place
     l1, l2 = (ls if ls is None else frozenset(primary[x] for x in ls)
               for ls in (l1, l2))
-    return AKGNode(arg_id, RULE_PREMISE, AttributeBox((arg_id, rule_kind, im, l1, l2)),
-                   content=kb_node.node_id, text=kb_node.text)
+    box = AttributeBox._prerendered(
+        (arg_id, rule_kind, im, l1, l2),
+        (arg_id,) + rendered[1:3] + (_render_value(l1), _render_value(l2)))
+    return AKGNode(arg_id, RULE_PREMISE, box, kb_node.node_id, kb_node.text)
 
 
 def _claim_node(ekb, arg, comp_kinds):
@@ -172,11 +176,11 @@ def build_akg(kbg, aset, doc):
     node_of = {ann_id: primary[m] for ann_id, m in ekb.member_of}
 
     edges = []
+    skipped = []
     for rel in doc.relations:
         src, tgt = node_of.get(rel.source), node_of.get(rel.target)
         if src is None or tgt is None:
-            logger.warning("relation %s endpoints missing from the graph; skipped",
-                           rel.rel_id)
+            skipped.append(rel.rel_id)
             continue
         if src == tgt:
             continue
@@ -184,6 +188,9 @@ def build_akg(kbg, aset, doc):
             edges.append(AKGEdge(src, tgt, SUPPORT))
         else:
             edges.append(_attack_edge(src, nodes[tgt]))
+    # in id order, so that the warnings do not follow the input's order
+    for rel_id in sorted(skipped, key=natural_key):
+        logger.warning("relation %s endpoints missing from the graph; skipped", rel_id)
 
     if doc.stances:
         # every major-claim component maps to the one merged formula

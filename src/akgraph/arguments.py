@@ -136,7 +136,7 @@ def _fire(ekb):
         numbering.append((i, member_id))
         for x in extras.get(member_id, ()):
             numbering.append((x, member_id))
-    return firings, numbering
+    return tuple(firings), tuple(numbering)
 
 
 def argument_ids(ekb):
@@ -144,7 +144,7 @@ def argument_ids(ekb):
     makes, in order, from its firing pass alone; a derived argument's member
     is the formula it concludes."""
     return [("A%d" % (pos + 1), member_id)
-            for pos, (_, member_id) in enumerate(_fire(ekb)[1])]
+            for pos, (_, member_id) in enumerate(ekb._firing[1])]
 
 
 def derive_argument_set(ekb):
@@ -161,46 +161,37 @@ def derive_argument_set(ekb):
     which only a cycle of rules causes: replacing it would put each of the
     two arguments in the other's Sub.
     """
-    firings, numbering = _fire(ekb)
-    rule_ids = {r.rule_id for r in ekb.rules}
-    # one record per argument, by record index
-    records = {}
-    for i, member_id in enumerate(ekb.member_order):
-        if member_id in rule_ids:
-            kind = IRP
-        else:
-            kind = P if ekb.formula(member_id).premise_kind is not None else C
-        records[i] = {"kind": kind, "content": member_id, "premises": {member_id},
-                      "sub": [i], "top_rule": None}
-
+    firings, numbering = ekb._firing
+    # one entry per argument record in each table, by record index
+    members = ekb.member_order
+    rules, formula = ekb._rule_index, ekb.formula
+    arg_id = [None] * len(numbering)
+    for pos, (idx, _) in enumerate(numbering):
+        arg_id[idx] = "A%d" % (pos + 1)
+    extra = [None] * (len(numbering) - len(members))   # filled by the firings
+    kinds = [IRP if m in rules else P if formula(m).premise_kind is not None else C
+             for m in members] + extra
+    contents = list(members) + extra
+    premises = [frozenset((m,)) for m in members] + extra
+    subs = [(a,) for a in arg_id[:len(members)]] + extra
+    top_rules = [None] * len(numbering)
     for r, ant_idx, rule_idx, result_idx, feeds_other in firings:
         # modus ponens: Prem is the union of the antecedents' premises; Sub
         # lists their subarguments in order, then the rule argument, then
         # the derived argument itself.  The consequent is a premise when
         # annotated as one or when it feeds another rule, else a conclusion.
-        is_premise = ekb.formula(r.consequent).premise_kind is not None or feeds_other
-        records[result_idx] = {
-            "kind": P if is_premise else C,
-            "content": r.consequent,
-            "premises": set().union(*(records[i]["premises"] for i in ant_idx)),
-            "sub": list(dict.fromkeys(
-                [s for i in ant_idx for s in records[i]["sub"]] + [rule_idx, result_idx])),
-            "top_rule": r.rule_id}
+        is_premise = formula(r.consequent).premise_kind is not None or feeds_other
+        kinds[result_idx] = P if is_premise else C
+        contents[result_idx] = r.consequent
+        premises[result_idx] = frozenset().union(*[premises[i] for i in ant_idx])
+        subs[result_idx] = tuple(dict.fromkeys(
+            [s for i in ant_idx for s in subs[i]] + [arg_id[rule_idx], arg_id[result_idx]]))
+        top_rules[result_idx] = r.rule_id
 
-    # hand out argument ids in the firing pass's order
-    arg_id = {idx: "A%d" % (pos + 1) for pos, (idx, _) in enumerate(numbering)}
-    arguments = []
-    for idx, _ in numbering:
-        rec = records[idx]
-        arguments.append(Argument(
-            arg_id=arg_id[idx],
-            kind=rec["kind"],
-            content=rec["content"],
-            premises=frozenset(rec["premises"]),
-            conclusion=rec["content"],
-            subargs=tuple(arg_id[i] for i in rec["sub"]),
-            top_rule=rec["top_rule"]))
+    arguments = tuple(Argument(arg_id[i], kinds[i], contents[i], premises[i],
+                               contents[i], subs[i], top_rules[i])
+                      for i, _ in numbering)
     apps = tuple(MPApplication(arg_id[rule_idx], tuple(arg_id[a] for a in ant_idx),
                                arg_id[result_idx])
                  for _, ant_idx, rule_idx, result_idx, _ in firings)
-    return ArgumentSet(tuple(arguments), apps)
+    return ArgumentSet(arguments, apps)

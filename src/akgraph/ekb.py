@@ -16,7 +16,7 @@ from itertools import count
 from typing import NamedTuple
 
 from . import markers as markers_mod
-from .arguments import argument_ids
+from . import arguments as arguments_mod
 
 logger = logging.getLogger(__name__)
 
@@ -171,6 +171,11 @@ class EKB(namedtuple("EKB", "formulas rules contraries agreements rule_pref "
             index.setdefault(a, (set(), set()))[1].add(b)
         return {rid: (frozenset(l1), frozenset(l2)) for rid, (l1, l2) in index.items()}
 
+    @cached_property
+    def _firing(self):
+        """The firing pass of derive_argument_set over this EKB, run once."""
+        return arguments_mod._fire(self)
+
     @property
     def K(self):
         """Premise formulas only, i.e. the K of the knowledge base."""
@@ -247,15 +252,19 @@ def _transitive_closure(pairs):
     return closed
 
 
-def _resolve_preferences(prefs, ekb):
-    """The closed (lesser, greater) rule pairs of prefs.  A token is a rule
-    id, or the argument id a rule gets in a run without implicit rules."""
+def _with_preferences(prefs, ekb):
+    """ekb with the closed (lesser, greater) rule pairs of prefs as its
+    rule_pref.  A token is a rule id, or the argument id a rule gets in a
+    run without implicit rules."""
     rule_ids = {r.rule_id for r in ekb.rules}
     implicit = {r.rule_id for r in ekb.rules if r.heuristic == markers_mod.IMPLICIT}
-    explicit = ekb._replace(
-        rules=tuple(r for r in ekb.rules if r.rule_id not in implicit),
-        member_order=tuple(m for m in ekb.member_order if m not in implicit))
-    rule_of = {arg_id: member_id for arg_id, member_id in argument_ids(explicit)
+    explicit = ekb
+    if implicit:
+        explicit = ekb._replace(
+            rules=tuple(r for r in ekb.rules if r.rule_id not in implicit),
+            member_order=tuple(m for m in ekb.member_order if m not in implicit))
+    rule_of = {arg_id: member_id
+               for arg_id, member_id in arguments_mod.argument_ids(explicit)
                if member_id in rule_ids}
     lt = set()
     for chain in prefs.chains:
@@ -275,7 +284,10 @@ def _resolve_preferences(prefs, ekb):
     for a, b in lt:
         if a == b:
             raise PreferenceCycle("preference chains form a cycle at %r" % a)
-    return frozenset(lt)
+    out = ekb._replace(rule_pref=frozenset(lt))
+    if explicit is ekb:   # rule_pref plays no part in firing: hand the pass on
+        out._firing = ekb._firing
+    return out
 
 
 def _containment(components):
@@ -385,8 +397,9 @@ def build_ekb(doc, ims, prefs=None, kind_overrides=None, lexicon=None):
             im_span=im.span,
             heuristic=im.heuristic))
 
-    # map annotated rule spans onto detected rules by marker-span overlap
-    for rs in doc.rule_spans:
+    # map annotated rule spans onto detected rules by marker-span overlap;
+    # in document order, so that the warnings do not follow the input's order
+    for rs in sorted(doc.rule_spans, key=lambda rs: (rs.start, rs.end, rs.span_id)):
         hit = next((r.rule_id for r in rules if r.im_span
                     and r.im_span[0] < rs.end and rs.start < r.im_span[1]), None)
         if hit is None:
@@ -424,7 +437,7 @@ def build_ekb(doc, ims, prefs=None, kind_overrides=None, lexicon=None):
               dropped_ims=tuple(dropped),
               member_of=tuple(sorted(member_of.items())))
     if prefs is not None and prefs.chains:
-        ekb = ekb._replace(rule_pref=_resolve_preferences(prefs, ekb))
+        ekb = _with_preferences(prefs, ekb)
     return ekb
 
 

@@ -26,25 +26,29 @@ _NODE_SHAPE = {
     akgmod.CONCLUSION: "ellipse",
 }
 
-# DOT attribute list per edge kind; attack and modus-ponens edges add a label
-_EDGE_TAIL = {
-    kbgraph.AGREEMENT: ' [dir=none, style=dashed, label="Ag"]',
-    kbgraph.CONTRARY: ' [style=dashed, arrowhead=diamond, label="Con"]',
-    akgmod.SUPPORT: "",
-    akgmod.ATTACK: ' [label="%s"]',
-    akgmod.MODUS_PONENS: ' [style=bold, label="MP%d"]',
-}
+# a node, its attribute box and the linker between them, per node kind: the
+# node id fills the first, third, fifth and sixth slots, the label the
+# second and the rendered box the fourth
+_DOT_NODE = {kind: ('  "%%s" [label="%%s", shape=%s];\n'
+                    '  "%%s#attrs" [label="%%s", shape=note, fontsize=10];\n'
+                    '  "%%s" -> "%%s#attrs" [dir=none];') % shape
+             for kind, shape in _NODE_SHAPE.items()}
 
-# a node, its attribute box and the linker between them; the node id fills
-# the first, fourth, sixth and seventh slots
-_DOT_NODE = ('  "%s" [label="%s", shape=%s];\n'
-             '  "%s#attrs" [label="%s", shape=note, fontsize=10];\n'
-             '  "%s" -> "%s#attrs" [dir=none];')
-_DOT_EDGE = '  "%s" -> "%s"%s;'
+# an edge per edge kind; attack and modus-ponens edges take a third value
+_DOT_EDGE = {
+    kbgraph.AGREEMENT: '  "%s" -> "%s" [dir=none, style=dashed, label="Ag"];',
+    kbgraph.CONTRARY: '  "%s" -> "%s" [style=dashed, arrowhead=diamond, label="Con"];',
+    akgmod.SUPPORT: '  "%s" -> "%s";',
+    akgmod.ATTACK: '  "%s" -> "%s" [label="%s"];',
+    akgmod.MODUS_PONENS: '  "%s" -> "%s" [style=bold, label="MP%d"];',
+}
 
 
 def _esc(s):
-    return s.replace("\\", "\\\\").replace('"', '\\"')
+    """s as the inside of a DOT string; one without " or \\ is s itself."""
+    if '"' in s or "\\" in s:
+        return s.replace("\\", "\\\\").replace('"', '\\"')
+    return s
 
 
 def export_dot(graph):
@@ -52,26 +56,24 @@ def export_dot(graph):
     is_akg = isinstance(graph, akgmod.AKG)
     lines = ["digraph %s {" % ("akg" if is_akg else "kb"), '  rankdir="LR";']
 
-    nodes = sorted(graph.nodes,
-                   key=lambda n: natural_key(n.arg_id if is_akg else n.node_id))
-    for n in nodes:
-        if is_akg:
-            node_id, label = _esc(n.arg_id), n.text or n.content
-        else:
-            node_id, label = _esc(n.node_id), n.text
-        lines.append(_DOT_NODE % (node_id, _esc(label), _NODE_SHAPE[n.kind],
-                                  node_id, _esc(n.attributes.render()),
-                                  node_id, node_id))
+    # both node types hold their id first
+    for n in sorted(graph.nodes, key=lambda n: natural_key(n[0])):
+        node_id = _esc(n[0])
+        label = (n.text or n.content) if is_akg else n.text
+        lines.append(_DOT_NODE[n.kind] % (
+            node_id, _esc(label), node_id, _esc(n.attributes.render()), node_id, node_id))
 
     edges = sorted(graph.edges,
                    key=lambda e: (natural_key(e.source), natural_key(e.target), e.kind))
     for e in edges:
-        tail = _EDGE_TAIL[e.kind]
-        if e.kind == akgmod.ATTACK:
-            tail %= e.attack_type
-        elif e.kind == akgmod.MODUS_PONENS:
-            tail %= e.mp_group
-        lines.append(_DOT_EDGE % (_esc(e.source), _esc(e.target), tail))
+        kind = e.kind
+        if kind == akgmod.ATTACK:
+            row = (_esc(e.source), _esc(e.target), e.attack_type)
+        elif kind == akgmod.MODUS_PONENS:
+            row = (_esc(e.source), _esc(e.target), e.mp_group)
+        else:
+            row = (_esc(e.source), _esc(e.target))
+        lines.append(_DOT_EDGE[kind] % row)
 
     lines.append("}\n")
     return "\n".join(lines)
@@ -95,7 +97,8 @@ def _row(keys, pad="    "):
 
 def _rows(keys, values):
     """A JSON array, at two spaces, of one row per tuple of rendered values."""
-    return _array(list(map(_row(keys).__mod__, values)))
+    row = _row(keys)
+    return _array([row % v for v in values])
 
 
 def _document(keys, values):
@@ -112,11 +115,15 @@ def _array(rows, pad="  "):
 
 
 def _strings(items, pad="      "):
-    """A JSON array of strings, encoded in one call, closing at pad."""
+    """A JSON array of strings, closing at pad: items is a sequence, or a set
+    of one string."""
+    if len(items) == 1:
+        [item] = items
+        return "[\n%s  %s\n%s]" % (pad, _enc(item), pad)
     if not items:
         return "[]"
     inner = pad + "  "
-    return "[\n%s%s\n%s]" % (inner, (",\n" + inner).join(map(_enc, items)), pad)
+    return "[\n%s%s\n%s]" % (inner, (",\n" + inner).join([_enc(x) for x in items]), pad)
 
 
 def _json_text(obj, pad=""):
@@ -161,14 +168,18 @@ def export_json_kb(kbg):
 
 def _akg_edge(e):
     """An AKG edge row; each optional field appears only when set."""
-    row = {"source": _enc(e.source), "target": _enc(e.target), "kind": _enc(e.kind)}
+    keys = ("source", "target", "kind")
+    values = (_enc(e.source), _enc(e.target), _enc(e.kind))
     if e.attack_type is not None:
-        row["attack_type"] = _enc(e.attack_type)
+        keys += ("attack_type",)
+        values += (_enc(e.attack_type),)
     if e.contrary_undermine:
-        row["contrary_undermine"] = "true"
+        keys += ("contrary_undermine",)
+        values += ("true",)
     if e.mp_group is not None:
-        row["mp_group"] = int.__repr__(e.mp_group)
-    return _row(tuple(row)) % tuple(row.values())
+        keys += ("mp_group",)
+        values += (int.__repr__(e.mp_group),)
+    return _row(keys) % values
 
 
 def export_json_akg(akg):
@@ -179,8 +190,10 @@ def export_json_akg(akg):
                                   e.mp_group if e.mp_group is not None else -1))
     return _document(("nodes", "edges", "mp_applications", "pruned_supports"), (
         _rows(("id", "kind", "member", "text", "attributes"),
-              ((_enc(n.arg_id), _enc(n.kind), _json_text(n.content),
-                _json_text(n.text), _strings(n.attributes.rendered)) for n in nodes)),
+              ((_enc(n.arg_id), _enc(n.kind),
+                "null" if n.content is None else _enc(n.content),
+                "null" if n.text is None else _enc(n.text),
+                _strings(n.attributes.rendered)) for n in nodes)),
         _array(list(map(_akg_edge, edges))),
         _mp_rows(akg.mp_applications),
         _array(["    " + _strings(pair, "    ") for pair in akg.pruned_supports])))
@@ -199,8 +212,10 @@ def export_json_args(aset):
         _rows(("id", "kind", "content", "premises", "conclusion", "subargs",
                "top_rule"),
               ((_enc(a.arg_id), _enc(a.kind), _enc(a.content),
-                _strings(sorted(a.premises, key=natural_key)), _enc(a.conclusion),
-                _strings(a.subargs), _json_text(a.top_rule)) for a in args)),
+                _strings(a.premises if len(a.premises) == 1
+                         else sorted(a.premises, key=natural_key)), _enc(a.conclusion),
+                _strings(a.subargs), "null" if a.top_rule is None else _enc(a.top_rule))
+               for a in args)),
         _mp_rows(aset.mp_applications)))
 
 

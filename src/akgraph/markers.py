@@ -331,15 +331,17 @@ def resolve_implicit_ims(doc, related_pairs, explicit_ims=None, lexicon=None):
     the segments explicit IMs are found in, so the "." of "3.5" ends none.
     A paragraph end closes a segment, so a gap that crosses a paragraph
     break anchors at the latest at the end of the earlier span's paragraph.
-    Pairs whose gap holds no segment end are skipped with a warning.
+    Pairs whose gap holds no segment end are skipped with a warning.  Pairs
+    are taken in span order, so neither the matches nor the warnings follow
+    the order of related_pairs.
     """
     if explicit_ims is None:
         explicit_ims = detect_ims(doc, lexicon)
     ends = [end for _, end, _ in _segments(doc)]
     starts = sorted(m.span[0] for m in explicit_ims)
     out = []
-    for source_span, target_span in related_pairs:
-        earlier, later = sorted([tuple(source_span), tuple(target_span)])
+    for source_span, target_span in sorted((tuple(s), tuple(t)) for s, t in related_pairs):
+        earlier, later = sorted([source_span, target_span])
         gap = (earlier[1], later[0])
         if gap[0] >= gap[1]:
             logger.warning("implicit IM: spans %s / %s overlap or touch; skipped",
@@ -358,8 +360,8 @@ def resolve_implicit_ims(doc, related_pairs, explicit_ims=None, lexicon=None):
             surface="",
             span=(anchor, anchor),
             heuristic=IMPLICIT,
-            antecedent_span=tuple(source_span),
-            consequent_span=tuple(target_span),
+            antecedent_span=source_span,
+            consequent_span=target_span,
             indicator=CLAIM_INDICATOR))
     out.sort(key=lambda m: m.span[0])
     return out

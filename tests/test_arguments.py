@@ -8,7 +8,7 @@ from akgraph import markers
 from akgraph.cli import PipelineConfig, run_pipeline
 from akgraph.ingest import parse_brat_ann, parse_canonical_json
 
-from conftest import canonical_docs
+from conftest import DATA, canonical_docs
 
 
 def kb_from(txt, ann):
@@ -253,6 +253,23 @@ def test_firing_pass_gives_the_derivation_ids(tmp_path_factory, content, implici
         first.setdefault(a.content, a)
         if a.derived and not first[a.content].derived:
             assert first[a.content].arg_id in took
+
+
+@pytest.mark.parametrize("implicit, passes", [(False, 1), (True, 2)])
+def test_one_firing_pass_per_run(monkeypatch, implicit, passes):
+    # build_ekb fires to read the preference ids; without an implicit rule it
+    # fires the EKB that derive_argument_set derives from, which reuses that
+    # pass, and with one it fires the EKB without them
+    calls = []
+    fire = A._fire
+    monkeypatch.setattr(A, "_fire", lambda ekb: calls.append(ekb) or fire(ekb))
+    art = run_pipeline(PipelineConfig(
+        input_path=str(DATA / "essay056.txt"), ann_path=str(DATA / "essay056.ann"),
+        prefs_path=str(DATA / "essay056.prefs"), implicit_ims=implicit)).artifacts
+    implicit_rules = [r for r in art["ekb"].rules if r.heuristic == markers.IMPLICIT]
+    assert len(implicit_rules) == (2 if implicit else 0)
+    assert len(calls) == passes
+    assert art["ekb"].rule_pref
 
 
 def test_determinism(essay):

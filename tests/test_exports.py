@@ -1,5 +1,7 @@
+import contextlib
 import hashlib
 import importlib.util
+import io
 import json
 import re
 
@@ -10,10 +12,11 @@ from hypothesis import strategies as st
 from akgraph import exports as X
 from akgraph import semantics as sem
 from akgraph.akg import AKG, AKGEdge, AKGNode
-from akgraph.arguments import MPApplication
+from akgraph.arguments import Argument, ArgumentSet, MPApplication
 from akgraph.cli import (_SUFFIX, FORMATS, PipelineConfig, main, render_format,
                          run_pipeline)
-from akgraph.kbgraph import AttributeBox, _render_value, build_kb_graph, natural_key
+from akgraph.kbgraph import (AttributeBox, KBEdge, KBGraph, KBNode, _render_value,
+                             build_kb_graph, natural_key)
 
 from conftest import DATA, canonical_docs
 
@@ -100,6 +103,81 @@ def test_dot_ids_escaped(tmp_path):
         ids.update(g for g in m.groups() if g)
     assert {'"T\\"1"', '"T\\"1#attrs"', '"T\\\\3"', '"T\\\\3#attrs"', '"R1"'} <= ids
     assert '"T\\\\3" -> "R1"' in dot
+
+
+# Reference DOT renderer, one statement at a time: every string escaped, each
+# box label rendered from the box's values.
+_REF_SHAPE = {"Premise": "box", "InferenceRulePremise": "hexagon", "Conclusion": "ellipse"}
+_REF_TAIL = {"Agreement": ' [dir=none, style=dashed, label="Ag"]',
+             "Contrary": ' [style=dashed, arrowhead=diamond, label="Con"]',
+             "Support": "", "Attack": ' [label="%s"]',
+             "ModusPonens": ' [style=bold, label="MP%d"]'}
+
+
+def _ref_esc(s):
+    return s.replace("\\", "\\\\").replace('"', '\\"')
+
+
+def _ref_dot(graph):
+    is_akg = isinstance(graph, AKG)
+    lines = ["digraph %s {" % ("akg" if is_akg else "kb"), '  rankdir="LR";']
+    for n in sorted(graph.nodes,
+                    key=lambda n: natural_key(n.arg_id if is_akg else n.node_id)):
+        node_id = _ref_esc(n.arg_id if is_akg else n.node_id)
+        label = (n.text or n.content) if is_akg else n.text
+        box = "{%s}" % ", ".join(_render_value(v) for v in n.attributes.values)
+        lines.append('  "%s" [label="%s", shape=%s];' % (node_id, _ref_esc(label),
+                                                         _REF_SHAPE[n.kind]))
+        lines.append('  "%s#attrs" [label="%s", shape=note, fontsize=10];'
+                     % (node_id, _ref_esc(box)))
+        lines.append('  "%s" -> "%s#attrs" [dir=none];' % (node_id, node_id))
+    for e in sorted(graph.edges,
+                    key=lambda e: (natural_key(e.source), natural_key(e.target), e.kind)):
+        tail = _REF_TAIL[e.kind]
+        if e.kind == "Attack":
+            tail %= e.attack_type
+        elif e.kind == "ModusPonens":
+            tail %= e.mp_group
+        lines.append('  "%s" -> "%s"%s;' % (_ref_esc(e.source), _ref_esc(e.target), tail))
+    lines.append("}\n")
+    return "\n".join(lines)
+
+
+# strings made of the characters DOT escapes and the ones rule texts and
+# boxes hold besides plain text
+_DOT_TEXT = st.lists(st.sampled_from(['"', "\\", "\n", "⇒", "φ", " ", "a", "T1"]),
+                     max_size=6).map("".join)
+_DOT_ID = st.sampled_from(["A1", "A2", "A10", "T3", "R1"]) | _DOT_TEXT
+_MARKER = st.none() | _DOT_TEXT.map('"{}"'.format)
+_LSET = st.none() | st.frozensets(_DOT_ID, max_size=3)
+_DOT_BOX = st.builds(AttributeBox, st.one_of(
+    st.tuples(_MARKER, st.sampled_from("npa")),
+    st.tuples(_DOT_ID, st.sampled_from("SD"), _MARKER, _LSET, _LSET),
+    st.tuples(_DOT_ID, _MARKER, st.sampled_from(["Claim", "MajorClaim"]))))
+_KB_GRAPH = st.builds(
+    lambda nodes, edges: KBGraph(tuple(nodes), tuple(edges), None),
+    st.lists(st.builds(KBNode, _DOT_ID, st.sampled_from(["Premise", "InferenceRulePremise"]),
+                       _DOT_TEXT, _DOT_BOX), max_size=5),
+    st.lists(st.builds(KBEdge, _DOT_ID, _DOT_ID, st.sampled_from(["Agreement", "Contrary"])),
+             max_size=5))
+_AKG_DOT_EDGE = st.one_of(
+    st.builds(AKGEdge, _DOT_ID, _DOT_ID, st.just("Support")),
+    st.builds(AKGEdge, _DOT_ID, _DOT_ID, st.just("Attack"),
+              attack_type=st.sampled_from(["Reb", "UM", "UC"]),
+              contrary_undermine=st.booleans()),
+    st.builds(AKGEdge, _DOT_ID, _DOT_ID, st.just("ModusPonens"),
+              mp_group=st.integers(0, 20)))
+_AKG = st.builds(
+    lambda nodes, edges: AKG(tuple(nodes), tuple(edges)),
+    st.lists(st.builds(AKGNode, _DOT_ID, st.sampled_from(list(_REF_SHAPE)), _DOT_BOX,
+                       content=_DOT_TEXT, text=st.none() | _DOT_TEXT), max_size=5),
+    st.lists(_AKG_DOT_EDGE, max_size=6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_KB_GRAPH | _AKG)
+def test_dot_matches_line_by_line_reference(graph):
+    assert X.export_dot(graph) == _ref_dot(graph)
 
 
 # ---------------------------------------------------------------- JSON
@@ -307,6 +385,23 @@ def test_json_akg_rows_match_json_dumps(nodes, edges, pruned):
         json.dumps(_akg_dict(akg), indent=2, ensure_ascii=False) + "\n"
 
 
+# args.json rows of every shape: one to three premises, one to four
+# subarguments, atomic and derived
+_ARGUMENT = st.builds(
+    Argument, _ID, st.sampled_from(["P", "IRP", "C"]), _TEXT,
+    st.frozensets(_ID | _TEXT, min_size=1, max_size=3), _TEXT,
+    st.lists(_ID, min_size=1, max_size=4).map(tuple), st.none() | _ID)
+_APP = st.builds(MPApplication, _ID, st.lists(_ID, max_size=3).map(tuple), _ID)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_ARGUMENT, max_size=4), st.lists(_APP, max_size=2))
+def test_json_args_rows_match_json_dumps(arguments, apps):
+    aset = ArgumentSet(tuple(arguments), tuple(apps))
+    assert X.export_json_args(aset) == \
+        json.dumps(_args_dict(aset), indent=2, ensure_ascii=False) + "\n"
+
+
 # ---------------------------------------------------------------- apx
 
 def test_apx_essay(essay):
@@ -371,6 +466,34 @@ def test_ann_line_order_changes_nothing(tmp_path, monkeypatch, capsys):
     assert len(runs["plain"][0]) == 7
     for name, run in runs.items():
         assert run == runs["plain"], name
+
+
+def _cli_run(out, doc_json, flags):
+    """The exit status, the seven files and the stdout of `akgraph run` on a
+    canonical JSON document, its output paths relative to out."""
+    out.mkdir()
+    (out / "fuzz.json").write_text(doc_json, encoding="utf-8")
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        status = main(["run", "--input", str(out / "fuzz.json"), "--out", str(out / "out"),
+                       *flags])
+    files = {p.name: p.read_bytes() for p in (out / "out").iterdir()}
+    return status, files, stdout.getvalue().replace(str(out), "")
+
+
+@settings(max_examples=100, deadline=None)
+@given(canonical_docs(), st.randoms(use_true_random=False),
+       st.sampled_from([(), ("--implicit-ims",)]))
+def test_annotation_list_order_changes_nothing(tmp_path_factory, content, rng, flags):
+    # the order of the components, rule spans, relations and stances in the
+    # input changes none of the seven files and nothing on stdout
+    doc = json.loads(content)
+    for key in ("components", "rule_spans", "relations", "stances"):
+        rng.shuffle(doc[key])
+    d = tmp_path_factory.mktemp("order")
+    base = _cli_run(d / "base", content, flags)
+    assert base[0] == 0 and len(base[1]) == 7
+    assert _cli_run(d / "shuffled", json.dumps(doc), flags) == base
 
 
 # words with no inference marker in them; the İ, ß and ﬁ each change length
