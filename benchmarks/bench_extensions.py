@@ -9,13 +9,20 @@ the 2^n subset-table oracle and whether its families agree.
 
 Sizes above DEFAULT_CAP run with the cap raised to the size, to show what
 the cap guards: a family larger than MAX_EXTENSIONS is refused with
-TooLarge, and its count reads "over".  A last row times a large document:
---large arguments, almost all free, with LARGE_PIECES small attack pieces
-among them, where decoding each extension of n bits is the cost to watch.
+TooLarge, and its count reads "over".
+
+Two pieces rows time frameworks made of --pieces small disjoint pieces, whose
+families multiply: laid out consecutively, each piece is a block of its own
+and the report joins the blocks' lists; interleaved (the same frameworks,
+the pieces taking ids in turn), all pieces form one block, whose extensions
+are OR-ed and decoded whole.  A last row times a large document: --large
+arguments, almost all free, with LARGE_PIECES small attack pieces among
+them.  Each extension there is a list of about n ids, so building those
+lists, not the searches, is what it times.
 
 Usage: python3 benchmarks/bench_extensions.py [--sizes 12,16,20,24,32,64,96]
        [--frameworks 4] [--density 0.15] [--repeats 5] [--seed 1]
-       [--large 5000]
+       [--pieces 5] [--large 5000]
 """
 
 import argparse
@@ -26,6 +33,7 @@ import time
 from akgraph import semantics as sem
 
 LARGE_PIECES = 4
+PIECE_DENSITY = 0.45
 
 
 def connected_atts(rng, n, density):
@@ -62,6 +70,25 @@ def large_af(rng, n, pieces, density):
     return sem.AFProjection(args, tuple(atts))
 
 
+def pieces_structure(rng, pieces):
+    """(size, attacks over 1..size) of connected 3- or 4-argument pieces."""
+    return [(size, connected_atts(rng, size, PIECE_DENSITY))
+            for size in (rng.choice((3, 4)) for _ in range(pieces))]
+
+
+def pieces_af(structure, interleaved):
+    """The pieces as one framework: each piece a run of adjacent ids, or,
+    interleaved, the pieces taking ids in turn, so that the position
+    intervals of all pieces overlap."""
+    slots = [(k, i) for k, (size, _) in enumerate(structure) for i in range(size)]
+    if interleaved:
+        slots.sort(key=lambda slot: slot[::-1])
+    name = {slot: "a%d" % j for j, slot in enumerate(slots, 1)}
+    return sem.AFProjection(tuple(name.values()), tuple(
+        (name[k, s - 1], name[k, t - 1])
+        for k, (_, atts) in enumerate(structure) for s, t in atts))
+
+
 def median_ms(fn, batch, repeats, cap):
     """Median over repeats of the time to run fn on the whole batch, and the
     last results, None for a framework refused with TooLarge."""
@@ -91,28 +118,37 @@ def main():
     ap.add_argument("--density", type=float, default=0.15)
     ap.add_argument("--repeats", type=int, default=5)
     ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--pieces", type=int, default=5,
+                    help="pieces per framework of the two pieces rows (0: no such rows)")
     ap.add_argument("--large", type=int, default=5000,
                     help="arguments of the large-document row (0: no such row)")
     args = ap.parse_args()
 
     rng = random.Random(args.seed)
-    rows = [(n, max(n, sem.DEFAULT_CAP),
+    rows = [("connected", max(n, sem.DEFAULT_CAP),
              [connected_af(rng, n, args.density) for _ in range(args.frameworks)])
             for n in (int(s) for s in args.sizes.split(",") if s)]
+    if args.pieces:
+        structures = [pieces_structure(rng, args.pieces) for _ in range(args.frameworks)]
+        rows += [(layout, sem.DEFAULT_CAP,
+                  [pieces_af(s, layout == "interleaved") for s in structures])
+                 for layout in ("pieces", "interleaved")]
     if args.large:
-        rows.append((args.large, sem.DEFAULT_CAP,
+        rows.append(("large", sem.DEFAULT_CAP,
                      [large_af(rng, args.large, LARGE_PIECES, args.density)
                       for _ in range(args.frameworks)]))
-    header = "%5s  %10s  %10s  %10s  %7s  %7s  %10s  %5s" % (
-        "n", "naive ms", "pref ms", "report ms", "#naive", "#pref", "oracle ms", "agree")
+    header = "%-11s  %5s  %10s  %10s  %10s  %7s  %7s  %10s  %5s" % (
+        "row", "n", "naive ms", "pref ms", "report ms", "#naive", "#pref", "oracle ms",
+        "agree")
     print(header)
     print("-" * len(header))
-    for n, cap, batch in rows:
+    for kind, cap, batch in rows:
+        n = max(len(f.args) for f in batch)
         t_naive, naive = median_ms(sem.naive_extensions, batch, args.repeats, cap)
         t_pref, pref = median_ms(sem.preferred_extensions, batch, args.repeats, cap)
         t_report, _ = median_ms(sem.semantics_report, batch, args.repeats, cap)
-        row = "%5d  %10.2f  %10.2f  %10.2f  %7s  %7s" % (
-            n, t_naive, t_pref, t_report, count(naive), count(pref))
+        row = "%-11s  %5d  %10.2f  %10.2f  %10.2f  %7s  %7s" % (
+            kind, n, t_naive, t_pref, t_report, count(naive), count(pref))
         if n <= sem.ORACLE_CAP:
             t0 = time.perf_counter()
             oracle = [(sem.oracle_extensions(f, sem.NAIVE),

@@ -14,7 +14,7 @@ from typing import NamedTuple
 from .arguments import C
 from .ekb import AXIOM, ASSUMPTION
 from .kbgraph import (PREMISE, RULE_PREMISE, AttributeBox, _quote, _render_value,
-                      natural_key)
+                      natural_key, sort_by_id)
 
 logger = logging.getLogger(__name__)
 
@@ -72,6 +72,11 @@ class AKG(namedtuple("AKG", "nodes edges mp_applications pruned_supports",
 
     def node(self, arg_id):
         return self._index.get(arg_id)
+
+    # sorted once per graph, for every export
+    @cached_property
+    def sorted_nodes(self):
+        return sort_by_id(self.nodes)
 
     def edges_of_kind(self, kind):
         return [e for e in self.edges if e.kind == kind]

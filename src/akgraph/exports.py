@@ -56,8 +56,7 @@ def export_dot(graph):
     is_akg = isinstance(graph, akgmod.AKG)
     lines = ["digraph %s {" % ("akg" if is_akg else "kb"), '  rankdir="LR";']
 
-    # both node types hold their id first
-    for n in sorted(graph.nodes, key=lambda n: natural_key(n[0])):
+    for n in graph.sorted_nodes:
         node_id = _esc(n[0])
         label = (n.text or n.content) if is_akg else n.text
         lines.append(_DOT_NODE[n.kind] % (
@@ -155,13 +154,12 @@ def _json_text(obj, pad=""):
 
 
 def export_json_kb(kbg):
-    nodes = sorted(kbg.nodes, key=lambda n: natural_key(n.node_id))
     edges = sorted(kbg.edges,
                    key=lambda e: (e.kind, natural_key(e.source), natural_key(e.target)))
     return _document(("nodes", "edges"), (
         _rows(("id", "kind", "text", "attributes"),
               ((_enc(n.node_id), _enc(n.kind), _enc(n.text),
-                _strings(n.attributes.rendered)) for n in nodes)),
+                _strings(n.attributes.rendered)) for n in kbg.sorted_nodes)),
         _rows(("source", "target", "kind"),
               ((_enc(e.source), _enc(e.target), _enc(e.kind)) for e in edges))))
 
@@ -183,7 +181,6 @@ def _akg_edge(e):
 
 
 def export_json_akg(akg):
-    nodes = sorted(akg.nodes, key=lambda n: natural_key(n.arg_id))
     edges = sorted(akg.edges,
                    key=lambda e: (e.kind, natural_key(e.source),
                                   natural_key(e.target),
@@ -193,7 +190,7 @@ def export_json_akg(akg):
               ((_enc(n.arg_id), _enc(n.kind),
                 "null" if n.content is None else _enc(n.content),
                 "null" if n.text is None else _enc(n.text),
-                _strings(n.attributes.rendered)) for n in nodes)),
+                _strings(n.attributes.rendered)) for n in akg.sorted_nodes)),
         _array(list(map(_akg_edge, edges))),
         _mp_rows(akg.mp_applications),
         _array(["    " + _strings(pair, "    ") for pair in akg.pruned_supports])))

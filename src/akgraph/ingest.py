@@ -17,6 +17,8 @@ from functools import cached_property
 from operator import itemgetter
 from typing import NamedTuple
 
+from .kbgraph import natural_key
+
 logger = logging.getLogger(__name__)
 
 COMPONENT_KINDS = ("MajorClaim", "Claim", "Premise")
@@ -149,13 +151,24 @@ def _check_span(text, start, end, surface, subject):
                            % (subject, surface, actual))
 
 
+def _id_order(any_id):
+    """natural_key, ties (A1, A01) broken by the id itself."""
+    return natural_key(any_id), any_id
+
+
 def _dedupe_stances(stances):
-    """Last stance per claim wins; duplicates are tolerated with a warning."""
+    """One stance per claim: of several, the one whose id sorts last, so the
+    input's order decides nothing.  Each dropped stance gets a warning, in
+    claim and id order."""
     by_claim = {}
     for st in stances:
-        if st.claim in by_claim:
-            logger.warning("duplicate stance for %s: keeping %s", st.claim, st.attr_id)
-        by_claim[st.claim] = st
+        by_claim.setdefault(st.claim, []).append(st)
+    for claim in sorted(by_claim, key=_id_order):
+        *dropped, by_claim[claim] = sorted(by_claim[claim],
+                                           key=lambda st: _id_order(st.attr_id))
+        for st in dropped:
+            logger.warning("duplicate stance for %s: keeping %s over %s",
+                           claim, by_claim[claim].attr_id, st.attr_id)
     return tuple(by_claim.values())
 
 

@@ -8,7 +8,7 @@ are shared with the argument knowledge graph.
 
 import re
 from collections import namedtuple
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .ekb import EKBError, rule_preference_sets, validate_ekb
@@ -99,11 +99,18 @@ class KBEdge(NamedTuple):
     kind: str       # Agreement | Contrary
 
 
-class KBGraph(NamedTuple):
+def sort_by_id(nodes):
+    """Graph nodes, which hold their id first, in natural id order."""
+    return sorted(nodes, key=lambda n: natural_key(n[0]))
+
+
+class KBGraph(namedtuple("KBGraph", "nodes edges ekb")):
     """KBNode and KBEdge tuples; ekb is the source EKB, read by build_akg."""
-    nodes: tuple
-    edges: tuple
-    ekb: object
+
+    # sorted once per graph, for every export
+    @cached_property
+    def sorted_nodes(self):
+        return sort_by_id(self.nodes)
 
 
 def build_kb_graph(ekb):

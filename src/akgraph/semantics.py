@@ -15,16 +15,21 @@ Bron-Kerbosch with pivoting; preferred extensions come from an
 include/exclude search that starts at the grounded extension and cuts a
 branch once the chosen set can no longer be defended or can only reach
 subsets of an extension already found.  Neither search visits a non-maximal
-set at a leaf.  Each extension is the free arguments OR-ed with one of every
-piece, as a natural-order bitmask (position p of n is bit n-1-p).  A raw
-2^n oracle (vectorized, independently coded) serves as the reference
-implementation for cross-checking.
+set at a leaf.  Pieces whose spans of natural positions overlap form a
+block, and each block owns a slice of the natural order that also holds the
+free arguments before it (the last block, those after it too).  A block's
+extensions are its pieces' extensions OR-ed together with its free
+arguments as natural-order bitmasks, sorted and decoded to lists once each;
+an extension of the framework is one list of every block, concatenated, and
+the blocks are joined halves first, so that each list of the result is
+copied once.  A raw 2^n oracle (vectorized, independently coded) serves as
+the reference implementation for cross-checking.
 """
 
 import math
 from collections import defaultdict, namedtuple
 from functools import reduce
-from itertools import chain, compress
+from itertools import compress
 from operator import or_
 from typing import NamedTuple
 
@@ -287,36 +292,84 @@ def _preferred_masks(piece):
     return found
 
 
+def _block(members, items, start):
+    """Every extension of one block, as a list of its slice of the order.
+
+    items is order[start:start + len(items)]; members lists the (positions,
+    extensions) of the block's pieces.  Each piece's extensions are lifted to
+    bits of the slice, the position p being bit start + len(items) - 1 - p,
+    and OR-ed with one of every other piece's and with the slice's free
+    arguments, which are constant one bits.  The masks are sorted descending
+    and each is decoded once."""
+    # a mask with bit len(items) set decodes to items in one C pass through
+    # its binary digits; a loop over the bits of long masks would be quadratic
+    decode = lambda items, m: compress(items, bin(m)[3:].encode().translate(_SELECTOR))
+    end = start + len(items)
+    digits = bytearray(b"1" * (len(items) + 1))  # the top bit, and free arguments
+    for positions, _ in members:
+        for p in positions:
+            digits[p - start + 1] = ord("0")
+    masks = [int(digits, 2)]
+    for positions, family in members:   # OR product
+        first, last, k = positions[0], positions[-1], len(positions)
+        if last - first < k:    # a shift if consecutive
+            family = [e << end - 1 - last for e in family]
+        else:
+            bits = [1 << end - 1 - p for p in positions]
+            family = [sum(decode(bits, e | 1 << k)) for e in family]
+        masks = [m | e for m in masks for e in family]
+    masks.sort(reverse=True)
+    return list(map(list, [decode(items, m) for m in masks]))
+
+
+def _join(families):
+    """Every concatenation of one list of each family, in left-major order.
+    The halves are joined first, so each list of the result is made by one
+    concatenation and its elements are copied once."""
+    if len(families) == 1:
+        return families[0]
+    mid = len(families) // 2
+    left, right = _join(families[:mid]), _join(families[mid:])
+    return [x + y for x in left for y in right]
+
+
 def _family(which, pieces, order):
-    """Every extension of a framework with these attack pieces, as an iterator
-    over its arguments in natural order, in the report's order: that of their
-    position lists.  A family is an antichain, so the lowest position where
-    two differ decides it; that is their highest differing bit, so the order
-    is descending int order."""
+    """Every extension of a framework with these attack pieces, as a list of
+    its arguments in natural order, in the report's order: that of their
+    position lists.
+
+    Pieces whose [first, last] position intervals overlap form one block.
+    Block i owns the slice of the order from the end of block i-1 (or 0)
+    through its last member (through the end, for the last block), so the
+    slices of free arguments before, between, inside and after the pieces
+    fall to the block that follows them.  _block lists each block's
+    extensions over its slice; _join concatenates one from every block.  A
+    family is an antichain, so the lowest position where two of its sets
+    differ decides their order: as masks of natural-order bits, their
+    highest differing bit.  Each block's list is in descending mask order
+    and the first block holds the highest bits, so the left-major product is
+    in that order too, and the whole family needs no sort."""
     search = _naive_masks if which == NAIVE else _preferred_masks
     families = [search(p) for p in pieces]
     total = math.prod(map(len, families))
     if total > MAX_EXTENSIONS:
         raise TooLarge("%d %s extensions exceed the limit of %d"
                        % (total, which.lower(), MAX_EXTENSIONS))
-    # a mask with bit len(items) set decodes to items in one C pass through
-    # its binary digits; a loop over the bits of n-bit masks would be quadratic
-    decode = lambda items, m: compress(items, bin(m)[3:].encode().translate(_SELECTOR))
-    n = len(order)
-    digits = bytearray(b"1" * (n + 1))  # bit n, and the free arguments
-    for p in chain.from_iterable(positions for positions, _, _ in pieces):
-        digits[p + 1] = ord("0")
-    masks = [int(digits, 2)]
-    for (positions, _, _), family in zip(pieces, families):     # OR product
-        first, last, k = positions[0], positions[-1], len(positions)
-        if last - first < k:    # lift to natural-order bits: a shift if consecutive
-            family = [e << n - 1 - last for e in family]
+    if not pieces:
+        return [list(order)]
+    blocks = []     # [last position, members], pieces in order of first position
+    for (positions, _, _), family in zip(pieces, families):
+        if blocks and positions[0] <= blocks[-1][0]:
+            blocks[-1][0] = max(blocks[-1][0], positions[-1])
+            blocks[-1][1].append((positions, family))
         else:
-            bits = [1 << n - 1 - p for p in positions]
-            family = [sum(decode(bits, e | 1 << k)) for e in family]
-        masks = [m | e for m in masks for e in family]
-    masks.sort(reverse=True)
-    return [decode(order, m) for m in masks]
+            blocks.append([positions[-1], [(positions, family)]])
+    blocks[-1][0] = len(order) - 1
+    start, joined = 0, []
+    for last, members in blocks:
+        joined.append(_block(members, order[start:last + 1], start))
+        start = last + 1
+    return _join(joined)
 
 
 def _enumerate(af, which, cap):
@@ -376,8 +429,8 @@ def semantics_report(af, cap=DEFAULT_CAP, check_sets=()):
     report = {
         "args": order,
         "atts": [[order[i], order[j]] for i, j in atts],
-        "naive": list(map(list, _family(NAIVE, pieces, order))),
-        "preferred": list(map(list, _family(PREFERRED, pieces, order))),
+        "naive": _family(NAIVE, pieces, order),
+        "preferred": _family(PREFERRED, pieces, order),
         "checked_sets": [],
     }
     for S in check_sets:

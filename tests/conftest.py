@@ -1,3 +1,4 @@
+import importlib.util
 import json
 
 import pytest
@@ -8,6 +9,15 @@ from pathlib import Path
 from akgraph.cli import PipelineConfig, run_pipeline
 
 DATA = Path(__file__).parent / "data"
+
+
+def perfbench_inputs():
+    """The benchmark's input builder, which imports nothing from akgraph."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs", DATA.parents[1] / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return inputs
 
 
 @pytest.fixture(scope="session")

@@ -402,10 +402,10 @@ def test_every_error_is_a_value_error():
     assert [e for e in errors if not issubclass(e, ValueError)] == []
 
 
-def _akgraph(*argv, stdout=subprocess.PIPE):
+def _akgraph(*argv, stdout=subprocess.PIPE, cwd=None):
     """The CLI in a fresh interpreter, where main's logging set-up applies."""
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    return subprocess.run([sys.executable, "-m", "akgraph.cli", *argv],
+    return subprocess.run([sys.executable, "-m", "akgraph.cli", *argv], cwd=cwd,
                           stdout=stdout, stderr=subprocess.PIPE, text=True, env=env)
 
 
@@ -460,6 +460,44 @@ def test_every_verb_shows_every_warning_on_stderr(tmp_path, verb):
         "akgraph.akg: pruned redundant support A4 -> A6",
         "akgraph.akg: pruned redundant support A9 -> A11",
         "akgraph.akg: pruned redundant support A14 -> A17"]
+
+
+@pytest.mark.parametrize("canonical", [False, True], ids=["ann", "json"])
+def test_duplicate_stance_kept_by_id_whatever_the_line_order(tmp_path, canonical):
+    # a second stance on T2, A9, before or after A1: A9 sorts last and wins
+    # either way, so the files, stdout and stderr are the same
+    text = (DATA / "essay056.txt").read_text(encoding="utf-8")
+    ann = (DATA / "essay056.ann").read_text(encoding="utf-8")
+    lines = ann.splitlines()
+    at = lines.index("A1\tStance T2 For")
+    stances = json.loads(ingest.serialize_canonical_json(
+        ingest.parse_brat_ann(text, ann, doc_id="essay056")))
+    runs = []
+    for where in (at, at + 1):
+        case = tmp_path / str(where)
+        case.mkdir()
+        if canonical:
+            doc = json.loads(json.dumps(stances))
+            doc["stances"].insert(where - at, {"id": "A9", "claim": "T2",
+                                               "stance": "Against"})
+            (case / "essay056.json").write_text(json.dumps(doc), encoding="utf-8")
+            inputs = ["--input", "essay056.json"]
+        else:
+            (case / "essay056.txt").write_text(text, encoding="utf-8")
+            (case / "essay056.ann").write_text(
+                "\n".join(lines[:where] + ["A9\tStance T2 Against"] + lines[where:]) + "\n",
+                encoding="utf-8")
+            inputs = ["--input", "essay056.txt", "--ann", "essay056.ann"]
+        done = _akgraph("run", *inputs, "--prefs", str(DATA / "essay056.prefs"),
+                        "--out", "out", cwd=case)
+        assert done.returncode == 0, done.stderr
+        files = {p.name: p.read_bytes() for p in (case / "out").iterdir()}
+        runs.append((files, done.stdout, done.stderr))
+    assert len(runs[0][0]) == 7
+    assert runs[0] == runs[1]
+    files, _, stderr = runs[0]
+    assert "akgraph.ingest: duplicate stance for T2: keeping A9 over A1" in stderr.splitlines()
+    assert b"att(a13,a18)." in files["essay056.apx"]
 
 
 PETS = "Pets are nice. Therefore, get a pet."

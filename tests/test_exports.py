@@ -1,6 +1,5 @@
 import contextlib
 import hashlib
-import importlib.util
 import io
 import json
 import re
@@ -18,7 +17,7 @@ from akgraph.cli import (_SUFFIX, FORMATS, PipelineConfig, main, render_format,
 from akgraph.kbgraph import (AttributeBox, KBEdge, KBGraph, KBNode, _render_value,
                              build_kb_graph, natural_key)
 
-from conftest import DATA, canonical_docs
+from conftest import DATA, canonical_docs, perfbench_inputs
 
 NODE_RE = re.compile(r'^  "[^"]+" \[[^\]]*\];$')
 EDGE_RE = re.compile(r'^  "[^"]+" -> "[^"]+"( \[[^\]]*\])?;$')
@@ -320,18 +319,9 @@ def _args_dict(aset):
     }
 
 
-def _perfbench_inputs():
-    """The benchmark's input builder, which imports nothing from akgraph."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_inputs", DATA.parents[1] / "perfbench" / "inputs.py")
-    inputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(inputs)
-    return inputs
-
-
 def _replicated_essay(tmp_path, copies):
     """essay056 repeated as one document, by the benchmark's input builder."""
-    inputs = _perfbench_inputs()
+    inputs = perfbench_inputs()
     paths = {}
     for ext, body in zip(("txt", "ann", "prefs"),
                          inputs.replicate(*inputs.read_essay(), copies)):
@@ -453,7 +443,7 @@ def test_ann_line_order_changes_nothing(tmp_path, monkeypatch, capsys):
     anns = {"plain": DATA / "essay056.ann"}
     for seed in (1, 2, 3):
         anns["seed%d" % seed] = tmp_path / ("essay056-%d.ann" % seed)
-        anns["seed%d" % seed].write_text(_perfbench_inputs().shuffle_ann(ann, seed),
+        anns["seed%d" % seed].write_text(perfbench_inputs().shuffle_ann(ann, seed),
                                          encoding="utf-8")
     runs = {}
     for name, ann_path in anns.items():
@@ -565,7 +555,7 @@ def test_prepended_paragraph_moves_only_offsets(tmp_path_factory, document, word
 def test_replicated_essay_grows_linearly(tmp_path_factory, essay_report, copies, seed):
     # every copy adds the per-copy counts; the attacks stay in copy 1, so
     # the extension families are the single essay's plus the new arguments
-    inputs = _perfbench_inputs()
+    inputs = perfbench_inputs()
     text, ann, prefs = inputs.replicate(*inputs.read_essay(), copies)
     d = tmp_path_factory.mktemp("replicated")
     ann = inputs.shuffle_ann(ann, seed)

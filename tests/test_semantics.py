@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from akgraph import semantics as sem
 
+from conftest import perfbench_inputs
+
 
 def af(n, atts):
     args = tuple("a%d" % i for i in range(1, n + 1))
@@ -418,10 +420,125 @@ def test_report_lists_match_position_reference(f):
     assert rep["preferred"] == reference_lists(f, sem.PREFERRED)
 
 
+def single_mask_family(which, pieces, order):
+    """The family as it was listed before blocks: every extension the free
+    arguments OR-ed with one extension of each piece as one natural-order
+    mask of n bits, the masks sorted descending, each decoded through its
+    binary string."""
+    search = sem._naive_masks if which == sem.NAIVE else sem._preferred_masks
+    families = [search(p) for p in pieces]
+    decode = lambda items, m: itertools.compress(
+        items, bin(m)[3:].encode().translate(sem._SELECTOR))
+    n = len(order)
+    digits = bytearray(b"1" * (n + 1))  # bit n, and the free arguments
+    for p in itertools.chain.from_iterable(positions for positions, _, _ in pieces):
+        digits[p + 1] = ord("0")
+    masks = [int(digits, 2)]
+    for (positions, _, _), family in zip(pieces, families):     # OR product
+        first, last, k = positions[0], positions[-1], len(positions)
+        if last - first < k:    # lift to natural-order bits: a shift if consecutive
+            family = [e << n - 1 - last for e in family]
+        else:
+            bits = [1 << n - 1 - p for p in positions]
+            family = [sum(decode(bits, e | 1 << k)) for e in family]
+        masks = [m | e for m in masks for e in family]
+    masks.sort(reverse=True)
+    return [list(decode(order, m)) for m in masks]
+
+
+@st.composite
+def laid_out_af(draw):
+    """Weakly connected attack pieces of 1-4 arguments and up to 4 free
+    arguments, laid out in natural order either piece after piece (disjoint
+    intervals, free arguments anywhere between) or in any interleaving.  Ids
+    are zero-padded numbers in layout order, and a padded id may share the
+    natural key of the one before it."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    slots = [k for k, size in enumerate(sizes) for _ in range(size)]
+    free = draw(st.integers(0, 4))
+    if draw(st.booleans()):
+        for _ in range(free):
+            slots.insert(draw(st.integers(0, len(slots))), None)
+    else:
+        slots = draw(st.permutations(slots + [None] * free))
+    names, number, ties = [], 0, 0
+    for _ in slots:
+        if names and ties < 2 and draw(st.booleans()):
+            ties += 1
+        else:
+            number, ties = number + 1, 0
+        names.append("A%s%d" % ("0" * ties, number))
+    atts = []
+    for k in range(len(sizes)):
+        members = [a for a, slot in zip(names, slots) if slot == k]
+        for j in range(1, len(members)):    # a spanning tree, random directions
+            pair = (members[draw(st.integers(0, j - 1))], members[j])
+            atts.append(pair if draw(st.booleans()) else pair[::-1])
+        # a lone member is in a piece only if it attacks itself
+        pairs = [(a, b) for a in members for b in members]
+        atts += draw(st.lists(st.sampled_from(pairs), min_size=1 if len(members) == 1 else 0,
+                              max_size=3))
+    return sem.AFProjection(tuple(names), tuple(draw(st.permutations(atts))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(laid_out_af())
+@example(af(9, [(2, 3), (3, 2), (5, 8), (8, 5), (7, 7)]))  # free before, between, inside, after
+@example(af(6, [(1, 3), (3, 1), (2, 4), (4, 2), (5, 6), (6, 5)]))  # interleaved, then disjoint
+@example(sem.AFProjection(("A1", "A01", "A2", "A02", "A3"),
+                          (("A01", "A1"), ("A1", "A01"), ("A02", "A3"), ("A3", "A3"))))
+def test_report_families_match_single_mask_reference(f):
+    order, rank = sem._natural_order(f.args)
+    pieces = sem._pieces(f, sem.DEFAULT_CAP, rank)
+    rep = sem.semantics_report(f)
+    assert rep["naive"] == single_mask_family(sem.NAIVE, pieces, order)
+    assert rep["preferred"] == single_mask_family(sem.PREFERRED, pieces, order)
+
+
+INPUTS = perfbench_inputs()
+
+
+@st.composite
+def label_structure(draw):
+    """One framework as perfbench.inputs.label takes it: (size, attacks over
+    local indices) for each of 1-3 parts, which need not be connected."""
+    parts = []
+    for size in draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)):
+        pairs = [(i, j) for i in range(size) for j in range(size)]
+        parts.append((size, draw(st.lists(st.sampled_from(pairs), unique=True,
+                                          max_size=6))))
+    return [parts]
+
+
+def renamed(obj, rename):
+    """A report with every id renamed; keys and verdicts stay."""
+    if isinstance(obj, dict):
+        return {k: renamed(v, rename) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [renamed(x, rename) for x in obj]
+    return rename[obj] if isinstance(obj, str) else obj
+
+
+@settings(max_examples=100, deadline=None)
+@given(label_structure(), st.integers(0, 2 ** 32), st.integers(0, 2 ** 32), st.data())
+def test_order_preserving_relabelling_renames_the_report(structure, seed, other, data):
+    # the benchmark's labelling names arguments in structure order under a
+    # seed, and shuffles the attack list; two seeds give the same framework
+    # under an order-preserving renaming, so the reports differ only by it
+    (args, atts, _), = INPUTS.label(structure, seed)
+    (new_args, new_atts, _), = INPUTS.label(structure, other)
+    rename = dict(zip(args, new_args))
+    check = data.draw(st.lists(st.sets(st.sampled_from(args)), max_size=2))
+    rep = sem.semantics_report(sem.AFProjection(args, atts), check_sets=check)
+    new = sem.semantics_report(sem.AFProjection(new_args, new_atts),
+                               check_sets=[{rename[a] for a in S} for S in check])
+    assert new == renamed(rep, rename)
+
+
 def test_report_on_large_framework_decodes_in_linear_time():
     # 5,000 arguments with 12 disjoint 2-cycles: 4,096 extensions per family,
-    # each decoded from a 5,000-bit mask; a loop over the bits of each mask
-    # would not finish in time
+    # each a list of about 5,000 ids joined from 12 blocks of about 400; a
+    # loop over the bits of 5,000-bit masks would not finish in time
     code = ("from akgraph import semantics as sem\n"
             "args = tuple('a%d' % i for i in range(1, 5001))\n"
             "pairs = [(args[400 * k + 7], args[400 * k + 300]) for k in range(12)]\n"
