@@ -203,6 +203,8 @@ def _config_from(ns):
     if bad:
         raise PipelineError("unknown format(s): %s (choose from %s)"
                             % (", ".join(bad), ", ".join(FORMATS)))
+    if ns.cap < 0:
+        raise PipelineError("--cap must be 0 or more, not %d" % ns.cap)
     check_sets = tuple(tuple(dict.fromkeys(p for p in chunk.split(",") if p))
                        for chunk in (ns.check_set or []))
     return PipelineConfig(

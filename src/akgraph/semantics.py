@@ -9,28 +9,32 @@ Enumeration strategy: arguments not involved in any attack belong to every
 maximal extension.  Naive and preferred extensions of a disjoint union are
 the products of the parts' extensions, so the search runs separately over
 each weakly connected piece of the attack graph, over int bitmasks of its
-members: naive extensions are the maximal independent sets of the symmetric
-conflict graph over the members that do not attack themselves, listed by
-Bron-Kerbosch with pivoting; preferred extensions come from an
+members.  A report maps the attacks to pairs of natural positions once; a
+flood fill over those pairs finds the pieces, each piece's tables from
+member bits to masks are made as its fill ends, and one pass over the pairs
+fills them.  Naive extensions are the maximal independent sets of the
+symmetric conflict graph over the members that do not attack themselves,
+listed by Bron-Kerbosch with pivoting; preferred extensions come from an
 include/exclude search that starts at the grounded extension and cuts a
 branch once the chosen set can no longer be defended or can only reach
 subsets of an extension already found.  Neither search visits a non-maximal
 set at a leaf.  Pieces whose spans of natural positions overlap form a
 block, and each block owns a slice of the natural order that also holds the
-free arguments before it (the last block, those after it too).  A block's
-extensions are its pieces' extensions OR-ed together with its free
-arguments as natural-order bitmasks, sorted and decoded to lists once each;
-an extension of the framework is one list of every block, concatenated, and
-the blocks are joined halves first, so that each list of the result is
-copied once.  A raw 2^n oracle (vectorized, independently coded) serves as
-the reference implementation for cross-checking.
+free arguments before it (the last block, those after it too).  This block
+layout depends on the pieces alone, so a report works it out once for both
+families.  A block's extensions are its pieces' extensions OR-ed together
+with its free arguments as natural-order bitmasks, sorted and decoded to
+lists once each; a block that is one piece filling its slice takes that
+piece's masks as they are, with no OR product.  An extension of the
+framework is one list of every block, concatenated, and the blocks are
+joined halves first, so that each list of the result is copied once.  A
+raw 2^n oracle (vectorized, independently coded) serves as the reference
+implementation for cross-checking.
 """
 
 import math
 from collections import defaultdict, namedtuple
-from functools import reduce
 from itertools import compress
-from operator import or_
 from typing import NamedTuple
 
 from .akg import ATTACK
@@ -147,17 +151,20 @@ def _natural_order(args):
     return order, {a: i for i, a in enumerate(order)}
 
 
-def _pieces(af, cap, rank):
-    """The weakly connected pieces of the attack graph as (positions, attacks,
-    attackers): the members' natural positions, ascending, and tables from
-    member bits to masks, where the member at the i-th highest position is
-    bit i.  Raises TooLarge, before any search, if one has over cap members."""
-    pairs = [(rank[a], rank[b]) for a, b in af.atts]
+def _pieces(pairs, cap):
+    """The weakly connected pieces of an attack graph given as (attacker,
+    attacked) pairs of natural positions, as (positions, attacks, attackers):
+    the members' positions, ascending, and tables from member bits to masks,
+    where the member at the i-th highest position is bit i.  A piece's tables
+    are made, keyed by its bits, as soon as its flood fill ends, and one pass
+    over the pairs fills them through each position's seat: its bit and its
+    piece's tables.  Raises TooLarge, before any table is filled or any
+    search runs, if some piece has over cap members, naming the largest."""
     near = defaultdict(set)
     for p, q in pairs:
         near[p].add(q)
         near[q].add(p)
-    groups = []
+    pieces, seat, largest = [], {}, 0   # seat: position -> its bit, its piece's tables
     for p in sorted(near):      # flood fill, so pieces come in natural order
         if p in near:   # not yet in a piece
             members, frontier = {p}, [p]
@@ -165,18 +172,25 @@ def _pieces(af, cap, rank):
                 new = near.pop(frontier.pop()) - members
                 members |= new
                 frontier += new
-            groups.append(sorted(members))
-    largest = max(map(len, groups), default=0)
-    if largest > cap:
+            k = len(members)
+            if k > cap:     # refused below, so it gets no tables
+                largest = max(largest, k)
+                continue
+            positions = sorted(members)
+            bits = [1 << i for i in range(k - 1, -1, -1)]
+            attacks, attackers = dict.fromkeys(bits, 0), dict.fromkeys(bits, 0)
+            for p, b in zip(positions, bits):
+                seat[p] = b, attacks, attackers
+            pieces.append((positions, attacks, attackers))
+    if largest:
         raise TooLarge("a connected piece of %d arguments exceeds the cap of %d"
                        % (largest, cap))
-    bit = {p: 1 << i for positions in groups for i, p in enumerate(reversed(positions))}
-    attacks, attackers = dict.fromkeys(bit, 0), dict.fromkeys(bit, 0)
     for p, q in pairs:
-        attacks[p] |= bit[q]
-        attackers[q] |= bit[p]
-    return [(positions, {bit[p]: attacks[p] for p in positions},
-             {bit[p]: attackers[p] for p in positions}) for positions in groups]
+        b, attacks, _ = seat[p]
+        c, _, attackers = seat[q]
+        attacks[b] |= c
+        attackers[c] |= b
+    return pieces
 
 
 def _keep(found, mask, which):
@@ -194,12 +208,16 @@ def _naive_masks(piece):
     Bron-Kerbosch with pivoting lists those without reaching a non-maximal
     set: it extends chosen by candidates compatible with all of it, and
     excluded holds the compatible members already tried, so a set that could
-    still take one of them is not reported.  A child left with at most one
-    candidate is settled without a call: its only maximal extension takes
-    that candidate, if no excluded member could still join.
+    still take one of them is not reported.  A child left with at most two
+    candidates is settled without a call: its maximal extensions take both
+    candidates if they are compatible, else each one alone, and each is
+    reported if no excluded member could still join it.
     """
     _, attacks, attackers = piece
-    allowed = sum(b for b, a in attacks.items() if not a & b)   # no self-attack
+    allowed = 0
+    for b, a in attacks.items():
+        if not a & b:   # no self-attack
+            allowed |= b
     compatible = {b: allowed & ~(a | attackers[b] | b) for b, a in attacks.items()}
     found = []
 
@@ -219,13 +237,25 @@ def _naive_masks(piece):
             low = rest & -rest
             near = compatible[low]
             sub, out = cand & near, excluded & near
+            high = sub & (sub - 1)
             if not sub:
                 if not out:
                     _keep(found, chosen | low, NAIVE)
-            elif sub & (sub - 1):
+            elif not high:
+                if not out & compatible[sub]:
+                    _keep(found, chosen | low | sub, NAIVE)
+            elif high & (high - 1):
                 expand(chosen | low, sub, out)
-            elif not out & compatible[sub]:
-                _keep(found, chosen | low | sub, NAIVE)
+            else:   # two candidates
+                one, other = compatible[sub ^ high], compatible[high]
+                if one & high:
+                    if not out & one & other:
+                        _keep(found, chosen | low | sub, NAIVE)
+                else:
+                    if not out & one:
+                        _keep(found, chosen | low | sub ^ high, NAIVE)
+                    if not out & other:
+                        _keep(found, chosen | low | high, NAIVE)
             cand ^= low
             excluded |= low
             rest ^= low
@@ -233,6 +263,7 @@ def _naive_masks(piece):
     if not allowed:     # every member attacks itself
         return [0]
     expand(0, allowed, 0)
+    expand = None   # it refers to itself: a cycle only the collector would free
     return found
 
 
@@ -252,8 +283,11 @@ def _preferred_masks(piece):
     or the first candidate when every attacker is answered.
     """
     _, attacks, attackers = piece
-    allowed = sum(b for b, a in attacks.items() if not a & b)   # no self-attack
-    conflict = {b: a | attackers[b] for b, a in attacks.items()}
+    allowed, conflict = 0, {}
+    for b, a in attacks.items():
+        if not a & b:   # no self-attack
+            allowed |= b
+        conflict[b] = a | attackers[b]
     found = []
 
     def search(chosen, cand, need, struck):
@@ -282,44 +316,57 @@ def _preferred_masks(piece):
     # the grounded extension: the least set holding every member it defends
     grounded = struck = 0
     while True:
-        defended = sum(b for b, a in attackers.items() if not a & ~struck)
+        defended = 0
+        for b, a in attackers.items():
+            if not a & ~struck:
+                defended |= b
         if defended == grounded:
             break
-        grounded = defended
-        struck = reduce(or_, [a for b, a in attacks.items() if b & defended], 0)
-    clash = reduce(or_, [c for b, c in conflict.items() if b & grounded], 0)
+        grounded, struck = defended, 0
+        for b, a in attacks.items():
+            if b & defended:
+                struck |= a
+    clash = 0
+    for b, c in conflict.items():
+        if b & grounded:
+            clash |= c
     search(grounded, allowed & ~(grounded | clash), 0, struck)
+    search = None   # it refers to itself: a cycle only the collector would free
     return found
 
 
-def _block(members, items, start):
-    """Every extension of one block, as a list of its slice of the order.
+def _block(families, items, top, base, lifts):
+    """Every extension of one block, as a list of items, its slice of the
+    order, in descending order of their masks over the slice.
 
-    items is order[start:start + len(items)]; members lists the (positions,
-    extensions) of the block's pieces.  Each piece's extensions are lifted to
-    bits of the slice, the position p being bit start + len(items) - 1 - p,
-    and OR-ed with one of every other piece's and with the slice's free
-    arguments, which are constant one bits.  The masks are sorted descending
-    and each is decoded once."""
-    # a mask with bit len(items) set decodes to items in one C pass through
-    # its binary digits; a loop over the bits of long masks would be quadratic
-    decode = lambda items, m: compress(items, bin(m)[3:].encode().translate(_SELECTOR))
-    end = start + len(items)
-    digits = bytearray(b"1" * (len(items) + 1))  # the top bit, and free arguments
-    for positions, _ in members:
-        for p in positions:
-            digits[p - start + 1] = ord("0")
-    masks = [int(digits, 2)]
-    for positions, family in members:   # OR product
-        first, last, k = positions[0], positions[-1], len(positions)
-        if last - first < k:    # a shift if consecutive
-            family = [e << end - 1 - last for e in family]
-        else:
-            bits = [1 << end - 1 - p for p in positions]
-            family = [sum(decode(bits, e | 1 << k)) for e in family]
-        masks = [m | e for m in masks for e in family]
-    masks.sort(reverse=True)
-    return list(map(list, [decode(items, m) for m in masks]))
+    families holds the masks of the block's pieces; top is 1 << len(items),
+    the bit above the slice.  A block of one piece that fills its slice
+    (lifts is None) takes that piece's masks as they are, since the piece's
+    bit i is then the slice's bit i.  Otherwise each piece's masks are
+    lifted to bits of the slice by its (shift, bits): a shift if its members
+    are consecutive, else bits, the slice bits of its members from the
+    highest down.  Each lifted mask is OR-ed with one of every other piece's
+    and with base, the top bit and the slice's free arguments, which are
+    constant one bits.  The family is sorted only if it has more than one
+    mask, and each mask is decoded once: with the top bit set, its binary
+    digits select items in one C pass; a loop over the bits of long masks
+    would be quadratic."""
+    if lifts is None:
+        masks, = families
+    else:
+        masks = [base]
+        for family, (shift, bits) in zip(families, lifts):    # OR product
+            if bits is None:
+                family = [e << shift for e in family]
+            else:
+                k = 1 << len(bits)
+                family = [sum(compress(bits, bin(e | k)[3:].encode().translate(_SELECTOR)))
+                          for e in family]
+            masks = [m | e for m in masks for e in family]
+    if len(masks) > 1:
+        masks.sort(reverse=True)
+    return [list(compress(items, bin(m | top)[3:].encode().translate(_SELECTOR)))
+            for m in masks]
 
 
 def _join(families):
@@ -333,49 +380,69 @@ def _join(families):
     return [x + y for x in left for y in right]
 
 
-def _family(which, pieces, order):
-    """Every extension of a framework with these attack pieces, as a list of
-    its arguments in natural order, in the report's order: that of their
-    position lists.
+def _family(kinds, pieces, order):
+    """For each semantics of kinds in turn, every extension of a framework
+    with these attack pieces, as a list of its arguments in natural order,
+    in the report's order: that of their position lists.
 
     Pieces whose [first, last] position intervals overlap form one block.
     Block i owns the slice of the order from the end of block i-1 (or 0)
     through its last member (through the end, for the last block), so the
     slices of free arguments before, between, inside and after the pieces
-    fall to the block that follows them.  _block lists each block's
+    fall to the block that follows them.  The layout depends on the pieces
+    alone, so it is worked out once, on the first family, and serves every
+    family: each block's slice, its pieces, their lifts to the slice, and
+    whether it is one piece that fills its slice.  _block lists each block's
     extensions over its slice; _join concatenates one from every block.  A
     family is an antichain, so the lowest position where two of its sets
     differ decides their order: as masks of natural-order bits, their
     highest differing bit.  Each block's list is in descending mask order
     and the first block holds the highest bits, so the left-major product is
-    in that order too, and the whole family needs no sort."""
-    search = _naive_masks if which == NAIVE else _preferred_masks
-    families = [search(p) for p in pieces]
-    total = math.prod(map(len, families))
-    if total > MAX_EXTENSIONS:
-        raise TooLarge("%d %s extensions exceed the limit of %d"
-                       % (total, which.lower(), MAX_EXTENSIONS))
-    if not pieces:
-        return [list(order)]
-    blocks = []     # [last position, members], pieces in order of first position
-    for (positions, _, _), family in zip(pieces, families):
-        if blocks and positions[0] <= blocks[-1][0]:
-            blocks[-1][0] = max(blocks[-1][0], positions[-1])
-            blocks[-1][1].append((positions, family))
+    in that order too, and the whole family needs no sort.  Every search of
+    a family runs, and its size is checked against MAX_EXTENSIONS, before
+    any of its lists is built."""
+    spans = []  # [first piece, end piece, last position] per block
+    for i, (positions, _, _) in enumerate(pieces):
+        if spans and positions[0] <= spans[-1][2]:
+            spans[-1][1:] = i + 1, max(spans[-1][2], positions[-1])
         else:
-            blocks.append([positions[-1], [(positions, family)]])
-    blocks[-1][0] = len(order) - 1
-    start, joined = 0, []
-    for last, members in blocks:
-        joined.append(_block(members, order[start:last + 1], start))
-        start = last + 1
-    return _join(joined)
+            spans.append([i, i + 1, positions[-1]])
+    spans = spans or [[0, 0, 0]]    # no attacks: one block of free arguments
+    spans[-1][2] = len(order) - 1
+    layout, start = [], 0   # (first piece, end piece, items, top, base, lifts)
+    for first, stop, last in spans:
+        items, end = order[start:last + 1], last + 1
+        top = 1 << len(items)
+        base, lifts = (top << 1) - 1, []    # top bit and every item
+        for positions, _, _ in pieces[first:stop]:
+            k = len(positions)
+            if positions[-1] - positions[0] < k:    # consecutive: a shift
+                shift, bits = end - 1 - positions[-1], None
+                base ^= (1 << k) - 1 << shift
+            else:
+                shift, bits = 0, [1 << end - 1 - p for p in positions]
+                base ^= sum(bits)
+            lifts.append((shift, bits))
+        if stop - first == 1 and base == top:
+            lifts = None
+        layout.append((first, stop, items, top, base, lifts))
+        start = end
+    for which in kinds:
+        search = _naive_masks if which == NAIVE else _preferred_masks
+        families = [search(p) for p in pieces]
+        total = math.prod(map(len, families))
+        if total > MAX_EXTENSIONS:
+            raise TooLarge("%d %s extensions exceed the limit of %d"
+                           % (total, which.lower(), MAX_EXTENSIONS))
+        yield _join([_block(families[first:stop], items, top, base, lifts)
+                     for first, stop, items, top, base, lifts in layout])
 
 
 def _enumerate(af, which, cap):
     order, rank = _natural_order(af.args)
-    return tuple(Extension(frozenset(members), which)
-                 for members in _family(which, _pieces(af, cap, rank), order))
+    family, = _family((which,), _pieces([(rank[a], rank[b]) for a, b in af.atts], cap),
+                      order)
+    return tuple(Extension(frozenset(members), which) for members in family)
 
 
 def naive_extensions(af, cap=DEFAULT_CAP):
@@ -424,13 +491,13 @@ def semantics_report(af, cap=DEFAULT_CAP, check_sets=()):
     """JSON-ready summary: framework, naive / preferred families, and
     conflict-free/admissible verdicts for any requested sets."""
     order, rank = _natural_order(af.args)
-    pieces = _pieces(af, cap, rank)
-    atts = sorted((rank[a], rank[b]) for a, b in af.atts)
+    pairs = sorted([(rank[a], rank[b]) for a, b in af.atts])
+    naive, preferred = _family((NAIVE, PREFERRED), _pieces(pairs, cap), order)
     report = {
         "args": order,
-        "atts": [[order[i], order[j]] for i, j in atts],
-        "naive": _family(NAIVE, pieces, order),
-        "preferred": _family(PREFERRED, pieces, order),
+        "atts": [[order[i], order[j]] for i, j in pairs],
+        "naive": naive,
+        "preferred": preferred,
         "checked_sets": [],
     }
     for S in check_sets:

@@ -233,6 +233,22 @@ def test_cap_exceeded_exit_1(capsys):
     assert run(["semantics", "--cap", "2"] + POLLOCK_JSON) == 0
 
 
+def test_negative_cap_refused(tmp_path, capsys):
+    # the document has no attacks, so no piece can exceed any cap; a
+    # negative cap is refused as an option value, and 0 is a valid cap
+    text = tmp_path / "pets.txt"
+    text.write_text("Pets are nice. Therefore, get a pet.", encoding="utf-8")
+    ann = tmp_path / "pets.ann"
+    ann.write_text("T1\tMajorClaim 26 35\tget a pet\nT2\tPremise 0 13\tPets are nice\n"
+                   "R1\tSupports Arg1:T2 Arg2:T1\n", encoding="utf-8")
+    doc = ["--input", str(text), "--ann", str(ann)]
+    assert run(["run", "--cap", "-5"] + doc) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "akgraph.cli.PipelineError: --cap must be 0 or more, not -5\n")
+    assert run(["semantics", "--cap", "0"] + doc) == 0
+    assert json.loads(capsys.readouterr().out)["naive"] == [["A1", "A2", "A3"]]
+
+
 @pytest.mark.parametrize("content, error", [
     ("T99\tn\n", "UnknownKindTarget: kind override id 'T99' names no component"),
     # T4 is pollock's InferenceRule span, not a component

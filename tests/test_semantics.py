@@ -129,6 +129,12 @@ def members(exts):
     return [set(e.members) for e in exts]
 
 
+def pieces_of(f, cap=sem.DEFAULT_CAP):
+    """The attack pieces of f, from its attacks as pairs of natural positions."""
+    rank = sem._natural_order(f.args)[1]
+    return sem._pieces([(rank[a], rank[b]) for a, b in f.atts], cap)
+
+
 def test_empty_af():
     f = af(0, [])
     assert members(sem.naive_extensions(f)) == [set()]
@@ -177,6 +183,31 @@ def test_cap_enforced():
     assert members(sem.preferred_extensions(chain, cap=5)) == [{"a1", "a3", "a5", "a6"}]
 
 
+def test_cap_refusal_names_the_largest_piece_before_any_search(monkeypatch):
+    # pieces of 3, 5, 4 and 2 arguments under a cap of 2
+    f = af(14, [(1, 2), (2, 3), (4, 5), (5, 6), (6, 7), (7, 8), (9, 10), (10, 11), (11, 12),
+                (13, 14)])
+
+    def searched(piece):
+        raise AssertionError("a piece was searched before the cap was checked")
+
+    monkeypatch.setattr(sem, "_naive_masks", searched)
+    monkeypatch.setattr(sem, "_preferred_masks", searched)
+    for call in (sem.semantics_report, sem.naive_extensions, sem.preferred_extensions):
+        with pytest.raises(sem.TooLarge,
+                           match=r"^a connected piece of 5 arguments exceeds the cap of 2$"):
+            call(f, 2)
+
+
+def test_cap_refuses_only_pieces_that_exist():
+    # without attacks there is no piece, so even a negative cap refuses nothing
+    assert pieces_of(af(3, []), cap=-5) == []
+    assert members(sem.naive_extensions(af(3, []), cap=-5)) == [{"a1", "a2", "a3"}]
+    assert sem.semantics_report(af(3, []), cap=0)["preferred"] == [["a1", "a2", "a3"]]
+    with pytest.raises(sem.TooLarge, match="a connected piece of 2 arguments exceeds the cap of 0"):
+        sem.semantics_report(af(3, [(1, 2)]), cap=0)
+
+
 def test_cap_ignores_free_arguments():
     f = af(100, [(1, 2), (3, 4)])
     assert len(f.args) > sem.DEFAULT_CAP
@@ -188,7 +219,7 @@ def test_piece_searched_over_its_own_bits():
     # a 3-argument piece among 5,000 arguments: its tables and extensions are
     # 3-bit masks, so its search costs the same whatever the framework's size
     f = af(5000, [(7, 4000), (4000, 2500), (2500, 4000)])
-    piece, = sem._pieces(f, sem.DEFAULT_CAP, sem._natural_order(f.args)[1])
+    piece, = pieces_of(f)
     assert piece[0] == [6, 2499, 3999]
     assert all(0 < x < 8 and 0 <= m < 8 for t in piece[1:] for x, m in t.items())
     assert all(0 < e < 8 for e in sem._naive_masks(piece) + sem._preferred_masks(piece))
@@ -488,11 +519,44 @@ def laid_out_af(draw):
 @example(sem.AFProjection(("A1", "A01", "A2", "A02", "A3"),
                           (("A01", "A1"), ("A1", "A01"), ("A02", "A3"), ("A3", "A3"))))
 def test_report_families_match_single_mask_reference(f):
-    order, rank = sem._natural_order(f.args)
-    pieces = sem._pieces(f, sem.DEFAULT_CAP, rank)
+    order = sem._natural_order(f.args)[0]
+    pieces = pieces_of(f)
     rep = sem.semantics_report(f)
     assert rep["naive"] == single_mask_family(sem.NAIVE, pieces, order)
     assert rep["preferred"] == single_mask_family(sem.PREFERRED, pieces, order)
+
+
+@st.composite
+def one_piece_af(draw):
+    """One weakly connected attack piece of 1-6 arguments, self-attacks
+    included, holding every argument or with a free argument before and/or
+    after it in natural order."""
+    k, before, after = draw(st.integers(1, 6)), draw(st.integers(0, 1)), draw(st.integers(0, 1))
+    names = ["A%d" % i for i in range(1, before + k + after + 1)]
+    members = names[before:before + k]
+    atts = []
+    for j in range(1, k):   # a spanning tree, random directions
+        pair = (members[draw(st.integers(0, j - 1))], members[j])
+        atts.append(pair if draw(st.booleans()) else pair[::-1])
+    # a lone member is in a piece only if it attacks itself
+    pairs = [(a, b) for a in members for b in members]
+    atts += draw(st.lists(st.sampled_from(pairs), min_size=1 if k == 1 else 0, max_size=4))
+    return sem.AFProjection(tuple(draw(st.permutations(names))),
+                            tuple(draw(st.permutations(atts))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(one_piece_af())
+@example(af(3, [(1, 2), (2, 3), (3, 3)]))           # the piece fills its slice
+@example(af(5, [(2, 3), (3, 4), (4, 2), (3, 3)]))   # free before and after
+@example(af(1, [(1, 1)]))                           # every member attacks itself
+def test_one_piece_block_matches_references(f):
+    order = sem._natural_order(f.args)[0]
+    pieces = pieces_of(f)
+    rep = sem.semantics_report(f)
+    for which in (sem.NAIVE, sem.PREFERRED):
+        assert rep[which.lower()] == reference_lists(f, which)
+        assert rep[which.lower()] == single_mask_family(which, pieces, order)
 
 
 INPUTS = perfbench_inputs()
