@@ -48,7 +48,6 @@ class AKGNode(NamedTuple):
     content: str = None       # formula or rule id behind the node
     text: str = None          # rendered member text
     premise_kind: str = None  # n/p/a for premise nodes
-    dataset_tag: str = None   # Claim | MajorClaim for annotated conclusions
 
 
 class AKGEdge(NamedTuple):
@@ -142,13 +141,11 @@ def _claim_node(ekb, arg, comp_kinds):
     if arg.kind != C:   # derived, and feeding a rule: a premise of no kind
         return AKGNode(arg.arg_id, PREMISE, AttributeBox(values + (None,)),
                        content=arg.content, text=f.text)
-    tag = None
-    if f.components:
+    if f.components:    # the dataset tag: Claim | MajorClaim
         kinds = {comp_kinds.get(cid) for cid in f.components}
-        tag = "MajorClaim" if "MajorClaim" in kinds else "Claim"
-        values += (tag,)
+        values += ("MajorClaim" if "MajorClaim" in kinds else "Claim",)
     return AKGNode(arg.arg_id, CONCLUSION, AttributeBox(values),
-                   content=arg.content, text=f.text, dataset_tag=tag)
+                   content=arg.content, text=f.text)
 
 
 def build_akg(kbg, aset, doc):

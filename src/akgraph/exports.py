@@ -6,10 +6,9 @@ joined to their owners by undecorated linker edges.
 
 Every JSON export is laid out as json.dumps(obj, indent=2,
 ensure_ascii=False) lays out the same object, byte for byte.  With an indent
-json.dumps runs its pure-Python encoder, so the three graph exports fill one
+json.dumps runs its pure-Python encoder, so the four JSON exports fill one
 row template per set of keys (_row) instead, and every string goes through
-the C string encoder; the semantics report is walked by _json_text.  Only
-_row, _array, _strings and _json_text know the layout.
+the C string encoder.  Only _row, _array and _strings know the layout.
 """
 
 from functools import lru_cache
@@ -80,7 +79,7 @@ def export_dot(graph):
 
 # -- JSON --
 #
-# The graph exports are three levels deep: the top object, its lists at two
+# The JSON exports are three levels deep: the top object, its lists at two
 # spaces, their rows at four and the rows' fields at six.  Each row fills the
 # template that _row builds once for its keys; the keys are the literal
 # tuples below and the AKG edge shapes, so the cache stays small.
@@ -125,32 +124,9 @@ def _strings(items, pad="      "):
     return "[\n%s%s\n%s]" % (inner, (",\n" + inner).join([_enc(x) for x in items]), pad)
 
 
-def _json_text(obj, pad=""):
-    """obj as json.dumps(obj, indent=2, ensure_ascii=False) writes it, for a
-    value nested at indentation pad.  Takes dicts with string keys, lists,
-    tuples, strings, ints, bools and None."""
-    if isinstance(obj, str):
-        return _enc(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    inner = pad + "  "
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        return "{\n%s%s\n%s}" % (inner, (",\n" + inner).join(
-            "%s: %s" % (_enc(k), _json_text(v, inner)) for k, v in obj.items()), pad)
-    if isinstance(obj, (list, tuple)):
-        if all(isinstance(x, str) for x in obj):
-            return _strings(obj, pad)
-        return _array([inner + _json_text(x, inner) for x in obj], pad)
-    raise TypeError("Object of type %s is not JSON serializable"
-                    % type(obj).__name__)
+def _string_lists(lists):
+    """A JSON array, at two spaces, of arrays of strings."""
+    return _array(["    " + _strings(x, "    ") for x in lists])
 
 
 def export_json_kb(kbg):
@@ -193,7 +169,7 @@ def export_json_akg(akg):
                 _strings(n.attributes.rendered)) for n in akg.sorted_nodes)),
         _array(list(map(_akg_edge, edges))),
         _mp_rows(akg.mp_applications),
-        _array(["    " + _strings(pair, "    ") for pair in akg.pruned_supports])))
+        _string_lists(akg.pruned_supports)))
 
 
 def _mp_rows(apps):
@@ -216,8 +192,18 @@ def export_json_args(aset):
         _mp_rows(aset.mp_applications)))
 
 
+_BOOL = {False: "false", True: "true"}
+
+
 def export_semantics_json(report):
-    return _json_text(report) + "\n"
+    return _document(("args", "atts", "naive", "preferred", "checked_sets"), (
+        _strings(report["args"], "  "),
+        _string_lists(report["atts"]),
+        _string_lists(report["naive"]),
+        _string_lists(report["preferred"]),
+        _rows(("set", "conflict_free", "admissible"),
+              ((_strings(c["set"]), _BOOL[c["conflict_free"]], _BOOL[c["admissible"]])
+               for c in report["checked_sets"]))))
 
 
 # -- apx --

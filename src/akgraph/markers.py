@@ -123,15 +123,15 @@ class IMMatch(NamedTuple):
 
     surface is the document text of the lexicon match; span may extend past
     it when a bridge phrase is absorbed (e.g. "due to [the fact that]").
-    Implicit matches have an empty surface at a sentence boundary.
+    Implicit matches have an empty surface at a sentence boundary.  The
+    heuristic also names the kind of indicator that fired: the forward ones
+    match claim indicators, BackwardCausal a premise indicator.
     """
     surface: str
     span: tuple
     heuristic: str
     antecedent_span: tuple
     consequent_span: tuple
-    indicator: str = CLAIM_INDICATOR
-    low_confidence: bool = False
 
 
 def _parse_lexicon_lines(content):
@@ -265,9 +265,7 @@ def _candidates(doc, lexicon):
                     span=(start, mend),
                     heuristic=FORWARD_MEDIAL if boundary == ";" else FORWARD_INITIAL,
                     antecedent_span=segs[i - 1][:2],
-                    consequent_span=(cstart, end),
-                    indicator=CLAIM_INDICATOR,
-                    low_confidence=comma is None))
+                    consequent_span=(cstart, end)))
 
         # backward causal: a premise indicator after the segment's first
         # character, a non-space, so the leading clause is never empty
@@ -285,8 +283,7 @@ def _candidates(doc, lexicon):
                         span=(pos, mend),
                         heuristic=BACKWARD_CAUSAL,
                         antecedent_span=(aspan_start, end),
-                        consequent_span=(start, start + len(text[start:pos].rstrip(" "))),
-                        indicator=PREMISE_INDICATOR))
+                        consequent_span=(start, start + len(text[start:pos].rstrip(" ")))))
     return cands
 
 
@@ -361,8 +358,7 @@ def resolve_implicit_ims(doc, related_pairs, explicit_ims=None, lexicon=None):
             span=(anchor, anchor),
             heuristic=IMPLICIT,
             antecedent_span=source_span,
-            consequent_span=target_span,
-            indicator=CLAIM_INDICATOR))
+            consequent_span=target_span))
     out.sort(key=lambda m: m.span[0])
     return out
 

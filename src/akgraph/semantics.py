@@ -84,7 +84,6 @@ class AFProjection(namedtuple("AFProjection", "args atts")):
 
 class Extension(NamedTuple):
     members: frozenset
-    label: str
 
     @property
     def sorted_members(self):
@@ -208,10 +207,11 @@ def _naive_masks(piece):
     Bron-Kerbosch with pivoting lists those without reaching a non-maximal
     set: it extends chosen by candidates compatible with all of it, and
     excluded holds the compatible members already tried, so a set that could
-    still take one of them is not reported.  A child left with at most two
-    candidates is settled without a call: its maximal extensions take both
-    candidates if they are compatible, else each one alone, and each is
-    reported if no excluded member could still join it.
+    still take one of them is not reported.  The children wait on a stack,
+    so a deep piece cannot reach Python's recursion limit.  A child left with
+    at most two candidates is settled without being pushed: its maximal
+    extensions take both candidates if they are compatible, else each one
+    alone, and each is reported if no excluded member could still join it.
     """
     _, attacks, attackers = piece
     allowed = 0
@@ -219,9 +219,11 @@ def _naive_masks(piece):
         if not a & b:   # no self-attack
             allowed |= b
     compatible = {b: allowed & ~(a | attackers[b] | b) for b, a in attacks.items()}
-    found = []
-
-    def expand(chosen, cand, excluded):
+    if not allowed:     # every member attacks itself
+        return [0]
+    found, stack = [], [(0, allowed, 0)]
+    while stack:
+        chosen, cand, excluded = stack.pop()
         # pivot: the member compatible with the most candidates; branching
         # only on candidates outside its compatible set misses no maximal set
         best, pivot, rest = -1, 0, cand | excluded
@@ -245,7 +247,7 @@ def _naive_masks(piece):
                 if not out & compatible[sub]:
                     _keep(found, chosen | low | sub, NAIVE)
             elif high & (high - 1):
-                expand(chosen | low, sub, out)
+                stack.append((chosen | low, sub, out))
             else:   # two candidates
                 one, other = compatible[sub ^ high], compatible[high]
                 if one & high:
@@ -259,11 +261,6 @@ def _naive_masks(piece):
             cand ^= low
             excluded |= low
             rest ^= low
-
-    if not allowed:     # every member attacks itself
-        return [0]
-    expand(0, allowed, 0)
-    expand = None   # it refers to itself: a cycle only the collector would free
     return found
 
 
@@ -280,7 +277,10 @@ def _preferred_masks(piece):
     (it excludes a member the earlier one includes), so the leaves are
     exactly the maximal admissible sets.  The member decided next is a
     candidate able to answer the attacker with the fewest such candidates,
-    or the first candidate when every attacker is answered.
+    or the first candidate when every attacker is answered.  The search
+    follows each inclusion at once and pushes the exclusion onto a stack,
+    so the leaves come in depth-first order, which the cut by sets found
+    relies on, and a deep piece cannot reach Python's recursion limit.
     """
     _, attacks, attackers = piece
     allowed, conflict = 0, {}
@@ -288,30 +288,6 @@ def _preferred_masks(piece):
         if not a & b:   # no self-attack
             allowed |= b
         conflict[b] = a | attackers[b]
-    found = []
-
-    def search(chosen, cand, need, struck):
-        unmet = need & ~struck
-        fewest = cand
-        while unmet:
-            low = unmet & -unmet
-            defenders = attackers[low] & cand
-            if not defenders:
-                return
-            if defenders.bit_count() < fewest.bit_count():
-                fewest = defenders
-            unmet ^= low
-        span = chosen | cand
-        for f in found:
-            if not span & ~f:
-                return
-        if not cand:
-            _keep(found, chosen, PREFERRED)
-            return
-        low = fewest & -fewest
-        search(chosen | low, cand & ~(low | conflict[low]),
-               need | attackers[low], struck | attacks[low])
-        search(chosen, cand ^ low, need, struck)
 
     # the grounded extension: the least set holding every member it defends
     grounded = struck = 0
@@ -330,8 +306,36 @@ def _preferred_masks(piece):
     for b, c in conflict.items():
         if b & grounded:
             clash |= c
-    search(grounded, allowed & ~(grounded | clash), 0, struck)
-    search = None   # it refers to itself: a cycle only the collector would free
+    found, stack = [], [(grounded, allowed & ~(grounded | clash), 0, struck)]
+    while stack:
+        chosen, cand, need, struck = stack.pop()
+        while True:     # down the inclusion branches; each exclusion waits
+            unmet = need & ~struck
+            fewest = cand
+            while unmet:
+                low = unmet & -unmet
+                defenders = attackers[low] & cand
+                if not defenders:
+                    break
+                if defenders.bit_count() < fewest.bit_count():
+                    fewest = defenders
+                unmet ^= low
+            if unmet:   # an attacker that nothing left can answer
+                break
+            span = chosen | cand
+            for f in found:
+                if not span & ~f:   # only subsets of a set found are left
+                    break
+            else:
+                if not cand:
+                    _keep(found, chosen, PREFERRED)
+                    break
+                low = fewest & -fewest
+                stack.append((chosen, cand ^ low, need, struck))
+                chosen, cand = chosen | low, cand & ~(low | conflict[low])
+                need, struck = need | attackers[low], struck | attacks[low]
+                continue
+            break
     return found
 
 
@@ -343,25 +347,21 @@ def _block(families, items, top, base, lifts):
     the bit above the slice.  A block of one piece that fills its slice
     (lifts is None) takes that piece's masks as they are, since the piece's
     bit i is then the slice's bit i.  Otherwise each piece's masks are
-    lifted to bits of the slice by its (shift, bits): a shift if its members
-    are consecutive, else bits, the slice bits of its members from the
-    highest down.  Each lifted mask is OR-ed with one of every other piece's
-    and with base, the top bit and the slice's free arguments, which are
-    constant one bits.  The family is sorted only if it has more than one
-    mask, and each mask is decoded once: with the top bit set, its binary
-    digits select items in one C pass; a loop over the bits of long masks
-    would be quadratic."""
+    lifted to the slice by its bits, the slice bits of its members from the
+    highest down, which a mask's binary digits select.  Each lifted mask is
+    OR-ed with one of every other piece's and with base, the top bit and the
+    slice's free arguments, which are constant one bits.  The family is
+    sorted only if it has more than one mask, and each mask is decoded once:
+    with the top bit set, its binary digits select items in one C pass; a
+    loop over the bits of long masks would be quadratic."""
     if lifts is None:
         masks, = families
     else:
         masks = [base]
-        for family, (shift, bits) in zip(families, lifts):    # OR product
-            if bits is None:
-                family = [e << shift for e in family]
-            else:
-                k = 1 << len(bits)
-                family = [sum(compress(bits, bin(e | k)[3:].encode().translate(_SELECTOR)))
-                          for e in family]
+        for family, bits in zip(families, lifts):    # OR product
+            k = 1 << len(bits)
+            family = [sum(compress(bits, bin(e | k)[3:].encode().translate(_SELECTOR)))
+                      for e in family]
             masks = [m | e for m in masks for e in family]
     if len(masks) > 1:
         masks.sort(reverse=True)
@@ -391,16 +391,16 @@ def _family(kinds, pieces, order):
     slices of free arguments before, between, inside and after the pieces
     fall to the block that follows them.  The layout depends on the pieces
     alone, so it is worked out once, on the first family, and serves every
-    family: each block's slice, its pieces, their lifts to the slice, and
-    whether it is one piece that fills its slice.  _block lists each block's
-    extensions over its slice; _join concatenates one from every block.  A
-    family is an antichain, so the lowest position where two of its sets
-    differ decides their order: as masks of natural-order bits, their
-    highest differing bit.  Each block's list is in descending mask order
-    and the first block holds the highest bits, so the left-major product is
-    in that order too, and the whole family needs no sort.  Every search of
-    a family runs, and its size is checked against MAX_EXTENSIONS, before
-    any of its lists is built."""
+    family: each block's slice, its pieces, their members' bits in the
+    slice, and whether it is one piece that fills its slice.  _block lists
+    each block's extensions over its slice; _join concatenates one from
+    every block.  A family is an antichain, so the lowest position where two
+    of its sets differ decides their order: as masks of natural-order bits,
+    their highest differing bit.  Each block's list is in descending mask
+    order and the first block holds the highest bits, so the left-major
+    product is in that order too, and the whole family needs no sort.  Every
+    search of a family runs, and its size is checked against MAX_EXTENSIONS,
+    before any of its lists is built."""
     spans = []  # [first piece, end piece, last position] per block
     for i, (positions, _, _) in enumerate(pieces):
         if spans and positions[0] <= spans[-1][2]:
@@ -413,18 +413,12 @@ def _family(kinds, pieces, order):
     for first, stop, last in spans:
         items, end = order[start:last + 1], last + 1
         top = 1 << len(items)
-        base, lifts = (top << 1) - 1, []    # top bit and every item
-        for positions, _, _ in pieces[first:stop]:
-            k = len(positions)
-            if positions[-1] - positions[0] < k:    # consecutive: a shift
-                shift, bits = end - 1 - positions[-1], None
-                base ^= (1 << k) - 1 << shift
-            else:
-                shift, bits = 0, [1 << end - 1 - p for p in positions]
-                base ^= sum(bits)
-            lifts.append((shift, bits))
-        if stop - first == 1 and base == top:
-            lifts = None
+        if stop - first == 1 and len(pieces[first][0]) == len(items):
+            lifts, base = None, top     # one piece that fills its slice
+        else:
+            lifts = [[1 << end - 1 - p for p in positions]
+                     for positions, _, _ in pieces[first:stop]]
+            base = (top << 1) - 1 - sum(map(sum, lifts))    # top bit and free items
         layout.append((first, stop, items, top, base, lifts))
         start = end
     for which in kinds:
@@ -442,7 +436,7 @@ def _enumerate(af, which, cap):
     order, rank = _natural_order(af.args)
     family, = _family((which,), _pieces([(rank[a], rank[b]) for a, b in af.atts], cap),
                       order)
-    return tuple(Extension(frozenset(members), which) for members in family)
+    return tuple(Extension(frozenset(members)) for members in family)
 
 
 def naive_extensions(af, cap=DEFAULT_CAP):
@@ -482,7 +476,7 @@ def oracle_extensions(af, which):
     exts = []
     for s in np.nonzero(keep)[0]:
         members = frozenset(order[i] for i in range(n) if s >> i & 1)
-        exts.append(Extension(members, which))
+        exts.append(Extension(members))
     exts.sort(key=lambda e: [natural_key(x) for x in e.sorted_members])
     return tuple(exts)
 

@@ -120,7 +120,6 @@ def test_essay_node_boxes(essay):
     assert akg.node("A5").attributes.render() == '{A5, D, "thus", {A2, A10, A15}, φ}'
     assert akg.node("A13").attributes.render() == "{A13, N, Claim}"
     assert akg.node("A18").attributes.render() == "{A18, N, MajorClaim}"
-    assert akg.node("A18").dataset_tag == "MajorClaim"
     assert akg.node("A1").attributes.render() == "{A1, N, p}"
 
 
@@ -157,7 +156,7 @@ def test_content_merge_two_rules_same_consequent():
     # two derivations of the merged claim collapse into one node
     mc_nodes = [n for n in akg.nodes if n.content == "T2+T4"]
     assert len(mc_nodes) == 1
-    assert mc_nodes[0].dataset_tag == "MajorClaim"
+    assert mc_nodes[0].attributes.values[-1] == "MajorClaim"
     assert len(akg.nodes) == len(aset.arguments) - 1
     # both applications still produce edge groups into the shared node
     groups = {e.mp_group for e in akg.edges_of_kind(G.MODUS_PONENS)}
@@ -200,15 +199,12 @@ def _reference_node(ekb, arg, primary, comp_kinds):
                          text=ekb.rule_text(rule.rule_id))
     f = ekb.formula(arg.content)
     if arg.kind == A.C:
-        tag = None
+        values = (arg.arg_id, _quote(f.marker))
         if f.components:
             kinds = {comp_kinds.get(cid) for cid in f.components}
-            tag = "MajorClaim" if "MajorClaim" in kinds else "Claim"
-        values = (arg.arg_id, _quote(f.marker))
-        if tag:
-            values = values + (tag,)
+            values = values + ("MajorClaim" if "MajorClaim" in kinds else "Claim",)
         return G.AKGNode(arg.arg_id, G.CONCLUSION, AttributeBox(values),
-                         content=arg.content, text=f.text, dataset_tag=tag)
+                         content=arg.content, text=f.text)
     box = AttributeBox((arg.arg_id, _quote(f.marker), f.premise_kind))
     return G.AKGNode(arg.arg_id, G.PREMISE, box, content=arg.content, text=f.text,
                      premise_kind=f.premise_kind)

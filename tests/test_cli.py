@@ -465,6 +465,35 @@ def test_build_warns_before_refusing():
         "akgraph.semantics.MemberOutsideAF: not in the framework: ['A99']"]
 
 
+def test_stance_star_deeper_than_the_recursion_limit(tmp_path):
+    # one major claim and more claims against it than Python's recursion
+    # limit: one attack piece, refused under the default cap, and decided
+    # without a traceback under a cap raised to fit
+    n = sys.getrecursionlimit() + 100
+    text, components, stances = "We should act.\n", [], []
+    for i in range(2, n + 2):
+        components.append({"id": "T%d" % i, "kind": "Claim", "start": len(text),
+                           "end": len(text) + len("Point %d holds." % i)})
+        stances.append({"id": "A%d" % i, "claim": "T%d" % i, "stance": "Against"})
+        text += "Point %d holds. " % i
+    star = tmp_path / "star.json"
+    star.write_text(json.dumps({
+        "doc_id": "star", "text": text + "\n", "relations": [], "stances": stances,
+        "components": [{"id": "T1", "kind": "MajorClaim", "start": 0, "end": 14}]
+        + components}), encoding="utf-8")
+    done = _akgraph("semantics", "--input", str(star))
+    assert done.returncode == 1
+    assert done.stderr.splitlines() == [
+        "akgraph.semantics.TooLarge: a connected piece of %d arguments exceeds the cap of %d"
+        % (n + 1, sem.DEFAULT_CAP)]
+    done = _akgraph("semantics", "--input", str(star), "--cap", str(n + 1))
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr
+    report = json.loads(done.stdout)
+    assert len(report["naive"]) == 2
+    assert len(report["preferred"]) == 1 and len(report["preferred"][0]) == n
+
+
 @pytest.mark.parametrize("verb", [["build"], ["semantics"], ["export", "--format", "apx"],
                                   ["run"]], ids=lambda verb: verb[0])
 def test_every_verb_shows_every_warning_on_stderr(tmp_path, verb):

@@ -4,7 +4,6 @@ import io
 import json
 import re
 
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -232,23 +231,31 @@ _TEXT = st.lists(st.one_of(st.characters(exclude_categories=()),
                            st.characters(categories=["Cs"]),
                            st.characters(min_codepoint=0x10000),
                            _SPECIAL), max_size=8).map("".join)
-_JSON = st.recursive(
-    st.none() | st.booleans() | st.integers() | _TEXT,
-    lambda inner: (st.lists(inner, max_size=5)
-                   | st.lists(_TEXT, max_size=5)
-                   | st.dictionaries(_TEXT, inner, max_size=5)),
-    max_leaves=30)
 
 
-@settings(max_examples=400, deadline=None)
-@given(_JSON)
-def test_json_writer_matches_json_dumps(obj):
-    assert X._json_text(obj) == json.dumps(obj, indent=2, ensure_ascii=False)
+@st.composite
+def _reports(draw):
+    """A semantics report of a framework of 0-12 arguments, some of them
+    free or attacking themselves, and of 0-2 checked sets."""
+    args = draw(st.lists(st.integers(1, 30).map("a%d".__mod__) | _TEXT,
+                         max_size=12, unique=True))
+    if not args:
+        return sem.semantics_report(sem.AFProjection((), ()),
+                                    check_sets=draw(st.lists(st.just([]), max_size=2)))
+    member = st.sampled_from(args)
+    atts = draw(st.lists(st.tuples(member, member), max_size=20, unique=True))
+    sets = draw(st.lists(st.lists(member, unique=True), max_size=2))
+    return sem.semantics_report(sem.AFProjection(tuple(args), tuple(atts)),
+                                check_sets=sets)
 
 
-def test_json_writer_refuses_other_types():
-    with pytest.raises(TypeError):
-        X._json_text({"x": 1.5})
+@settings(max_examples=100, deadline=None)
+@given(_reports())
+@example(sem.semantics_report(sem.AFProjection(("a1",), (("a1", "a1"),)),
+                              check_sets=[[], ["a1"]]))
+def test_semantics_json_matches_json_dumps(report):
+    assert X.export_semantics_json(report) == \
+        json.dumps(report, indent=2, ensure_ascii=False) + "\n"
 
 
 # Reference objects for the fixed-shape JSON exports: each export must be

@@ -268,6 +268,26 @@ def test_large_stars_under_default_cap():
     assert done.stdout.split() == ["True"] * 4, done.stderr
 
 
+def test_stars_deeper_than_the_recursion_limit():
+    # more leaves than Python's recursion limit, under a cap raised to fit:
+    # each search goes one leaf deeper per step, on a stack of its own
+    code = ("import sys\n"
+            "from akgraph import semantics as sem\n"
+            "n = sys.getrecursionlimit() + 100\n"
+            "args = tuple('a%d' % i for i in range(n + 1))\n"
+            "rest = list(args[1:])\n"
+            "into = sem.AFProjection(args, tuple((a, 'a0') for a in rest))\n"
+            "both = sem.AFProjection(args, tuple((a, b) for x in rest\n"
+            "                                    for a, b in [(x, 'a0'), ('a0', x)]))\n"
+            "into, both = (sem.semantics_report(f, cap=n + 1) for f in (into, both))\n"
+            "print(into['naive'] == [['a0'], rest], into['preferred'] == [rest],\n"
+            "      both['naive'] == [['a0'], rest], both['preferred'] == [['a0'], rest])\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(sem.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=30, env=env)
+    assert done.stdout.split() == ["True"] * 4, done.stderr
+
+
 def test_oracle_cap():
     f = af(sem.ORACLE_CAP + 1, [])
     with pytest.raises(sem.TooLarge):

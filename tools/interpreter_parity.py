@@ -2,7 +2,8 @@
 
 Runs `python -m akgraph.cli run` from this checkout's src/ on the golden
 cases (essay056 with preferences, essay056 with --implicit-ims with and
-without preferences, pollock as .ann and as canonical JSON), first under
+without preferences, pollock as .ann and as canonical JSON, the latter also
+with a checked set), first under
 the interpreter running this script, then under each interpreter given, and
 compares the seven written files of each case byte for byte, along with the
 exit status.  Standard library only, so that a bare interpreter can run it.
@@ -28,6 +29,7 @@ CASES = {
     "essay056-implicit-prefs": ESSAY + ["--implicit-ims"] + PREFS,
     "pollock-ann": ["--input", str(DATA / "pollock.txt"), "--ann", str(DATA / "pollock.ann")],
     "pollock-json": ["--input", str(DATA / "pollock.json")],
+    "pollock-json-checkset": ["--input", str(DATA / "pollock.json"), "--check-set", "A1,A2"],
 }
 
 
