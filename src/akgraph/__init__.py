@@ -40,6 +40,7 @@ from .semantics import (
     semantics_report,
     set_attacks,
 )
+from .trace import Trace
 
 __version__ = "0.1.0"
 
@@ -57,5 +58,6 @@ __all__ = [
     "AFProjection", "Extension", "is_acceptable", "is_admissible",
     "is_conflict_free", "naive_extensions", "oracle_extensions",
     "preferred_extensions", "project_af", "semantics_report", "set_attacks",
+    "Trace",
     "__version__",
 ]

@@ -6,7 +6,6 @@ supply the support/attack edges; modus-ponens applications are expanded to
 edge groups; support edges made redundant by a modus-ponens group are pruned.
 """
 
-import logging
 from collections import namedtuple
 from functools import cached_property
 from typing import NamedTuple
@@ -15,8 +14,7 @@ from .arguments import C
 from .ekb import AXIOM, ASSUMPTION
 from .kbgraph import (PREMISE, RULE_PREMISE, AttributeBox, _quote, _render_value,
                       natural_key, sort_by_id)
-
-logger = logging.getLogger(__name__)
+from .trace import warn
 
 CONCLUSION = "Conclusion"
 
@@ -169,8 +167,8 @@ def build_akg(kbg, aset, doc):
     nodes = {}
     for arg in aset.arguments:
         if primary[arg.content] != arg.arg_id:
-            logger.debug("merging %s into node %s", arg.arg_id, primary[arg.content])
-        elif arg.content in kb_nodes:
+            continue
+        if arg.content in kb_nodes:
             nodes[arg.arg_id] = _member_node(arg.arg_id, kb_nodes[arg.content], primary)
         else:
             nodes[arg.arg_id] = _claim_node(ekb, arg, comp_kinds)
@@ -192,14 +190,14 @@ def build_akg(kbg, aset, doc):
             edges.append(_attack_edge(src, nodes[tgt]))
     # in id order, so that the warnings do not follow the input's order
     for rel_id in sorted(skipped, key=natural_key):
-        logger.warning("relation %s endpoints missing from the graph; skipped", rel_id)
+        warn(__name__, "relation %s endpoints missing from the graph; skipped" % rel_id)
 
     if doc.stances:
         # every major-claim component maps to the one merged formula
         mc = next((node_of[c.comp_id] for c in doc.components
                    if c.kind == "MajorClaim"), None)
         if mc is None:
-            logger.warning("stances present but no major claim; skipped")
+            warn(__name__, "stances present but no major claim; skipped")
         else:
             edges.extend(convert_stances(doc.stances, node_of, nodes[mc]))
 
@@ -229,6 +227,6 @@ def prune_redundant_support(akg):
         return akg
     pruned.sort(key=lambda st: (natural_key(st[0]), natural_key(st[1])))
     for st in pruned:
-        logger.warning("pruned redundant support %s -> %s", *st)
+        warn(__name__, "pruned redundant support %s -> %s" % st)
     return akg._replace(edges=tuple(kept),
                         pruned_supports=akg.pruned_supports + tuple(pruned))

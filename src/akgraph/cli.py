@@ -8,7 +8,7 @@ is absent or empty.
 """
 
 import argparse
-import logging
+import gc
 import os
 import sys
 from collections import namedtuple
@@ -23,6 +23,7 @@ from .ekb import build_ekb, parse_kind_override_file, parse_preference_file
 from .ingest import parse_brat_ann, parse_canonical_json, serialize_canonical_json
 from .kbgraph import build_kb_graph
 from .markers import detect_ims, load_lexicon, resolve_implicit_ims
+from .trace import Trace, current
 
 # format -> (file suffix, artifact it renders, exporter)
 _EXPORTS = {
@@ -81,15 +82,6 @@ class ExitReport(namedtuple("ExitReport",
         return lines
 
 
-class _WarningTap(logging.Handler):
-    def __init__(self):
-        super().__init__(level=logging.WARNING)
-        self.records = []
-
-    def emit(self, record):
-        self.records.append(record.getMessage())
-
-
 def load_document(config):
     """Read the input document: canonical JSON, or text + brat annotations."""
     path = Path(config.input_path)
@@ -116,38 +108,39 @@ def _related_spans(adoc):
 
 def run_pipeline(config):
     """Execute the full chain and return an ExitReport with summary counts,
-    collected warnings, and every built artifact."""
-    tap = _WarningTap()
-    root = logging.getLogger("akgraph")
-    root.addHandler(tap)
-    try:
-        adoc = load_document(config)
-        lexicon = load_lexicon(
-            Path(config.lexicon_path).read_text(encoding="utf-8")
-            if config.lexicon_path else None)
-        ims = detect_ims(adoc.document, lexicon)
-        if config.implicit_ims:
-            ims = list(ims) + list(resolve_implicit_ims(
-                adoc.document, _related_spans(adoc), ims, lexicon))
-            ims.sort(key=lambda m: m.span)
+    this run's warnings, and every built artifact.  Warnings go to the
+    current Trace, or to one of the run's own when none is current."""
+    trace = current()
+    if trace is None:
+        with Trace():
+            return run_pipeline(config)
+    start = len(trace.records)
+    adoc = load_document(config)
+    lexicon = load_lexicon(
+        Path(config.lexicon_path).read_text(encoding="utf-8")
+        if config.lexicon_path else None)
+    ims = detect_ims(adoc.document, lexicon)
+    if config.implicit_ims:
+        ims = list(ims) + list(resolve_implicit_ims(
+            adoc.document, _related_spans(adoc), ims, lexicon))
+        ims.sort(key=lambda m: m.span)
 
-        prefs = (parse_preference_file(
-            Path(config.prefs_path).read_text(encoding="utf-8"))
-            if config.prefs_path else None)
-        kinds = (parse_kind_override_file(
-            Path(config.kinds_path).read_text(encoding="utf-8"))
-            if config.kinds_path else None)
+    prefs = (parse_preference_file(
+        Path(config.prefs_path).read_text(encoding="utf-8"))
+        if config.prefs_path else None)
+    kinds = (parse_kind_override_file(
+        Path(config.kinds_path).read_text(encoding="utf-8"))
+        if config.kinds_path else None)
 
-        ekb = build_ekb(adoc, ims, prefs=prefs, kind_overrides=kinds,
-                        lexicon=lexicon)
-        kbg = build_kb_graph(ekb)
-        aset = derive_argument_set(ekb)
-        akg = build_akg(kbg, aset, adoc)
-        af = sem.project_af(akg)
-        report = sem.semantics_report(af, cap=config.cap,
-                                      check_sets=config.check_sets)
-    finally:
-        root.removeHandler(tap)
+    ekb = build_ekb(adoc, ims, prefs=prefs, kind_overrides=kinds,
+                    lexicon=lexicon)
+    kbg = build_kb_graph(ekb)
+    aset = derive_argument_set(ekb)
+    akg = build_akg(kbg, aset, adoc)
+    af = sem.project_af(akg)
+    report = sem.semantics_report(af, cap=config.cap,
+                                  check_sets=config.check_sets)
+    warnings = tuple(dict.fromkeys(message for _, message in trace.records[start:]))
 
     counts = {
         "components": len(adoc.components),
@@ -164,7 +157,7 @@ def run_pipeline(config):
     }
     artifacts = {"doc": adoc, "ims": tuple(ims), "ekb": ekb, "kb_graph": kbg,
                  "aset": aset, "akg": akg, "af": af, "semantics": report}
-    return ExitReport(0, counts, tuple(dict.fromkeys(tap.records)), (), artifacts)
+    return ExitReport(0, counts, warnings, (), artifacts)
 
 
 def render_format(fmt, artifacts):
@@ -280,13 +273,15 @@ def build_parser():
 
 
 def main(argv=None):
-    logging.basicConfig(level=logging.WARNING, format="%(name)s: %(message)s")
+    """Run one verb; every warning shows on stderr as `module: message`
+    when it is raised."""
     ns = build_parser().parse_args(argv)
     try:
-        if ns.command == "ingest":
-            status = _cmd_ingest(PipelineConfig(ns.input, ns.ann, out_dir=ns.out))
-        else:
-            status = _cmd_pipeline(ns.command, _config_from(ns))
+        with Trace(echo=True):
+            if ns.command == "ingest":
+                status = _cmd_ingest(PipelineConfig(ns.input, ns.ann, out_dir=ns.out))
+            else:
+                status = _cmd_pipeline(ns.command, _config_from(ns))
         sys.stdout.flush()   # so that a closed pipe shows here, not at exit
         return status
     except BrokenPipeError:
@@ -300,8 +295,17 @@ def main(argv=None):
         return 1
 
 
+def entry():
+    """The `akgraph` script and `python -m akgraph.cli`: main on sys.argv,
+    then the live heap frozen, so that the collections at interpreter exit
+    do not walk what the run left alive."""
+    status = main()
+    gc.freeze()
+    return status
+
+
 if __name__ == "__main__":
-    # the imported module's main, so that under `python -m` the CLI's own
+    # the imported module's entry, so that under `python -m` the CLI's own
     # errors are named akgraph.cli.*, as under the installed script
-    from akgraph.cli import main
-    sys.exit(main(argv=sys.argv[1:]))
+    from akgraph.cli import entry
+    sys.exit(entry())

@@ -8,7 +8,6 @@ an attack target a rule.  Claim texts get formulas too, but with no premise
 kind: they live outside K and only ever appear as rule consequents.
 """
 
-import logging
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from functools import cached_property
@@ -17,8 +16,7 @@ from typing import NamedTuple
 
 from . import markers as markers_mod
 from . import arguments as arguments_mod
-
-logger = logging.getLogger(__name__)
+from .trace import warn
 
 AXIOM = "n"
 ORDINARY = "p"
@@ -332,7 +330,7 @@ def build_ekb(doc, ims, prefs=None, kind_overrides=None, lexicon=None):
             if c.kind == "Premise":
                 kind = kind_overrides[c.comp_id]
             else:
-                logger.warning("kind override for non-premise %s ignored", c.comp_id)
+                warn(__name__, "kind override for non-premise %s ignored" % c.comp_id)
         formulas.append(Formula(
             formula_id=c.comp_id,
             text=c.surface_text,
@@ -370,9 +368,6 @@ def build_ekb(doc, ims, prefs=None, kind_overrides=None, lexicon=None):
         if not cons_comps or not ant_comps:
             reason = "aligns with no component pair"
         else:
-            if len(cons_comps) > 1:
-                logger.debug("IM %r: several consequent candidates, taking first",
-                             im.surface)
             consequent = cons_comps[0]
             cons_fid = member_of[consequent.comp_id]
             antecedents = [c for c in ant_comps
@@ -384,7 +379,7 @@ def build_ekb(doc, ims, prefs=None, kind_overrides=None, lexicon=None):
             elif any((consequent.comp_id, a.comp_id) in rel_pairs for a in antecedents):
                 reason = "contradicts an annotated relation"
         if reason is not None:
-            logger.warning("IM %r at %s %s; dropped", im.surface, im.span, reason)
+            warn(__name__, "IM %r at %s %s; dropped" % (im.surface, im.span, reason))
             dropped.append(im)
             continue
         rules.append(InferenceRule(
@@ -403,7 +398,7 @@ def build_ekb(doc, ims, prefs=None, kind_overrides=None, lexicon=None):
         hit = next((r.rule_id for r in rules if r.im_span
                     and r.im_span[0] < rs.end and rs.start < r.im_span[1]), None)
         if hit is None:
-            logger.warning("annotated rule span %s matches no detected rule", rs.span_id)
+            warn(__name__, "annotated rule span %s matches no detected rule" % rs.span_id)
         else:
             member_of[rs.span_id] = hit
 

@@ -9,7 +9,6 @@ Offsets are 0-based, end-exclusive character offsets over the raw text
 """
 
 import json
-import logging
 import re
 from bisect import bisect_right
 from collections import namedtuple
@@ -18,8 +17,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .kbgraph import natural_key
-
-logger = logging.getLogger(__name__)
+from .trace import warn
 
 COMPONENT_KINDS = ("MajorClaim", "Claim", "Premise")
 RULE_SPAN_KIND = "InferenceRule"
@@ -167,8 +165,8 @@ def _dedupe_stances(stances):
         *dropped, by_claim[claim] = sorted(by_claim[claim],
                                            key=lambda st: _id_order(st.attr_id))
         for st in dropped:
-            logger.warning("duplicate stance for %s: keeping %s over %s",
-                           claim, by_claim[claim].attr_id, st.attr_id)
+            warn(__name__, "duplicate stance for %s: keeping %s over %s"
+                 % (claim, by_claim[claim].attr_id, st.attr_id))
     return tuple(by_claim.values())
 
 

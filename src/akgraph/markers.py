@@ -13,7 +13,6 @@ Additionally, a segment end can stand in for a marker when an annotated
 relation has no explicit IM between its spans (implicit IMs).
 """
 
-import logging
 import re
 from bisect import bisect_left, insort
 from collections import namedtuple
@@ -22,7 +21,7 @@ from importlib import resources
 from operator import itemgetter
 from typing import NamedTuple
 
-logger = logging.getLogger(__name__)
+from .trace import warn
 
 PREMISE_INDICATOR = "PremiseIndicator"
 CLAIM_INDICATOR = "ClaimIndicator"
@@ -341,16 +340,16 @@ def resolve_implicit_ims(doc, related_pairs, explicit_ims=None, lexicon=None):
         earlier, later = sorted([source_span, target_span])
         gap = (earlier[1], later[0])
         if gap[0] >= gap[1]:
-            logger.warning("implicit IM: spans %s / %s overlap or touch; skipped",
-                           source_span, target_span)
+            warn(__name__, "implicit IM: spans %s / %s overlap or touch; skipped"
+                 % (source_span, target_span))
             continue
         j = bisect_left(starts, gap[0])
         if j < len(starts) and starts[j] < gap[1]:
             continue   # explicit marker takes precedence
         i = bisect_left(ends, gap[0])
         if i == len(ends) or ends[i] > gap[1]:
-            logger.warning("implicit IM: no sentence boundary between %s and %s; skipped",
-                           source_span, target_span)
+            warn(__name__, "implicit IM: no sentence boundary between %s and %s; skipped"
+                 % (source_span, target_span))
             continue
         anchor = ends[i]
         out.append(IMMatch(

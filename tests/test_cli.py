@@ -1,10 +1,12 @@
+import gc
 import importlib
 import json
-import logging
 import os
 import pkgutil
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import given, settings
 import akgraph
 from akgraph import cli, ekb, ingest, markers
 from akgraph import semantics as sem
+from akgraph.trace import Trace
 
 from conftest import DATA, canonical_docs
 
@@ -121,14 +124,13 @@ def test_build_default_format_stdout(capsys):
     assert [n["id"] for n in data["nodes"]] == ["A1", "A2", "A3", "A4"]
 
 
-def test_build_writes_out_dir(tmp_path, caplog):
+def test_build_writes_out_dir(tmp_path, capsys):
     assert run(["build", "--out", str(tmp_path), "--format", "json-akg,apx"]
                + ESSAY) == 0
     assert (tmp_path / "essay056.akg.json").exists()
     assert (tmp_path / "essay056.apx").exists()
-    # pruned supports are logged as warnings, which main prints on stderr
-    assert any(r.levelno == logging.WARNING
-               and "pruned redundant support" in r.getMessage() for r in caplog.records)
+    # pruned supports are warnings, which main prints on stderr
+    assert "akgraph.akg: pruned redundant support A1 -> A3" in capsys.readouterr().err
 
 
 def test_export_requires_format(capsys):
@@ -331,6 +333,64 @@ def test_exit_report_defaults_are_not_shared():
     assert second.counts == {} and second.artifacts == {}
 
 
+# ---------------------------------------------------------------- warnings
+
+ESSAY_CONFIG = cli.PipelineConfig(
+    input_path=str(DATA / "essay056.txt"), ann_path=str(DATA / "essay056.ann"),
+    prefs_path=str(DATA / "essay056.prefs"))
+POLLOCK_CONFIG = cli.PipelineConfig(input_path=str(DATA / "pollock.json"))
+ESSAY_STDERR = [
+    "akgraph.ekb: IM 'as' at (1014, 1016) aligns with no component pair; dropped",
+    "akgraph.akg: pruned redundant support A1 -> A3",
+    "akgraph.akg: pruned redundant support A4 -> A6",
+    "akgraph.akg: pruned redundant support A9 -> A11",
+    "akgraph.akg: pruned redundant support A14 -> A17"]
+ESSAY_RECORDS = [tuple(line.split(": ", 1)) for line in ESSAY_STDERR]
+ESSAY_WARNINGS = tuple(message for _, message in ESSAY_RECORDS)
+
+
+def test_run_reports_only_its_own_warnings():
+    with Trace() as trace:
+        cli.run_pipeline(POLLOCK_CONFIG)
+        report = cli.run_pipeline(ESSAY_CONFIG)
+    assert report.warnings == ESSAY_WARNINGS
+    assert trace.records == [("akgraph.akg", "pruned redundant support A1 -> A4")
+                             ] + ESSAY_RECORDS
+
+
+def test_run_without_a_trace_logs_nothing(caplog):
+    # a run with no current trace records into one of its own
+    assert cli.run_pipeline(ESSAY_CONFIG).warnings == ESSAY_WARNINGS
+    assert caplog.records == []
+
+
+def test_concurrent_runs_keep_their_own_warnings(monkeypatch):
+    alone = [cli.run_pipeline(c).warnings for c in (ESSAY_CONFIG, POLLOCK_CONFIG)]
+    # both runs build their EKBs between the same two barrier crossings
+    gate = threading.Barrier(2, timeout=30)
+    build_ekb = cli.build_ekb
+
+    def gated(*args, **kwargs):
+        gate.wait()
+        try:
+            return build_ekb(*args, **kwargs)
+        finally:
+            gate.wait()
+
+    monkeypatch.setattr(cli, "build_ekb", gated)
+    with ThreadPoolExecutor(2) as pool:
+        runs = [pool.submit(cli.run_pipeline, c) for c in (ESSAY_CONFIG, POLLOCK_CONFIG)]
+        together = [run.result().warnings for run in runs]
+    assert together == alone
+    assert alone == [ESSAY_WARNINGS, ("pruned redundant support A1 -> A4",)]
+
+
+def test_in_process_main_leaves_gc_unfrozen(tmp_path, capsys):
+    # only the process entries freeze the heap, just before the interpreter exits
+    assert run(["run", "--out", str(tmp_path)] + POLLOCK_JSON) == 0
+    assert gc.get_freeze_count() == 0
+
+
 # ---------------------------------------------------------------- records
 
 def test_records_are_frozen(essay):
@@ -387,6 +447,24 @@ def test_cli_import_skips_numpy():
     assert done.stdout.strip() == "[]"
 
 
+def test_script_entry_loads_no_logging_and_freezes_the_heap(tmp_path):
+    # main writes warnings itself, since `logging` costs start-up time on
+    # every run (whether the host's site set-up loaded it first is asked
+    # first); entry() freezes the heap so that exit does not collect it
+    code = ("import gc, sys; before = 'logging' in sys.modules; "
+            "from akgraph.cli import entry; status = entry(); "
+            "print('logging loaded:', 'logging' in sys.modules and not before); "
+            "print('frozen:', gc.get_freeze_count() > 0); "
+            "sys.exit(status)")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code, "run", *ESSAY,
+                           "--out", str(tmp_path)],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-2:] == ["logging loaded: False", "frozen: True"]
+    assert done.stderr.splitlines() == ESSAY_STDERR
+
+
 def test_run_without_numpy(tmp_path):
     # every stage of a run, exports included, works with numpy unimportable
     code = ("import sys; sys.modules['numpy'] = None; "
@@ -419,7 +497,7 @@ def test_every_error_is_a_value_error():
 
 
 def _akgraph(*argv, stdout=subprocess.PIPE, cwd=None):
-    """The CLI in a fresh interpreter, where main's logging set-up applies."""
+    """The CLI in a fresh interpreter, as the installed script runs it."""
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     return subprocess.run([sys.executable, "-m", "akgraph.cli", *argv], cwd=cwd,
                           stdout=stdout, stderr=subprocess.PIPE, text=True, env=env)
@@ -446,7 +524,7 @@ def test_cli_errors_named_after_their_module():
 def test_build_prints_each_warning_once(tmp_path):
     done = _akgraph("build", *ESSAY, "--out", str(tmp_path))
     assert done.returncode == 0, done.stderr
-    # logging names the logger before each message
+    # each line names the warning's module before its message
     messages = [line.split(": ", 1)[1] for line in done.stderr.splitlines()]
     assert len(messages) == len(set(messages))
     assert "IM 'as' at (1014, 1016) aligns with no component pair; dropped" in messages

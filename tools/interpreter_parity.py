@@ -6,7 +6,8 @@ without preferences, pollock as .ann and as canonical JSON, the latter also
 with a checked set), first under
 the interpreter running this script, then under each interpreter given, and
 compares the seven written files of each case byte for byte, along with the
-exit status.  Standard library only, so that a bare interpreter can run it.
+exit status and the run's stderr (its warnings).  Standard library only, so
+that a bare interpreter can run it.
 
     python tools/interpreter_parity.py /path/to/python3.10 /path/to/python3.13
 
@@ -34,12 +35,13 @@ CASES = {
 
 
 def run_case(python, args, out):
-    """Exit status and {file name: bytes} of one run into the directory out."""
+    """Exit status, stderr bytes and {file name: bytes} of one run into the
+    directory out."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
     done = subprocess.run([python, "-m", "akgraph.cli", "run", *args, "--out", str(out)],
                           env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
     files = {p.name: p.read_bytes() for p in sorted(Path(out).iterdir())}
-    return done.returncode, files
+    return done.returncode, done.stderr, files
 
 
 def main(pythons):
@@ -53,10 +55,12 @@ def main(pythons):
                 runs[k, case] = run_case(python, args, out)
         for k, python in enumerate(pythons, 1):
             for case in CASES:
-                status, files = runs[k, case]
-                ref_status, ref_files = runs[0, case]
+                status, stderr, files = runs[k, case]
+                ref_status, ref_stderr, ref_files = runs[0, case]
                 differ = sorted(name for name in set(files) | set(ref_files)
                                 if files.get(name) != ref_files.get(name))
+                if stderr != ref_stderr:
+                    differ.append("stderr")
                 same = status == ref_status and len(files) == 7 and not differ
                 failed |= not same
                 print("%s %s: %s" % (python, case, "same" if same else
