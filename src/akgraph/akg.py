@@ -8,7 +8,6 @@ edge groups; support edges made redundant by a modus-ponens group are pruned.
 
 from collections import namedtuple
 from functools import cached_property
-from typing import NamedTuple
 
 from .arguments import C
 from .ekb import AXIOM, ASSUMPTION
@@ -39,22 +38,21 @@ class UnknownClaim(AKGError):
     pass
 
 
-class AKGNode(NamedTuple):
-    arg_id: str
-    kind: str
-    attributes: AttributeBox
-    content: str = None       # formula or rule id behind the node
-    text: str = None          # rendered member text
-    premise_kind: str = None  # n/p/a for premise nodes
+class AKGNode(namedtuple("AKGNode", "arg_id kind attributes content text premise_kind",
+                          defaults=(None, None, None))):
+    """One argument node with its AttributeBox.  content is the formula or
+    rule id behind the node, text its member rendered, and premise_kind
+    n/p/a for premise nodes."""
+    __slots__ = ()
 
 
-class AKGEdge(NamedTuple):
-    source: str
-    target: str
-    kind: str                 # Support | Attack | ModusPonens
-    attack_type: str = None   # Reb | UM | UC, iff kind == Attack
-    mp_group: int = None      # application index, iff kind == ModusPonens
-    contrary_undermine: bool = False
+class AKGEdge(namedtuple("AKGEdge",
+                          "source target kind attack_type mp_group contrary_undermine",
+                          defaults=(None, None, False))):
+    """A Support, Attack or ModusPonens edge between two argument ids.
+    attack_type (Reb, UM or UC) is set iff kind is Attack, mp_group (the
+    application index) iff kind is ModusPonens."""
+    __slots__ = ()
 
 
 class AKG(namedtuple("AKG", "nodes edges mp_applications pruned_supports",

@@ -12,7 +12,6 @@ and each paragraph's conclusions numbered after its premises and rules.
 import heapq
 from collections import namedtuple
 from functools import cached_property
-from typing import NamedTuple
 
 P = "P"
 IRP = "IRP"
@@ -27,29 +26,27 @@ class UnknownArgument(DerivationError):
     pass
 
 
-class Argument(NamedTuple):
+class Argument(namedtuple("Argument",
+                           "arg_id kind content premises conclusion subargs top_rule",
+                           defaults=(None,))):
     """One argument: atomic (an annotated formula or rule) or derived.
 
-    premises is Prem, conclusion is Conc, subargs is Sub (self-inclusive, in
-    derivation order).  Derived arguments carry their top rule.
+    kind is P, IRP or C; content is the formula or rule id behind it.
+    premises is Prem, a frozenset of formula/rule ids, conclusion is Conc,
+    subargs is Sub (arg ids, self-inclusive, in derivation order).  Derived
+    arguments carry their top rule.
     """
-    arg_id: str
-    kind: str            # P | IRP | C
-    content: str         # formula or rule id
-    premises: frozenset  # formula/rule ids
-    conclusion: str
-    subargs: tuple       # arg ids
-    top_rule: str = None
+    __slots__ = ()
 
     @property
     def derived(self):
         return self.top_rule is not None
 
 
-class MPApplication(NamedTuple):
-    rule_arg: str
-    antecedent_args: tuple
-    result_arg: str
+class MPApplication(namedtuple("MPApplication", "rule_arg antecedent_args result_arg")):
+    """One modus-ponens step: the rule argument and the antecedent arguments
+    it applies to give the result argument."""
+    __slots__ = ()
 
 
 class ArgumentSet(namedtuple("ArgumentSet", "arguments mp_applications",

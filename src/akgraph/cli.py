@@ -12,8 +12,6 @@ import gc
 import os
 import sys
 from collections import namedtuple
-from pathlib import Path
-from typing import NamedTuple
 
 from . import exports
 from . import semantics as sem
@@ -52,17 +50,14 @@ class PipelineError(ValueError):
     pass
 
 
-class PipelineConfig(NamedTuple):
-    input_path: str
-    ann_path: str = None
-    lexicon_path: str = None
-    prefs_path: str = None
-    kinds_path: str = None
-    out_dir: str = None
-    formats: tuple = ()
-    cap: int = sem.DEFAULT_CAP
-    check_sets: tuple = ()       # tuples of arg ids
-    implicit_ims: bool = False
+class PipelineConfig(namedtuple("PipelineConfig",
+                                 "input_path ann_path lexicon_path prefs_path kinds_path "
+                                 "out_dir formats cap check_sets implicit_ims",
+                                 defaults=(None, None, None, None, None, (),
+                                           sem.DEFAULT_CAP, (), False))):
+    """One run's input paths and options, as the CLI flags give them;
+    check_sets holds tuples of argument ids."""
+    __slots__ = ()
 
 
 class ExitReport(namedtuple("ExitReport",
@@ -82,16 +77,32 @@ class ExitReport(namedtuple("ExitReport",
         return lines
 
 
+def _read(path):
+    with open(path, encoding="utf-8") as f:
+        return f.read()
+
+
+def _split_name(path):
+    """(stem, suffix) of the file name that ends path, split as pathlib does:
+    at the last dot, unless that dot starts or ends the name."""
+    name = os.path.basename(path)
+    dot = name.rfind(".")
+    if 0 < dot < len(name) - 1:
+        return name[:dot], name[dot:]
+    return name, ""
+
+
 def load_document(config):
-    """Read the input document: canonical JSON, or text + brat annotations."""
-    path = Path(config.input_path)
-    raw = path.read_text(encoding="utf-8")
-    if path.suffix == ".json":
+    """Read the input document: canonical JSON, or text + brat annotations.
+    A text input's file name without its suffix is the document id."""
+    path = config.input_path
+    raw = _read(path)
+    stem, suffix = _split_name(path)
+    if suffix == ".json":
         return parse_canonical_json(raw)
     if not config.ann_path:
         raise PipelineError("text input %s needs an annotation file (--ann)" % path)
-    ann = Path(config.ann_path).read_text(encoding="utf-8")
-    return parse_brat_ann(raw, ann, doc_id=path.stem)
+    return parse_brat_ann(raw, _read(config.ann_path), doc_id=stem)
 
 
 def _related_spans(adoc):
@@ -116,21 +127,15 @@ def run_pipeline(config):
             return run_pipeline(config)
     start = len(trace.records)
     adoc = load_document(config)
-    lexicon = load_lexicon(
-        Path(config.lexicon_path).read_text(encoding="utf-8")
-        if config.lexicon_path else None)
+    lexicon = load_lexicon(_read(config.lexicon_path) if config.lexicon_path else None)
     ims = detect_ims(adoc.document, lexicon)
     if config.implicit_ims:
         ims = list(ims) + list(resolve_implicit_ims(
             adoc.document, _related_spans(adoc), ims, lexicon))
         ims.sort(key=lambda m: m.span)
 
-    prefs = (parse_preference_file(
-        Path(config.prefs_path).read_text(encoding="utf-8"))
-        if config.prefs_path else None)
-    kinds = (parse_kind_override_file(
-        Path(config.kinds_path).read_text(encoding="utf-8"))
-        if config.kinds_path else None)
+    prefs = parse_preference_file(_read(config.prefs_path)) if config.prefs_path else None
+    kinds = parse_kind_override_file(_read(config.kinds_path)) if config.kinds_path else None
 
     ekb = build_ekb(adoc, ims, prefs=prefs, kind_overrides=kinds,
                     lexicon=lexicon)
@@ -168,15 +173,16 @@ def render_format(fmt, artifacts):
 
 
 def _emit(out_dir, name, payload):
-    """Write payload to out_dir/name and return that path; with no out_dir
-    (None or empty) print it to stdout and return None."""
+    """Write payload to out_dir/name and return that path, joined as given;
+    with no out_dir (None or empty) print it to stdout and return None."""
     if not out_dir:
         sys.stdout.write(payload)
         return None
-    target = Path(out_dir, name)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(payload, encoding="utf-8")
-    return str(target)
+    os.makedirs(out_dir, exist_ok=True)
+    target = os.path.join(out_dir, name)
+    with open(target, "w", encoding="utf-8") as f:
+        f.write(payload)
+    return target
 
 
 def write_formats(config, report):

@@ -12,7 +12,6 @@ from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from functools import cached_property
 from itertools import count
-from typing import NamedTuple
 
 from . import markers as markers_mod
 from . import arguments as arguments_mod
@@ -53,38 +52,34 @@ class UnknownKindTarget(EKBError):
     pass
 
 
-class Formula(NamedTuple):
+class Formula(namedtuple("Formula",
+                          "formula_id text premise_kind marker spans components",
+                          defaults=(ORDINARY, None, (), ()))):
     """An atomic statement of the logical language.
 
     premise_kind is one of n/p/a for members of K, or None for claim texts
     that only occur as consequents.  spans/components track the annotation
     backing (merged major claims carry several).
     """
-    formula_id: str
-    text: str
-    premise_kind: str = ORDINARY
-    marker: str = None
-    spans: tuple = ()
-    components: tuple = ()
+    __slots__ = ()
 
 
-class InferenceRule(NamedTuple):
-    rule_id: str
-    antecedents: tuple     # formula ids, document order
-    consequent: str        # formula id
-    kind: str = DEFEASIBLE
-    im: str = None         # lexicon surface of the triggering marker
-    im_span: tuple = None
-    heuristic: str = None
+class InferenceRule(namedtuple("InferenceRule",
+                                "rule_id antecedents consequent kind im im_span heuristic",
+                                defaults=(DEFEASIBLE, None, None, None))):
+    """A rule from antecedents, formula ids in document order, to the
+    consequent formula id.  im is the lexicon surface of the triggering
+    marker, im_span and heuristic where and how it was detected."""
+    __slots__ = ()
 
 
-class PreferenceConfig(NamedTuple):
+class PreferenceConfig(namedtuple("PreferenceConfig", "chains", defaults=((),))):
     """Ordered preference chains over defeasible rules.
 
     Each chain lists ids from most to least preferred; ids may be rule ids
     or the argument ids the rules receive when no implicit rule is added.
     """
-    chains: tuple = ()
+    __slots__ = ()
 
 
 def parse_preference_file(content):

@@ -14,7 +14,6 @@ from bisect import bisect_right
 from collections import namedtuple
 from functools import cached_property
 from operator import itemgetter
-from typing import NamedTuple
 
 from .kbgraph import natural_key
 from .trace import warn
@@ -51,15 +50,14 @@ class SchemaViolation(IngestError):
     """Canonical JSON input violates the schema; message carries the field path."""
 
 
-class TextDocument(NamedTuple):
+class TextDocument(namedtuple("TextDocument", "doc_id raw_text paragraph_spans",
+                               defaults=((),))):
     """Raw essay text plus derived paragraph structure.
 
     Paragraphs are the non-empty lines of the text, in order; a component
     belongs to the paragraph containing its start offset.
     """
-    doc_id: str
-    raw_text: str
-    paragraph_spans: tuple = ()
+    __slots__ = ()
 
     def paragraph_of(self, offset):
         """Index of the paragraph containing the offset, or None."""
@@ -82,37 +80,31 @@ def make_text_document(doc_id, raw_text):
     return TextDocument(doc_id, raw_text, _paragraph_spans(raw_text))
 
 
-class ComponentAnnotation(NamedTuple):
-    comp_id: str
-    kind: str          # MajorClaim | Claim | Premise
-    start: int
-    end: int
-    surface_text: str
+class ComponentAnnotation(namedtuple("ComponentAnnotation",
+                                      "comp_id kind start end surface_text")):
+    """An argument component: kind is MajorClaim, Claim or Premise."""
+    __slots__ = ()
 
 
-class RuleSpanAnnotation(NamedTuple):
+class RuleSpanAnnotation(namedtuple("RuleSpanAnnotation",
+                                     "span_id start end surface_text")):
     """Annotated inference-rule region (marker span); optional in both formats.
 
     Relations may target a rule span, which is how an annotated undercut
     reaches the rule rather than a premise or conclusion.
     """
-    span_id: str
-    start: int
-    end: int
-    surface_text: str
+    __slots__ = ()
 
 
-class RelationAnnotation(NamedTuple):
-    rel_id: str
-    kind: str          # Supports | Attacks
-    source: str        # component id
-    target: str        # component or rule-span id
+class RelationAnnotation(namedtuple("RelationAnnotation", "rel_id kind source target")):
+    """A Supports or Attacks relation from a component id (source) to a
+    component or rule-span id (target)."""
+    __slots__ = ()
 
 
-class StanceAnnotation(NamedTuple):
-    attr_id: str
-    claim: str         # component id of a Claim
-    stance: str        # For | Against
+class StanceAnnotation(namedtuple("StanceAnnotation", "attr_id claim stance")):
+    """A stance, For or Against, on the Claim whose component id is claim."""
+    __slots__ = ()
 
 
 class AnnotatedDocument(namedtuple(
@@ -130,10 +122,9 @@ class AnnotatedDocument(namedtuple(
         return self._component_index.get(comp_id)
 
 
-class Violation(NamedTuple):
-    code: str
-    subject: str
-    detail: str = ""
+class Violation(namedtuple("Violation", "code subject detail", defaults=("",))):
+    """A broken document invariant: its code, the id it concerns, a detail."""
+    __slots__ = ()
 
     def __str__(self):
         return "%s(%s) %s" % (self.code, self.subject, self.detail)
@@ -277,12 +268,20 @@ def _new_id(seen, entry_id, path):
     return entry_id
 
 
+def _file_name(doc_id):
+    """doc_id, which names the output files, if it is one plain file name."""
+    if doc_id in ("", ".", "..") or any(c in doc_id for c in "/\\\0"):
+        raise SchemaViolation("$.doc_id: %r is not a plain file name" % doc_id)
+    return doc_id
+
+
 def parse_canonical_json(content, doc_id=None):
     """Parse the canonical JSON document schema.
 
     Shape: {doc_id, text, components:[{id,kind,start,end}],
     relations:[{id,kind,source,target}], stances:[{id,claim,stance}]}
-    plus an optional rule_spans:[{id,start,end}] list.
+    plus an optional rule_spans:[{id,start,end}] list.  doc_id, which names
+    the output files, must be a plain file name.
     """
     try:
         data = json.loads(content)
@@ -292,7 +291,7 @@ def parse_canonical_json(content, doc_id=None):
         raise SchemaViolation("$: expected object")
 
     text = _want(data, "text", str, "$")
-    doc = make_text_document(doc_id or _want(data, "doc_id", str, "$"), text)
+    doc = make_text_document(doc_id or _file_name(_want(data, "doc_id", str, "$")), text)
 
     seen_ids = set()
     components = []

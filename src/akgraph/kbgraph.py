@@ -9,7 +9,6 @@ are shared with the argument knowledge graph.
 import re
 from collections import namedtuple
 from functools import cached_property, lru_cache
-from typing import NamedTuple
 
 from .ekb import EKBError, rule_preference_sets, validate_ekb
 
@@ -86,17 +85,15 @@ def rule_attribute_box(ekb, r):
     return AttributeBox((r.rule_id, r.kind, _quote(r.im), l1, l2))
 
 
-class KBNode(NamedTuple):
-    node_id: str
-    kind: str       # Premise | InferenceRulePremise
-    text: str       # rendered member text
-    attributes: AttributeBox
+class KBNode(namedtuple("KBNode", "node_id kind text attributes")):
+    """A Premise or InferenceRulePremise node: text is its member rendered,
+    attributes its AttributeBox."""
+    __slots__ = ()
 
 
-class KBEdge(NamedTuple):
-    source: str
-    target: str
-    kind: str       # Agreement | Contrary
+class KBEdge(namedtuple("KBEdge", "source target kind")):
+    """An Agreement or Contrary edge between two node ids."""
+    __slots__ = ()
 
 
 def sort_by_id(nodes):

@@ -13,13 +13,12 @@ Additionally, a segment end can stand in for a marker when an annotated
 relation has no explicit IM between its spans (implicit IMs).
 """
 
+import os
 import re
 from bisect import bisect_left, insort
 from collections import namedtuple
 from functools import cached_property
-from importlib import resources
 from operator import itemgetter
-from typing import NamedTuple
 
 from .trace import warn
 
@@ -33,6 +32,8 @@ IMPLICIT = "Implicit"
 
 # bridge phrase absorbed into backward-causal marker spans ("due to the fact that")
 _BRIDGE = "the fact that"
+
+_DEFAULT_LEXICON = os.path.join(os.path.dirname(__file__), "data", "inference_markers.tsv")
 
 _WORD = re.compile(r"\w")
 _WORDS = re.compile(r"\w+")
@@ -117,7 +118,8 @@ def _compile(surfaces):
 _BRIDGE_TABLE = _compile([_BRIDGE])
 
 
-class IMMatch(NamedTuple):
+class IMMatch(namedtuple("IMMatch",
+                          "surface span heuristic antecedent_span consequent_span")):
     """One detected inference marker.
 
     surface is the document text of the lexicon match; span may extend past
@@ -126,11 +128,7 @@ class IMMatch(NamedTuple):
     heuristic also names the kind of indicator that fired: the forward ones
     match claim indicators, BackwardCausal a premise indicator.
     """
-    surface: str
-    span: tuple
-    heuristic: str
-    antecedent_span: tuple
-    consequent_span: tuple
+    __slots__ = ()
 
 
 def _parse_lexicon_lines(content):
@@ -161,13 +159,14 @@ def _parse_lexicon_lines(content):
 def load_lexicon(source=None):
     """Build the marker lexicon.
 
-    With no source, loads the packaged default table.  A string source is
-    parsed as lexicon file content and fully replaces the defaults.
+    With no source, loads the default table from the package directory.  A
+    string source is parsed as lexicon file content and fully replaces the
+    defaults.
     """
-    if source is not None:
-        return _parse_lexicon_lines(source)
-    content = resources.files("akgraph").joinpath("data/inference_markers.tsv")
-    return _parse_lexicon_lines(content.read_text(encoding="utf-8"))
+    if source is None:
+        with open(_DEFAULT_LEXICON, encoding="utf-8") as f:
+            source = f.read()
+    return _parse_lexicon_lines(source)
 
 
 def _segments(doc):

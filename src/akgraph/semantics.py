@@ -35,7 +35,6 @@ implementation for cross-checking.
 import math
 from collections import defaultdict, namedtuple
 from itertools import compress
-from typing import NamedTuple
 
 from .akg import ATTACK
 from .kbgraph import natural_key
@@ -82,8 +81,9 @@ class AFProjection(namedtuple("AFProjection", "args atts")):
         return cls(*iterable)
 
 
-class Extension(NamedTuple):
-    members: frozenset
+class Extension(namedtuple("Extension", "members")):
+    """An extension: members is a frozenset of argument ids."""
+    __slots__ = ()
 
     @property
     def sorted_members(self):

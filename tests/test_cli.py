@@ -94,6 +94,34 @@ def test_malformed_json_exit_1(tmp_path, capsys, fields, path):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("verb", ["ingest", "build"])
+@pytest.mark.parametrize("doc_id", ["../escaped", "sub/dir", "..", ".", "", "a\\b", "nul\0"],
+                         ids=["parent-path", "sub-path", "dot-dot", "dot", "empty",
+                              "backslash", "nul"])
+def test_doc_id_that_is_no_file_name_refused(tmp_path, capsys, verb, doc_id):
+    # the doc id names the files written, so it must not reach outside --out
+    doc = tmp_path / "evil.json"
+    data = json.loads((DATA / "pollock.json").read_text(encoding="utf-8"))
+    doc.write_text(json.dumps(dict(data, doc_id=doc_id)))
+    assert run([verb, "--input", str(doc), "--out", str(tmp_path / "out" / "x")]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "akgraph.ingest.SchemaViolation: $.doc_id: %r is not a plain file name\n" % doc_id
+    assert [p.name for p in tmp_path.iterdir()] == ["evil.json"]
+
+
+@pytest.mark.parametrize("name, doc_id", [
+    ("essay.", "essay."), (".hidden", ".hidden"), ("essay.v2.txt", "essay.v2"), (".json", ".json"),
+])
+def test_text_input_doc_id_is_its_stem(tmp_path, capsys, name, doc_id):
+    # the name up to its last dot, unless that dot starts or ends the name;
+    # so `.json` is a text input too
+    txt = tmp_path / name
+    txt.write_text((DATA / "pollock.txt").read_text(encoding="utf-8"), encoding="utf-8")
+    assert run(["ingest", "--input", str(txt), "--ann", str(DATA / "pollock.ann")]) == 0
+    assert json.loads(capsys.readouterr().out)["doc_id"] == doc_id
+
+
 def test_missing_ann_exit_1(capsys):
     assert run(["ingest", "--input", str(DATA / "essay056.txt")]) == 1
     assert "PipelineError" in capsys.readouterr().err
@@ -200,6 +228,18 @@ def test_empty_out_prints_to_stdout(tmp_path, monkeypatch, capsys, verb):
     assert printed == capsys.readouterr().out
     assert printed and "wrote " not in printed
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("out, target", [
+    (".", "./pollock.semantics.json"),
+    ("./sub", "./sub/pollock.semantics.json"),
+    ("sub//deep/", "sub//deep/pollock.semantics.json"),
+])
+def test_wrote_line_joins_out_as_given(tmp_path, monkeypatch, capsys, out, target):
+    monkeypatch.chdir(tmp_path)
+    assert run(["semantics", "--out", out] + POLLOCK_JSON) == 0
+    assert capsys.readouterr().out == "wrote %s\n" % target
+    assert (tmp_path / target).is_file()
 
 
 # ---------------------------------------------------------------- options
@@ -405,11 +445,17 @@ def test_records_are_frozen(essay):
         aset, aset.arguments[0], aset.mp_applications[0],
         akg, akg.nodes[0], akg.edges[0],
         essay["af"], sem.naive_extensions(essay["af"])[0],
+        cli.PipelineConfig("doc.json"), cli.ExitReport(0),
     ]
     for rec in records:
         for name in rec._fields:
             with pytest.raises(AttributeError):
                 setattr(rec, name, None)
+    # only the containers that cache an index or a rendering carry a __dict__
+    assert {type(rec).__name__ for rec in records if hasattr(rec, "__dict__")} == {
+        "AnnotatedDocument", "MarkerLexicon", "EKB", "AttributeBox", "KBGraph",
+        "ArgumentSet", "AKG"}
+    assert len({type(rec) for rec in records}) == 27
 
 
 # container, its field holding the members, and a value cached from them
@@ -436,7 +482,7 @@ def test_replace_keeps_type_and_rebuilds_cache(essay, container, field, cached):
     assert getattr(rec, cached) is before
 
 
-def test_cli_import_skips_numpy():
+def test_cli_import_skips_numpy(tmp_path):
     # numpy serves only the oracle; dataclasses (and the inspect module it
     # imports) would cost start-up time on every run
     code = ("import sys, akgraph.cli; "
@@ -445,6 +491,16 @@ def test_cli_import_skips_numpy():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True, env=env)
     assert done.stdout.strip() == "[]"
+    # without site, whose hooks may load them first, a whole run loads no
+    # typing, pathlib or importlib.resources (which brings tempfile)
+    code = ("import sys, akgraph.cli; status = akgraph.cli.main(sys.argv[1:]); "
+            "print(status, [m for m in ('importlib.resources', 'pathlib', 'tempfile', "
+            "'typing') if m in sys.modules])")
+    done = subprocess.run([sys.executable, "-S", "-c", code, "run", *ESSAY,
+                           "--out", str(tmp_path)],
+                          capture_output=True, text=True, check=True, env=env)
+    assert done.stdout.splitlines()[-1] == "0 []"
+    assert len(list(tmp_path.iterdir())) == 7
 
 
 def test_script_entry_loads_no_logging_and_freezes_the_heap(tmp_path):

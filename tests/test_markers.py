@@ -62,8 +62,17 @@ def test_default_lexicon_is_table():
     assert len(lex) == 28
     assert len(lex.surfaces(markers.PREMISE_INDICATOR)) == 12
     assert len(lex.surfaces(markers.CLAIM_INDICATOR)) == 16
-    assert "may be inferrred" in lex.surfaces(markers.PREMISE_INDICATOR)
+    assert "may be inferred" in lex.surfaces(markers.PREMISE_INDICATOR)
     assert "therefore" in lex.surfaces(markers.CLAIM_INDICATOR)
+
+
+def test_default_lexicon_matches_may_be_inferred():
+    text = "The roads are wet, it may be inferred from the rain.\n"
+    m = only(markers.detect_ims(doc(text)))
+    assert m.heuristic == markers.BACKWARD_CAUSAL
+    assert m.surface == "may be inferred"
+    assert text[m.consequent_span[0]:m.consequent_span[1]] == "The roads are wet, it"
+    assert text[m.antecedent_span[0]:m.antecedent_span[1]] == "from the rain."
 
 
 def test_lexicon_env_override():

@@ -4,14 +4,15 @@ Runs `python -m akgraph.cli run` from this checkout's src/ on the golden
 cases (essay056 with preferences, essay056 with --implicit-ims with and
 without preferences, pollock as .ann and as canonical JSON, the latter also
 with a checked set), first under
-the interpreter running this script, then under each interpreter given, and
-compares the seven written files of each case byte for byte, along with the
-exit status and the run's stderr (its warnings).  Standard library only, so
-that a bare interpreter can run it.
+the interpreter running this script, then under each interpreter given, each
+interpreter also with -S (no site module, as on a host without site hooks),
+and compares the seven written files of each case byte for byte with the
+first run, along with the exit status and the run's stderr (its warnings).
+Standard library only, so that a bare interpreter can run it.
 
     python tools/interpreter_parity.py /path/to/python3.10 /path/to/python3.13
 
-Prints one line per interpreter and case; exits 1 if any case differs.
+Prints one line per interpreter, flag and case; exits 1 if any case differs.
 """
 
 import os
@@ -32,13 +33,16 @@ CASES = {
     "pollock-json": ["--input", str(DATA / "pollock.json")],
     "pollock-json-checkset": ["--input", str(DATA / "pollock.json"), "--check-set", "A1,A2"],
 }
+# each interpreter runs every case as is and without the site module
+FLAGS = ((), ("-S",))
 
 
-def run_case(python, args, out):
+def run_case(python, flags, args, out):
     """Exit status, stderr bytes and {file name: bytes} of one run into the
     directory out."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
-    done = subprocess.run([python, "-m", "akgraph.cli", "run", *args, "--out", str(out)],
+    done = subprocess.run([python, *flags, "-m", "akgraph.cli", "run", *args,
+                           "--out", str(out)],
                           env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
     files = {p.name: p.read_bytes() for p in sorted(Path(out).iterdir())}
     return done.returncode, done.stderr, files
@@ -48,23 +52,25 @@ def main(pythons):
     failed = False
     with tempfile.TemporaryDirectory() as tmp:
         runs = {}
-        for k, python in enumerate([sys.executable] + pythons):
-            for case, args in CASES.items():
-                out = Path(tmp, str(k), case)
-                out.mkdir(parents=True)
-                runs[k, case] = run_case(python, args, out)
-        for k, python in enumerate(pythons, 1):
-            for case in CASES:
-                status, stderr, files = runs[k, case]
-                ref_status, ref_stderr, ref_files = runs[0, case]
-                differ = sorted(name for name in set(files) | set(ref_files)
-                                if files.get(name) != ref_files.get(name))
-                if stderr != ref_stderr:
-                    differ.append("stderr")
-                same = status == ref_status and len(files) == 7 and not differ
-                failed |= not same
-                print("%s %s: %s" % (python, case, "same" if same else
-                                     "exit %d, differs in %s" % (status, differ or "-")))
+        interpreters = [sys.executable] + pythons
+        for k, python in enumerate(interpreters):
+            for flags in FLAGS:
+                for case, args in CASES.items():
+                    out = Path(tmp, str(k), "".join(flags), case)
+                    out.mkdir(parents=True)
+                    runs[k, flags, case] = run_case(python, flags, args, out)
+        for (k, flags, case), (status, stderr, files) in runs.items():
+            if (k, flags) == (0, ()):
+                continue   # the reference run
+            ref_status, ref_stderr, ref_files = runs[0, (), case]
+            differ = sorted(name for name in set(files) | set(ref_files)
+                            if files.get(name) != ref_files.get(name))
+            if stderr != ref_stderr:
+                differ.append("stderr")
+            same = status == ref_status and len(files) == 7 and not differ
+            failed |= not same
+            print("%s %s: %s" % (" ".join((interpreters[k],) + flags), case, "same" if same else
+                                 "exit %d, differs in %s" % (status, differ or "-")))
     return 1 if failed else 0
 
 
