@@ -3,7 +3,8 @@
 Argument nodes carry attribute boxes; edges are Support, typed Attack
 (Reb / UM / UC) and ModusPonens.  Annotated relations and claim stances
 supply the support/attack edges; modus-ponens applications are expanded to
-edge groups; support edges made redundant by a modus-ponens group are pruned.
+edge groups.  A support edge that a modus-ponens group already covers is
+never made: its pair is listed as a pruned support instead.
 """
 
 from collections import namedtuple
@@ -95,22 +96,6 @@ def _attack_edge(source_id, target_node):
                    contrary_undermine=(target_node.premise_kind == ASSUMPTION))
 
 
-def convert_stances(stances, claim_to_arg, major_claim_node):
-    """For stances become support edges into the major claim, against stances
-    attack edges (typed against the major-claim node)."""
-    edges = []
-    for st in stances:
-        if st.claim not in claim_to_arg:
-            raise UnknownClaim("stance %s cites unknown claim %s"
-                               % (st.attr_id, st.claim))
-        src = claim_to_arg[st.claim]
-        if st.stance == "For":
-            edges.append(AKGEdge(src, major_claim_node.arg_id, SUPPORT))
-        else:
-            edges.append(_attack_edge(src, major_claim_node))
-    return edges
-
-
 def _member_node(arg_id, kb_node, primary):
     """kb_node under argument id arg_id: same kind and text, arg_id followed
     by the KB box values, a rule's L-sets renamed through primary, which maps
@@ -152,7 +137,10 @@ def build_akg(kbg, aset, doc):
     member's KB node under the argument id; only claim texts get a box of
     their own.  Support/attack edges come from annotated relations and
     stances; modus-ponens applications expand to one edge per antecedent
-    plus one for the rule; redundant supports are pruned last.
+    plus one for the rule.  A support s -> t is redundant when some
+    application into t already includes s: it goes to pruned_supports, with
+    a warning, instead of the edges.  Edges are in that order: relations,
+    stances, modus-ponens groups.
     """
     ekb = kbg.ekb
     kb_nodes = {n.node_id: n for n in kbg.nodes}
@@ -173,7 +161,23 @@ def build_akg(kbg, aset, doc):
     # annotation id -> node id; every member has an argument
     node_of = {ann_id: primary[m] for ann_id, m in ekb.member_of}
 
-    edges = []
+    # the modus-ponens edges are made first, though listed last, so that a
+    # support edge one of them covers is never made
+    mp_edges = []
+    for g, app in enumerate(aset.mp_applications):
+        result = primary[aset.argument(app.result_arg).content]
+        for src in (*app.antecedent_args, app.rule_arg):
+            mp_edges.append(AKGEdge(primary[aset.argument(src).content], result,
+                                    MODUS_PONENS, mp_group=g))
+    mp_pairs = {(e.source, e.target) for e in mp_edges}
+    edges, pruned = [], []
+
+    def support(src, tgt):
+        if (src, tgt) in mp_pairs:
+            pruned.append((src, tgt))
+        else:
+            edges.append(AKGEdge(src, tgt, SUPPORT))
+
     skipped = []
     for rel in doc.relations:
         src, tgt = node_of.get(rel.source), node_of.get(rel.target)
@@ -183,7 +187,7 @@ def build_akg(kbg, aset, doc):
         if src == tgt:
             continue
         if rel.kind == "Supports":
-            edges.append(AKGEdge(src, tgt, SUPPORT))
+            support(src, tgt)
         else:
             edges.append(_attack_edge(src, nodes[tgt]))
     # in id order, so that the warnings do not follow the input's order
@@ -196,35 +200,20 @@ def build_akg(kbg, aset, doc):
                    if c.kind == "MajorClaim"), None)
         if mc is None:
             warn(__name__, "stances present but no major claim; skipped")
-        else:
-            edges.extend(convert_stances(doc.stances, node_of, nodes[mc]))
+        else:   # For: a support into the major claim; Against: an attack on it
+            for st in doc.stances:
+                if st.claim not in node_of:
+                    raise UnknownClaim("stance %s cites unknown claim %s"
+                                       % (st.attr_id, st.claim))
+                if st.stance == "For":
+                    support(node_of[st.claim], mc)
+                else:
+                    edges.append(_attack_edge(node_of[st.claim], nodes[mc]))
 
-    for g, app in enumerate(aset.mp_applications):
-        result = primary[aset.argument(app.result_arg).content]
-        for src in list(app.antecedent_args) + [app.rule_arg]:
-            edges.append(AKGEdge(primary[aset.argument(src).content], result,
-                                 MODUS_PONENS, mp_group=g))
-
-    akg = AKG(tuple(nodes.values()), tuple(edges), aset.mp_applications)
-    return prune_redundant_support(akg)
-
-
-def prune_redundant_support(akg):
-    """Drop each support edge that parallels a modus-ponens group: a support
-    s -> t is redundant when some application into t already includes s.
-    The pruned pairs are listed, and logged as warnings, in natural-key
-    order, whatever the order of the relation lines they came from."""
-    mp_pairs = {(e.source, e.target) for e in akg.edges if e.kind == MODUS_PONENS}
-    kept, pruned = [], []
-    for e in akg.edges:
-        if e.kind == SUPPORT and (e.source, e.target) in mp_pairs:
-            pruned.append((e.source, e.target))
-        else:
-            kept.append(e)
-    if not pruned:
-        return akg
+    # listed, and warned about, in natural-key order, whatever the order of
+    # the relation lines they came from
     pruned.sort(key=lambda st: (natural_key(st[0]), natural_key(st[1])))
     for st in pruned:
         warn(__name__, "pruned redundant support %s -> %s" % st)
-    return akg._replace(edges=tuple(kept),
-                        pruned_supports=akg.pruned_supports + tuple(pruned))
+    return AKG(tuple(nodes.values()), tuple(edges + mp_edges),
+               aset.mp_applications, tuple(pruned))

@@ -77,8 +77,8 @@ class ExitReport(namedtuple("ExitReport",
         return lines
 
 
-def _read(path):
-    with open(path, encoding="utf-8") as f:
+def _read(path, encoding="utf-8"):
+    with open(path, encoding=encoding) as f:
         return f.read()
 
 
@@ -127,15 +127,20 @@ def run_pipeline(config):
             return run_pipeline(config)
     start = len(trace.records)
     adoc = load_document(config)
-    lexicon = load_lexicon(_read(config.lexicon_path) if config.lexicon_path else None)
+    # a BOM is never content in the line-based lexicon, preference and kinds
+    # files, so they drop one; in the text it is a character brat counts
+    lexicon = load_lexicon(_read(config.lexicon_path, "utf-8-sig")
+                           if config.lexicon_path else None)
     ims = detect_ims(adoc.document, lexicon)
     if config.implicit_ims:
         ims = list(ims) + list(resolve_implicit_ims(
             adoc.document, _related_spans(adoc), ims, lexicon))
         ims.sort(key=lambda m: m.span)
 
-    prefs = parse_preference_file(_read(config.prefs_path)) if config.prefs_path else None
-    kinds = parse_kind_override_file(_read(config.kinds_path)) if config.kinds_path else None
+    prefs = (parse_preference_file(_read(config.prefs_path, "utf-8-sig"))
+             if config.prefs_path else None)
+    kinds = (parse_kind_override_file(_read(config.kinds_path, "utf-8-sig"))
+             if config.kinds_path else None)
 
     ekb = build_ekb(adoc, ims, prefs=prefs, kind_overrides=kinds,
                     lexicon=lexicon)

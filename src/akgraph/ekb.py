@@ -318,14 +318,11 @@ def build_ekb(doc, ims, prefs=None, kind_overrides=None, lexicon=None):
     ordered_comps = sorted(doc.components, key=lambda c: (c.start, c.end))
     mc_parts = [c for c in ordered_comps if c.kind == "MajorClaim"]
     for c in ordered_comps:
+        if c.kind != "Premise" and c.comp_id in kind_overrides:
+            warn(__name__, "kind override for non-premise %s ignored" % c.comp_id)
         if c.kind == "MajorClaim":
             continue
-        kind = ORDINARY if c.kind == "Premise" else None
-        if c.comp_id in kind_overrides:
-            if c.kind == "Premise":
-                kind = kind_overrides[c.comp_id]
-            else:
-                warn(__name__, "kind override for non-premise %s ignored" % c.comp_id)
+        kind = kind_overrides.get(c.comp_id, ORDINARY) if c.kind == "Premise" else None
         formulas.append(Formula(
             formula_id=c.comp_id,
             text=c.surface_text,

@@ -275,7 +275,15 @@ def _file_name(doc_id):
     return doc_id
 
 
-def parse_canonical_json(content, doc_id=None):
+def _span_text(text, start, end, path):
+    """text[start:end], refused unless the span lies within text."""
+    if not (0 <= start <= end <= len(text)):
+        raise SchemaViolation("%s: span (%d,%d) outside text of length %d"
+                              % (path, start, end, len(text)))
+    return text[start:end]
+
+
+def parse_canonical_json(content):
     """Parse the canonical JSON document schema.
 
     Shape: {doc_id, text, components:[{id,kind,start,end}],
@@ -291,7 +299,7 @@ def parse_canonical_json(content, doc_id=None):
         raise SchemaViolation("$: expected object")
 
     text = _want(data, "text", str, "$")
-    doc = make_text_document(doc_id or _file_name(_want(data, "doc_id", str, "$")), text)
+    doc = make_text_document(_file_name(_want(data, "doc_id", str, "$")), text)
 
     seen_ids = set()
     components = []
@@ -302,21 +310,16 @@ def parse_canonical_json(content, doc_id=None):
         start = _want(c, "start", int, path)
         end = _want(c, "end", int, path)
         cid = _new_id(seen_ids, _want(c, "id", str, path), path)
-        try:
-            _check_span(doc.raw_text, start, end, doc.raw_text[start:end], cid)
-        except SpanMismatch as e:
-            raise SchemaViolation("%s: %s" % (path, e))
-        components.append(ComponentAnnotation(cid, kind, start, end,
-                                              doc.raw_text[start:end]))
+        components.append(ComponentAnnotation(
+            cid, kind, start, end, _span_text(doc.raw_text, start, end, path)))
 
     rule_spans = []
     for path, r in _entries(data, "rule_spans"):
         start = _want(r, "start", int, path)
         end = _want(r, "end", int, path)
         rid = _new_id(seen_ids, _want(r, "id", str, path), path)
-        if not (0 <= start <= end <= len(doc.raw_text)):
-            raise SchemaViolation("%s: span out of bounds" % path)
-        rule_spans.append(RuleSpanAnnotation(rid, start, end, doc.raw_text[start:end]))
+        rule_spans.append(RuleSpanAnnotation(
+            rid, start, end, _span_text(doc.raw_text, start, end, path)))
 
     relations = []
     for path, r in _entries(data, "relations"):

@@ -7,7 +7,8 @@ from akgraph import arguments as A
 from akgraph import ekb as E
 from akgraph import markers
 from akgraph.ingest import StanceAnnotation, parse_brat_ann, parse_canonical_json
-from akgraph.kbgraph import AttributeBox, _quote, build_kb_graph
+from akgraph.kbgraph import AttributeBox, _quote, build_kb_graph, natural_key
+from akgraph.trace import Trace
 
 from conftest import canonical_docs
 
@@ -66,22 +67,53 @@ def test_attack_on_ordinary_premise():
 
 # ---------------------------------------------------------------- stances
 
+def _stance_doc():
+    txt = "Cats are best. Cats purr. Cats scratch.\n"
+    ann = "\n".join([
+        "T1\tMajorClaim 0 13\tCats are best",
+        "T2\tClaim 15 24\tCats purr",
+        "T3\tClaim 26 38\tCats scratch",
+        "A1\tStance T2 For",
+        "A2\tStance T3 Against",
+    ]) + "\n"
+    return parse_brat_ann(txt, ann)
+
+
+def _akg_of(doc):
+    kb = E.build_ekb(doc, markers.detect_ims(doc.document))
+    return G.build_akg(build_kb_graph(kb), A.derive_argument_set(kb), doc)
+
+
 def test_convert_stances():
-    mc = node(G.CONCLUSION, "A9")
-    claim_to_arg = {"T2": "A5", "T7": "A6"}
-    edges = G.convert_stances(
-        [StanceAnnotation("A1", "T2", "For"),
-         StanceAnnotation("A2", "T7", "Against")],
-        claim_to_arg, mc)
-    assert edges[0] == G.AKGEdge("A5", "A9", G.SUPPORT)
-    assert edges[1].kind == G.ATTACK and edges[1].attack_type == G.REBUT
-    assert (edges[1].source, edges[1].target) == ("A6", "A9")
+    # A1, A2, A3 are the nodes of T1 (the major claim), T2 and T3
+    akg = _akg_of(_stance_doc())
+    support, attack = akg.edges
+    assert support == G.AKGEdge("A2", "A1", G.SUPPORT)
+    assert attack.kind == G.ATTACK and attack.attack_type == G.REBUT
+    assert (attack.source, attack.target) == ("A3", "A1")
 
 
 def test_convert_stances_unknown_claim():
-    with pytest.raises(G.UnknownClaim):
-        G.convert_stances([StanceAnnotation("A1", "T9", "For")],
-                          {}, node(G.CONCLUSION, "A9"))
+    # the parser refuses such a stance; a document built in code reaches here
+    doc = _stance_doc()._replace(stances=(StanceAnnotation("A1", "T9", "For"),))
+    with pytest.raises(G.UnknownClaim, match="stance A1 cites unknown claim T9"):
+        _akg_of(doc)
+
+
+def test_for_stance_covered_by_mp_group_pruned():
+    txt = "Cats purr. Therefore, cats are the best pets.\n"
+    ann = "\n".join([
+        "T1\tClaim 0 9\tCats purr",
+        "T2\tMajorClaim 22 44\tcats are the best pets",
+        "A1\tStance T1 For",
+    ]) + "\n"
+    with Trace() as t:
+        akg = _akg_of(parse_brat_ann(txt, ann))
+    # A2 (T1) and the rule A1 derive A3 (T2): the stance's support is covered
+    assert akg.pruned_supports == (("A2", "A3"),)
+    assert ("akgraph.akg", "pruned redundant support A2 -> A3") in t.records
+    assert akg.edges_of_kind(G.SUPPORT) == []
+    assert sorted((e.source, e.target) for e in akg.edges) == [("A1", "A3"), ("A2", "A3")]
 
 
 # ---------------------------------------------------------------- essay goldens
@@ -140,10 +172,10 @@ def test_edge_attribute_discipline(essay, pollock):
 
 
 def test_prune_noop_without_mp():
-    kbg, aset, doc = _mini()
-    akg = G.build_akg(kbg, aset, doc)
+    akg = _akg_of(_stance_doc())
+    assert akg.mp_applications == ()
+    assert akg.edges_of_kind(G.SUPPORT) == [G.AKGEdge("A2", "A1", G.SUPPORT)]
     assert akg.pruned_supports == ()
-    assert G.prune_redundant_support(akg) is akg
 
 
 def test_content_merge_two_rules_same_consequent():
@@ -210,9 +242,25 @@ def _reference_node(ekb, arg, primary, comp_kinds):
                      premise_kind=f.premise_kind)
 
 
+def _reference_prune(edges):
+    """edges without each support that parallels a modus-ponens edge, and
+    the pairs so dropped, in natural-key order."""
+    mp_pairs = {(e.source, e.target) for e in edges if e.kind == G.MODUS_PONENS}
+    kept, pruned = [], []
+    for e in edges:
+        if e.kind == G.SUPPORT and (e.source, e.target) in mp_pairs:
+            pruned.append((e.source, e.target))
+        else:
+            kept.append(e)
+    pruned.sort(key=lambda st: (natural_key(st[0]), natural_key(st[1])))
+    return tuple(kept), tuple(pruned)
+
+
 def _reference_akg(ekb, aset, doc):
     """The AKG with each annotation mapped to its member from the formulas'
-    components and the rule spans' marker overlaps, not from ekb.member_of."""
+    components and the rule spans' marker overlaps, not from ekb.member_of,
+    built in two passes: every edge first, then the redundant supports
+    pruned."""
     comp_kinds = {c.comp_id: c.kind for c in doc.components}
     primary = {}
     for arg in aset.arguments:
@@ -244,15 +292,20 @@ def _reference_akg(ekb, aset, doc):
         if mc_nodes:
             claim_to_arg = {cid: primary[m] for cid, m in member_of.items()
                             if m in primary}
-            edges.extend(G.convert_stances(doc.stances, claim_to_arg,
-                                           node_by_id[mc_nodes[0]]))
+            mc = node_by_id[mc_nodes[0]]
+            for stance in doc.stances:
+                src = claim_to_arg[stance.claim]
+                if stance.stance == "For":
+                    edges.append(G.AKGEdge(src, mc.arg_id, G.SUPPORT))
+                else:
+                    edges.append(G._attack_edge(src, mc))
     for g, app in enumerate(aset.mp_applications):
         result = primary[aset.argument(app.result_arg).content]
         for src in list(app.antecedent_args) + [app.rule_arg]:
             edges.append(G.AKGEdge(primary[aset.argument(src).content], result,
                                    G.MODUS_PONENS, mp_group=g))
-    return G.prune_redundant_support(G.AKG(tuple(nodes), tuple(edges),
-                                           aset.mp_applications))
+    kept, pruned = _reference_prune(edges)
+    return G.AKG(tuple(nodes), kept, aset.mp_applications, pruned)
 
 
 def _assert_matches_reference(ekb, aset, doc):

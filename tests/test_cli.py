@@ -336,6 +336,31 @@ def test_custom_lexicon_drives_node_markers(tmp_path, capsys):
     assert node_markers(base + ["--lexicon", str(lex)]) == {"T1": '"ergo"', "T2": "N"}
 
 
+def test_bom_in_config_files_ignored(tmp_path):
+    # a BOM is never content in a lexicon, preference or kinds file
+    kinds = tmp_path / "kinds.tsv"
+    kinds.write_text("T3\tn\n", encoding="utf-8")
+    plain = {"--lexicon": markers._DEFAULT_LEXICON,
+             "--prefs": str(DATA / "essay056.prefs"), "--kinds": str(kinds)}
+
+    def files(name, options):
+        argv = ["run", "--out", str(tmp_path / name)] + ESSAY_DOC
+        for option, path in options.items():
+            argv += [option, path]
+        assert run(argv) == 0
+        return {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+
+    bommed = {}
+    for option, path in plain.items():
+        target = tmp_path / ("bom" + option)
+        with open(path, "rb") as f:
+            target.write_bytes(b"\xef\xbb\xbf" + f.read())
+        bommed[option] = str(target)
+    want = files("plain", plain)
+    assert len(want) == 7
+    assert files("bom", bommed) == want
+
+
 def test_pipeline_parses_lexicon_once(monkeypatch):
     calls = []
     parse = markers._parse_lexicon_lines

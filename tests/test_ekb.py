@@ -83,10 +83,22 @@ def test_kind_override(small):
     assert [f.formula_id for f in kb.K_part(E.AXIOM)] == ["T1"]
 
 
-def test_kind_override_ignored_for_claims(small, caplog):
-    doc, ims = small
-    kb = E.build_ekb(doc, ims, kind_overrides={"T2": E.AXIOM})
+def test_kind_override_ignored_for_claims(caplog):
+    # T1 is a major claim, T2 a claim: each override is warned about, in
+    # document order, whatever the order of the overrides
+    txt = "Cats are best. Cats purr when happy. Therefore, cats can be happy.\n"
+    ann = "\n".join([
+        "T1\tMajorClaim 0 13\tCats are best",
+        "T2\tClaim 48 65\tcats can be happy",
+        "T3\tPremise 15 35\tCats purr when happy",
+    ]) + "\n"
+    doc = parse_brat_ann(txt, ann)
+    kb = E.build_ekb(doc, markers.detect_ims(doc.document),
+                     kind_overrides={"T2": E.AXIOM, "T1": E.AXIOM})
+    assert kb.formula("T1").premise_kind is None
     assert kb.formula("T2").premise_kind is None
+    assert caplog.messages == ["kind override for non-premise T1 ignored",
+                               "kind override for non-premise T2 ignored"]
 
 
 def test_parse_kind_override_file():

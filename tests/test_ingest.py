@@ -198,6 +198,18 @@ def test_canonical_json_refuses_duplicate_ids():
     assert [c.comp_id for c in ok.components] == ["T1", "T2"]
 
 
+@pytest.mark.parametrize("key, entry", [
+    ("components", {"id": "T1", "kind": "Premise", "start": 5, "end": 99}),
+    ("rule_spans", {"id": "T1", "start": 5, "end": 99}),
+])
+def test_canonical_json_span_outside_text_refused(key, entry):
+    # components and rule spans share one bounds check and one message
+    content = json.dumps({"doc_id": "x", "text": "Cats purr.", key: [entry]})
+    with pytest.raises(ingest.SchemaViolation) as e:
+        ingest.parse_canonical_json(content)
+    assert str(e.value) == "$.%s[0]: span (5,99) outside text of length 10" % key
+
+
 def test_validate_document_reports_violations():
     tdoc = ingest.make_text_document("d", TXT)
     comp = ingest.ComponentAnnotation("T1", "Premise", 0, 14, "Cats are great")
