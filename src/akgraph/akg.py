@@ -3,8 +3,8 @@
 Argument nodes carry attribute boxes; edges are Support, typed Attack
 (Reb / UM / UC) and ModusPonens.  Annotated relations and claim stances
 supply the support/attack edges; modus-ponens applications are expanded to
-edge groups.  A support edge that a modus-ponens group already covers is
-never made: its pair is listed as a pruned support instead.
+edge groups.  No edge is made twice, and a support edge that a modus-ponens
+group already covers is never made: its pair is listed as pruned instead.
 """
 
 from collections import namedtuple
@@ -115,7 +115,7 @@ def _member_node(arg_id, kb_node, primary):
     return AKGNode(arg_id, RULE_PREMISE, box, kb_node.node_id, kb_node.text)
 
 
-def _claim_node(ekb, arg, comp_kinds):
+def _claim_node(ekb, arg):
     """The node of an argument for a claim text, which has no KB node."""
     f = ekb.formula(arg.content)
     values = (arg.arg_id, _quote(f.marker))
@@ -123,8 +123,7 @@ def _claim_node(ekb, arg, comp_kinds):
         return AKGNode(arg.arg_id, PREMISE, AttributeBox(values + (None,)),
                        content=arg.content, text=f.text)
     if f.components:    # the dataset tag: Claim | MajorClaim
-        kinds = {comp_kinds.get(cid) for cid in f.components}
-        values += ("MajorClaim" if "MajorClaim" in kinds else "Claim",)
+        values += ("MajorClaim" if arg.content == ekb.major_claim else "Claim",)
     return AKGNode(arg.arg_id, CONCLUSION, AttributeBox(values),
                    content=arg.content, text=f.text)
 
@@ -135,16 +134,17 @@ def build_akg(kbg, aset, doc):
     Arguments sharing content merge into one node (the earliest argument's
     id).  The node of an argument for a K formula or a rule is that
     member's KB node under the argument id; only claim texts get a box of
-    their own.  Support/attack edges come from annotated relations and
-    stances; modus-ponens applications expand to one edge per antecedent
-    plus one for the rule.  A support s -> t is redundant when some
-    application into t already includes s: it goes to pruned_supports, with
-    a warning, instead of the edges.  Edges are in that order: relations,
-    stances, modus-ponens groups.
+    their own; the node of ekb.major_claim is tagged MajorClaim.  Of doc,
+    only the relations and the stances are read; they give the support and
+    attack edges, a stance's into ekb.major_claim, and the first annotation
+    of a (source, target, kind) makes its edge.  Modus-ponens applications
+    expand to one edge per antecedent plus one for the rule.  A support
+    s -> t is redundant when some application into t already includes s: it
+    goes to pruned_supports, with a warning, instead of the edges.  Edges
+    are in that order: relations, stances, modus-ponens groups.
     """
     ekb = kbg.ekb
     kb_nodes = {n.node_id: n for n in kbg.nodes}
-    comp_kinds = {c.comp_id: c.kind for c in doc.components}
 
     # content-merged nodes: the first argument for a content owns the node
     primary = {}
@@ -157,7 +157,7 @@ def build_akg(kbg, aset, doc):
         if arg.content in kb_nodes:
             nodes[arg.arg_id] = _member_node(arg.arg_id, kb_nodes[arg.content], primary)
         else:
-            nodes[arg.arg_id] = _claim_node(ekb, arg, comp_kinds)
+            nodes[arg.arg_id] = _claim_node(ekb, arg)
     # annotation id -> node id; every member has an argument
     node_of = {ann_id: primary[m] for ann_id, m in ekb.member_of}
 
@@ -170,10 +170,15 @@ def build_akg(kbg, aset, doc):
             mp_edges.append(AKGEdge(primary[aset.argument(src).content], result,
                                     MODUS_PONENS, mp_group=g))
     mp_pairs = {(e.source, e.target) for e in mp_edges}
-    edges, pruned = [], []
+    edges, pruned, made = [], [], set()
 
-    def support(src, tgt):
-        if (src, tgt) in mp_pairs:
+    def add(src, tgt, kind):   # a support that a group covers is pruned
+        if (src, tgt, kind) in made:
+            return
+        made.add((src, tgt, kind))
+        if kind == ATTACK:
+            edges.append(_attack_edge(src, nodes[tgt]))
+        elif (src, tgt) in mp_pairs:
             pruned.append((src, tgt))
         else:
             edges.append(AKGEdge(src, tgt, SUPPORT))
@@ -184,20 +189,14 @@ def build_akg(kbg, aset, doc):
         if src is None or tgt is None:
             skipped.append(rel.rel_id)
             continue
-        if src == tgt:
-            continue
-        if rel.kind == "Supports":
-            support(src, tgt)
-        else:
-            edges.append(_attack_edge(src, nodes[tgt]))
+        if src != tgt:
+            add(src, tgt, SUPPORT if rel.kind == "Supports" else ATTACK)
     # in id order, so that the warnings do not follow the input's order
     for rel_id in sorted(skipped, key=natural_key):
         warn(__name__, "relation %s endpoints missing from the graph; skipped" % rel_id)
 
     if doc.stances:
-        # every major-claim component maps to the one merged formula
-        mc = next((node_of[c.comp_id] for c in doc.components
-                   if c.kind == "MajorClaim"), None)
+        mc = primary.get(ekb.major_claim)
         if mc is None:
             warn(__name__, "stances present but no major claim; skipped")
         else:   # For: a support into the major claim; Against: an attack on it
@@ -205,10 +204,7 @@ def build_akg(kbg, aset, doc):
                 if st.claim not in node_of:
                     raise UnknownClaim("stance %s cites unknown claim %s"
                                        % (st.attr_id, st.claim))
-                if st.stance == "For":
-                    support(node_of[st.claim], mc)
-                else:
-                    edges.append(_attack_edge(node_of[st.claim], nodes[mc]))
+                add(node_of[st.claim], mc, SUPPORT if st.stance == "For" else ATTACK)
 
     # listed, and warned about, in natural-key order, whatever the order of
     # the relation lines they came from

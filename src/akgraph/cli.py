@@ -96,13 +96,13 @@ def load_document(config):
     """Read the input document: canonical JSON, or text + brat annotations.
     A text input's file name without its suffix is the document id."""
     path = config.input_path
-    raw = _read(path)
     stem, suffix = _split_name(path)
+    raw = _read(path, "utf-8-sig" if suffix == ".json" else "utf-8")
     if suffix == ".json":
         return parse_canonical_json(raw)
     if not config.ann_path:
         raise PipelineError("text input %s needs an annotation file (--ann)" % path)
-    return parse_brat_ann(raw, _read(config.ann_path), doc_id=stem)
+    return parse_brat_ann(raw, _read(config.ann_path, "utf-8-sig"), doc_id=stem)
 
 
 def _related_spans(adoc):
@@ -128,7 +128,7 @@ def run_pipeline(config):
     start = len(trace.records)
     adoc = load_document(config)
     # a BOM is never content in the line-based lexicon, preference and kinds
-    # files, so they drop one; in the text it is a character brat counts
+    # files, so they drop one, as the .ann and .json inputs do
     lexicon = load_lexicon(_read(config.lexicon_path, "utf-8-sig")
                            if config.lexicon_path else None)
     ims = detect_ims(adoc.document, lexicon)

@@ -5,7 +5,8 @@ inference markers.
 K holds the premise formulas (axiom / ordinary / assumption); detected rules
 are first-class knowledge-base members next to them, which is what later lets
 an attack target a rule.  Claim texts get formulas too, but with no premise
-kind: they live outside K and only ever appear as rule consequents.
+kind: they live outside K and only ever appear as rule consequents.  The
+MajorClaim components merge into one formula, the EKB's major_claim.
 """
 
 from bisect import bisect_left, bisect_right
@@ -116,8 +117,8 @@ def parse_kind_override_file(content):
 
 
 class EKB(namedtuple("EKB", "formulas rules contraries agreements rule_pref "
-                            "member_order dropped_ims member_of",
-                     defaults=((), (), ()))):
+                            "member_order dropped_ims member_of major_claim",
+                     defaults=((), (), (), None))):
     """The extended knowledge base.
 
     formulas holds every Formula (K members and claim texts), rules every
@@ -129,7 +130,8 @@ class EKB(namedtuple("EKB", "formulas rules contraries agreements rule_pref "
     derived argument is numbered right after its consequent's member),
     dropped_ims the IMMatches that aligned with no component pair.
     member_of holds sorted (annotation id, member id) pairs: each component
-    with its formula, each matched rule span with its rule.
+    with its formula, each matched rule span with its rule.  major_claim is
+    the merged MajorClaim formula's id, or None.
     """
 
     # -- lookups --
@@ -298,12 +300,12 @@ def _containment(components):
 def build_ekb(doc, ims, prefs=None, kind_overrides=None, lexicon=None):
     """Assemble the extended knowledge base for an annotated document.
 
-    One formula per annotated component (major claims merge into a single
-    formula); one defeasible rule per IM whose antecedent/consequent regions
-    contain annotated components.  Attack relations between knowledge-base
-    members populate the contrary set, support relations the agreement set.
-    Node markers come from lexicon, the packaged one when it is None.  A
-    kind override for an id that names no component is refused.
+    One formula per annotated component (major claims merge into the one
+    formula major_claim names); one defeasible rule per IM whose antecedent/
+    consequent regions contain annotated components.  Attack relations between
+    knowledge-base members populate the contrary set, support relations the
+    agreement set.  Node markers come from lexicon, the packaged one when it
+    is None.  A kind override for an id that names no component is refused.
     """
     kind_overrides = kind_overrides or {}
     comp_ids = {c.comp_id for c in doc.components}
@@ -316,33 +318,31 @@ def build_ekb(doc, ims, prefs=None, kind_overrides=None, lexicon=None):
     member_of = {}   # annotation id -> member id; rule spans join below
 
     ordered_comps = sorted(doc.components, key=lambda c: (c.start, c.end))
-    mc_parts = [c for c in ordered_comps if c.kind == "MajorClaim"]
     for c in ordered_comps:
         if c.kind != "Premise" and c.comp_id in kind_overrides:
             warn(__name__, "kind override for non-premise %s ignored" % c.comp_id)
-        if c.kind == "MajorClaim":
-            continue
-        kind = kind_overrides.get(c.comp_id, ORDINARY) if c.kind == "Premise" else None
-        formulas.append(Formula(
-            formula_id=c.comp_id,
-            text=c.surface_text,
-            premise_kind=kind,
-            marker=markers_mod.attribute_marker(c.surface_text, lexicon),
-            spans=((c.start, c.end),),
-            components=(c.comp_id,)))
-        member_of[c.comp_id] = c.comp_id
+    # a group per component, except that the major-claim parts form one, last
+    groups = [[c] for c in ordered_comps if c.kind != "MajorClaim"]
+    mc_parts = [c for c in ordered_comps if c.kind == "MajorClaim"]
     if mc_parts:
-        fid = "+".join(c.comp_id for c in mc_parts)
-        while fid in member_of:   # a component may carry the merged id
-            fid += "+"
+        groups.append(mc_parts)
+    major_claim = None
+    for parts in groups:
+        first = parts[0]
+        fid = "+".join(c.comp_id for c in parts)
+        if first.kind == "MajorClaim":
+            while fid in member_of:   # a component may carry the merged id
+                fid += "+"
+            major_claim = fid
+        kind = kind_overrides.get(fid, ORDINARY) if first.kind == "Premise" else None
         formulas.append(Formula(
             formula_id=fid,
-            text="; ".join(c.surface_text for c in mc_parts),
-            premise_kind=None,
-            marker=markers_mod.attribute_marker(mc_parts[0].surface_text, lexicon),
-            spans=tuple((c.start, c.end) for c in mc_parts),
-            components=tuple(c.comp_id for c in mc_parts)))
-        for c in mc_parts:
+            text="; ".join(c.surface_text for c in parts),
+            premise_kind=kind,
+            marker=markers_mod.attribute_marker(first.surface_text, lexicon),
+            spans=tuple((c.start, c.end) for c in parts),
+            components=tuple(c.comp_id for c in parts)))
+        for c in parts:
             member_of[c.comp_id] = fid
 
     # rules from aligned inference markers
@@ -422,7 +422,8 @@ def build_ekb(doc, ims, prefs=None, kind_overrides=None, lexicon=None):
               rule_pref=frozenset(),
               member_order=member_order,
               dropped_ims=tuple(dropped),
-              member_of=tuple(sorted(member_of.items())))
+              member_of=tuple(sorted(member_of.items())),
+              major_claim=major_claim)
     if prefs is not None and prefs.chains:
         ekb = _with_preferences(prefs, ekb)
     return ekb

@@ -8,6 +8,7 @@ from akgraph import ekb as E
 from akgraph import markers
 from akgraph.ingest import StanceAnnotation, parse_brat_ann, parse_canonical_json
 from akgraph.kbgraph import AttributeBox, _quote, build_kb_graph, natural_key
+from akgraph.semantics import project_af
 from akgraph.trace import Trace
 
 from conftest import canonical_docs
@@ -114,6 +115,55 @@ def test_for_stance_covered_by_mp_group_pruned():
     assert ("akgraph.akg", "pruned redundant support A2 -> A3") in t.records
     assert akg.edges_of_kind(G.SUPPORT) == []
     assert sorted((e.source, e.target) for e in akg.edges) == [("A1", "A3"), ("A2", "A3")]
+
+
+def test_stances_need_the_ekbs_major_claim():
+    # a hand-built EKB that names no major claim: the stances give no edge,
+    # and the major claim's node is tagged as a plain claim
+    doc = _stance_doc()
+    kb = E.build_ekb(doc, markers.detect_ims(doc.document))._replace(major_claim=None)
+    with Trace() as t:
+        akg = G.build_akg(build_kb_graph(kb), A.derive_argument_set(kb), doc)
+    assert t.records == [("akgraph.akg", "stances present but no major claim; skipped")]
+    assert akg.edges == ()
+    assert akg.node("A1").attributes.values[-1] == "Claim"
+
+
+def _repeated_doc():
+    txt = "Cats are best. Cats purr. Dogs bark.\n"
+    ann = "\n".join([
+        "T1\tMajorClaim 0 13\tCats are best",
+        "T2\tClaim 15 24\tCats purr",
+        "T3\tPremise 26 35\tDogs bark",
+        "R1\tSupports Arg1:T2 Arg2:T1",
+        "R2\tAttacks Arg1:T3 Arg2:T2",
+        "R3\tAttacks Arg1:T3 Arg2:T2",
+        "A1\tStance T2 For",
+    ]) + "\n"
+    return parse_brat_ann(txt, ann)
+
+
+def test_one_edge_per_source_target_kind():
+    # R1 and the stance A1 give the same support, R2 and R3 the same attack
+    akg = _akg_of(_repeated_doc())
+    assert akg.edges == (G.AKGEdge("A3", "A2", G.SUPPORT),
+                         G.AKGEdge("A1", "A3", G.ATTACK, attack_type=G.REBUT))
+    assert project_af(akg).atts == (("A1", "A3"),)
+
+
+def test_one_pruned_support_per_pair():
+    # the relation and the stance give the same support, which a group covers
+    txt = "Cats purr. Therefore, cats are the best pets.\n"
+    ann = "\n".join([
+        "T1\tClaim 0 9\tCats purr",
+        "T2\tMajorClaim 22 44\tcats are the best pets",
+        "R1\tSupports Arg1:T1 Arg2:T2",
+        "A1\tStance T1 For",
+    ]) + "\n"
+    with Trace() as t:
+        akg = _akg_of(parse_brat_ann(txt, ann))
+    assert akg.pruned_supports == (("A2", "A3"),)
+    assert t.records.count(("akgraph.akg", "pruned redundant support A2 -> A3")) == 1
 
 
 # ---------------------------------------------------------------- essay goldens
@@ -299,6 +349,8 @@ def _reference_akg(ekb, aset, doc):
                     edges.append(G.AKGEdge(src, mc.arg_id, G.SUPPORT))
                 else:
                     edges.append(G._attack_edge(src, mc))
+    # one support and one attack edge per (source, target): the first made
+    edges = list(dict.fromkeys(edges))
     for g, app in enumerate(aset.mp_applications):
         result = primary[aset.argument(app.result_arg).content]
         for src in list(app.antecedent_args) + [app.rule_arg]:
@@ -315,6 +367,26 @@ def _assert_matches_reference(ekb, aset, doc):
     assert akg.nodes == want.nodes
     assert akg.edges == want.edges
     assert akg.pruned_supports == want.pruned_supports
+
+
+def _major_claim_tags(akg):
+    return [n.arg_id for n in akg.nodes if n.attributes.values[-1] == "MajorClaim"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(canonical_docs())
+def test_major_claim_tag_only_on_the_major_claims_node(content):
+    doc = parse_canonical_json(content)
+    kb = E.build_ekb(doc, markers.detect_ims(doc.document))
+    aset = A.derive_argument_set(kb)
+    akg = G.build_akg(build_kb_graph(kb), aset, doc)
+    if kb.major_claim is None:
+        assert _major_claim_tags(akg) == []
+        return
+    mc = next(a.arg_id for a in aset.arguments if a.content == kb.major_claim)
+    # a major claim derived and feeding a rule is a premise of no kind
+    want = [mc] if akg.node(mc).kind == G.CONCLUSION else []
+    assert _major_claim_tags(akg) == want
 
 
 def test_nodes_match_reference_on_fixtures(essay, pollock):

@@ -361,6 +361,25 @@ def test_bom_in_config_files_ignored(tmp_path):
     assert files("bom", bommed) == want
 
 
+def test_bom_in_ann_and_json_inputs_ignored(tmp_path):
+    # offsets index the .txt and the JSON text string, never these files
+    bom = tmp_path / "bom"
+    bom.mkdir()
+    for name in ("pollock.ann", "pollock.json"):
+        (bom / name).write_bytes(b"\xef\xbb\xbf" + (DATA / name).read_bytes())
+
+    def files(name, inputs):
+        assert run(["run", "--out", str(tmp_path / name)] + inputs) == 0
+        return {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+
+    txt = ["--input", str(DATA / "pollock.txt")]
+    want = files("ann", txt + ["--ann", str(DATA / "pollock.ann")])
+    assert len(want) == 7
+    assert files("bom-ann", txt + ["--ann", str(bom / "pollock.ann")]) == want
+    want = files("json", POLLOCK_JSON)
+    assert files("bom-json", ["--input", str(bom / "pollock.json")]) == want
+
+
 def test_pipeline_parses_lexicon_once(monkeypatch):
     calls = []
     parse = markers._parse_lexicon_lines

@@ -346,11 +346,24 @@ def test_reversed_relation_contradicts_im(caplog):
 
 def test_major_claims_merge(essay):
     kb = essay["ekb"]
-    mc = kb.formula("T1+T15")
+    assert kb.major_claim == "T1+T15"
+    mc = kb.formula(kb.major_claim)
     assert mc.premise_kind is None
     assert mc.components == ("T1", "T15")
     assert mc.text.startswith("It's a reasonable loss in globalization; ")
     assert len(mc.spans) == 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(canonical_docs())
+def test_major_claim_is_every_major_claim_components_member(content):
+    doc = parse_canonical_json(content)
+    kb = E.build_ekb(doc, markers.detect_ims(doc.document))
+    member_of = dict(kb.member_of)
+    mc_members = {member_of[c.comp_id] for c in doc.components if c.kind == "MajorClaim"}
+    assert mc_members == ({kb.major_claim} if kb.major_claim is not None else set())
+    if kb.major_claim is not None:
+        assert kb.formula(kb.major_claim).premise_kind is None
 
 
 def test_validate_ekb_flags_problems():
