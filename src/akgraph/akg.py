@@ -12,8 +12,8 @@ from functools import cached_property
 
 from .arguments import C
 from .ekb import AXIOM, ASSUMPTION
-from .kbgraph import (PREMISE, RULE_PREMISE, AttributeBox, _quote, _render_value,
-                      natural_key, sort_by_id)
+from .ingest import natural_key
+from .kbgraph import PREMISE, RULE_PREMISE, AttributeBox, _quote, _render_value, sort_by_id
 from .trace import warn
 
 CONCLUSION = "Conclusion"

@@ -16,6 +16,7 @@ from itertools import count
 
 from . import markers as markers_mod
 from . import arguments as arguments_mod
+from .ingest import Violation, natural_key
 from .trace import warn
 
 AXIOM = "n"
@@ -276,9 +277,9 @@ def _with_preferences(prefs, ekb):
         for hi, lo in zip(resolved, resolved[1:]):
             lt.add((lo, hi))
     lt = _transitive_closure(lt)
-    for a, b in lt:
-        if a == b:
-            raise PreferenceCycle("preference chains form a cycle at %r" % a)
+    cyclic = sorted((a for a, b in lt if a == b), key=natural_key)
+    if cyclic:
+        raise PreferenceCycle("preference chains form a cycle at %r" % cyclic[0])
     out = ekb._replace(rule_pref=frozenset(lt))
     if explicit is ekb:   # rule_pref plays no part in firing: hand the pass on
         out._firing = ekb._firing
@@ -430,8 +431,7 @@ def build_ekb(doc, ims, prefs=None, kind_overrides=None, lexicon=None):
 
 
 def validate_ekb(ekb):
-    """Check knowledge-base invariants; returns a list of violation records."""
-    from .ingest import Violation
+    """Check knowledge-base invariants; returns a sorted list of violations."""
     out = []
     fids = [f.formula_id for f in ekb.formulas]
     if len(fids) != len(set(fids)):
@@ -471,4 +471,5 @@ def validate_ekb(ekb):
             for x in (a, b):
                 if x not in every:
                     out.append(Violation("DanglingReference", name, x))
+    out.sort(key=lambda v: [natural_key(str(x)) for x in v])
     return out

@@ -16,7 +16,7 @@ from json.encoder import encode_basestring as _enc
 
 from . import akg as akgmod
 from . import kbgraph
-from .kbgraph import natural_key
+from .ingest import natural_key
 
 # DOT shape per node kind
 _NODE_SHAPE = {

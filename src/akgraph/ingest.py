@@ -5,17 +5,17 @@ canonical JSON schema.  Both produce the same AnnotatedDocument structure,
 which downstream stages treat as ground truth.
 
 Offsets are 0-based, end-exclusive character offsets over the raw text
-(CRLF is normalized to LF before offsets are interpreted).
+(CRLF is normalized to LF before offsets are interpreted).  natural_key,
+here where ids are first read, is the one id order every later stage sorts by.
 """
 
 import json
 import re
 from bisect import bisect_right
 from collections import namedtuple
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import itemgetter
 
-from .kbgraph import natural_key
 from .trace import warn
 
 COMPONENT_KINDS = ("MajorClaim", "Claim", "Premise")
@@ -28,6 +28,20 @@ STANCE_VALUES = ("For", "Against")
 _ENT_PATT = re.compile(r"^(T\d+)\t(\S+) (\d{1,18}) (\d{1,18})\t(.*)$")
 _REL_PATT = re.compile(r"^(R\d+)\t(\S+) Arg1:(\S+) Arg2:(\S+)\s*$")
 _ATTR_PATT = re.compile(r"^(A\d+)\t(\S+) (\S+) (\S+)\s*$")
+_ID_PATT = re.compile(r"([A-Za-z]+)(\d{1,18})$")
+
+
+# Ids repeat across a run's graphs and exports, so each is parsed once;
+# bounded, because a long-lived process may see many documents.
+@lru_cache(maxsize=1 << 16)
+def natural_key(any_id):
+    """Letters, number, then the id itself: A2 before A10, A01 before A1.
+    Other ids, and those of over 18 digits, order by text.  Equal keys
+    mean equal ids, so no sort by this key depends on its input's order."""
+    m = _ID_PATT.match(any_id)
+    if m:
+        return (m.group(1), int(m.group(2)), any_id)
+    return (any_id, -1, any_id)
 
 
 class IngestError(ValueError):
@@ -140,11 +154,6 @@ def _check_span(text, start, end, surface, subject):
                            % (subject, surface, actual))
 
 
-def _id_order(any_id):
-    """natural_key, ties (A1, A01) broken by the id itself."""
-    return natural_key(any_id), any_id
-
-
 def _dedupe_stances(stances):
     """One stance per claim: of several, the one whose id sorts last, so the
     input's order decides nothing.  Each dropped stance gets a warning, in
@@ -152,9 +161,9 @@ def _dedupe_stances(stances):
     by_claim = {}
     for st in stances:
         by_claim.setdefault(st.claim, []).append(st)
-    for claim in sorted(by_claim, key=_id_order):
+    for claim in sorted(by_claim, key=natural_key):
         *dropped, by_claim[claim] = sorted(by_claim[claim],
-                                           key=lambda st: _id_order(st.attr_id))
+                                           key=lambda st: natural_key(st.attr_id))
         for st in dropped:
             warn(__name__, "duplicate stance for %s: keeping %s over %s"
                  % (claim, by_claim[claim].attr_id, st.attr_id))

@@ -2,34 +2,21 @@
 
 Nodes are premises and inference-rule premises; edges are agreement and
 contrary relations.  Each node carries an ordered attribute box whose
-rendering is stable across rebuilds.  The node-kind constants defined here
-are shared with the argument knowledge graph.
+rendering is stable across rebuilds; ids sort by ingest.natural_key.
+Node-kind constants defined here are shared with the argument knowledge graph.
 """
 
-import re
 from collections import namedtuple
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .ekb import EKBError, rule_preference_sets, validate_ekb
+from .ingest import natural_key
 
 PREMISE = "Premise"
 RULE_PREMISE = "InferenceRulePremise"
 
 AGREEMENT = "Agreement"
 CONTRARY = "Contrary"
-
-_ID_PATT = re.compile(r"([A-Za-z]+)(\d+)$")
-
-
-# Ids repeat across a run's graphs and exports, so each is parsed once;
-# bounded, because a long-lived process may see many documents.
-@lru_cache(maxsize=1 << 16)
-def natural_key(any_id):
-    """Sort key ordering A2 before A10."""
-    m = _ID_PATT.match(any_id)
-    if m:
-        return (m.group(1), int(m.group(2)))
-    return (any_id, -1)
 
 
 def _render_value(v):

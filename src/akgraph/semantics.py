@@ -29,7 +29,8 @@ piece's masks as they are, with no OR product.  An extension of the
 framework is one list of every block, concatenated, and the blocks are
 joined halves first, so that each list of the result is copied once.  A
 raw 2^n oracle (vectorized, independently coded) serves as the reference
-implementation for cross-checking.
+implementation for cross-checking.  Natural order is ingest.natural_key's,
+a total order, so no hash seed moves a position or an extension.
 """
 
 import math
@@ -37,7 +38,7 @@ from collections import defaultdict, namedtuple
 from itertools import compress
 
 from .akg import ATTACK
-from .kbgraph import natural_key
+from .ingest import natural_key
 
 DEFAULT_CAP = 64           # largest weakly connected attack piece enumerated
 MAX_EXTENSIONS = 1 << 16   # largest extension family materialised
@@ -144,8 +145,8 @@ def is_admissible(af, S):
 # -- enumeration --
 
 def _natural_order(args):
-    """The arguments sorted by natural_key (equal keys keep their order),
-    and each argument's position in that list."""
+    """The arguments sorted by natural_key, and each argument's position in
+    that list."""
     order = sorted(args, key=natural_key)
     return order, {a: i for i, a in enumerate(order)}
 

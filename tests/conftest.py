@@ -49,8 +49,10 @@ _CLAUSES = ("Pets are nice", "dogs bark", "cats purr when happy",
 # joins with the offset and length of their inference marker, if any
 _JOINS = ((". ", None), (".\n", None), (". Therefore, ", (2, 9)), (" because ", (1, 7)),
           ("; thus ", (2, 4)), (", so ", (2, 2)), (" as ", (1, 2)), (". Since ", (2, 5)))
-# besides T<n>, ids shaped like the ids the EKB makes up: rules, merged major claims
-_IDS = tuple("T%d" % i for i in range(1, 25)) + ("R1", "R2", "T1+T2", "T1+T2+", "A1")
+# besides T<n>, ids equal to some T<n> as numbers, and ids shaped like the
+# ids the EKB makes up: rules, merged major claims
+_IDS = tuple("T%d" % i for i in range(1, 25)) + ("T01", "T002", "R1", "R2", "T1+T2",
+                                                 "T1+T2+", "A1")
 
 
 @st.composite

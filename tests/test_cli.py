@@ -596,9 +596,12 @@ def test_every_error_is_a_value_error():
     assert [e for e in errors if not issubclass(e, ValueError)] == []
 
 
-def _akgraph(*argv, stdout=subprocess.PIPE, cwd=None):
-    """The CLI in a fresh interpreter, as the installed script runs it."""
+def _akgraph(*argv, stdout=subprocess.PIPE, cwd=None, seed=None):
+    """The CLI in a fresh interpreter, as the installed script runs it; under
+    the hash seed given, if any."""
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    if seed is not None:
+        env["PYTHONHASHSEED"] = str(seed)
     return subprocess.run([sys.executable, "-m", "akgraph.cli", *argv], cwd=cwd,
                           stdout=stdout, stderr=subprocess.PIPE, text=True, env=env)
 
@@ -777,3 +780,43 @@ def test_parsed_documents_run_to_a_report(tmp_path_factory, content):
     path.write_text(content, encoding="utf-8")
     report = cli.run_pipeline(cli.PipelineConfig(input_path=str(path)))
     assert report.status == 0 and report.artifacts["semantics"]["preferred"]
+
+
+def test_tied_ids_write_the_same_files_under_every_hash_seed(tmp_path):
+    # T1 and T01 are equal as numbers, so only the ids themselves order them;
+    # a sort of a set holding both that left them tied would follow the seed
+    runs = set()
+    for seed in range(4):
+        out = tmp_path / str(seed)
+        done = _akgraph("run", "--input", str(DATA / "ties.json"), "--out", str(out),
+                        seed=seed)
+        assert done.returncode == 0, done.stderr
+        files = tuple((p.name, p.read_bytes()) for p in sorted(out.iterdir()))
+        assert len(files) == 7
+        runs.add((files, done.stderr))
+    assert len(runs) == 1
+
+
+def test_preference_cycle_names_its_least_rule_under_every_hash_seed(tmp_path):
+    prefs = tmp_path / "cycle.prefs"
+    prefs.write_text("A2 > A5 > A10\nA10 > A2\n")
+    refusals = set()
+    for seed in (0, 4, 5):
+        done = _akgraph("run", *ESSAY_DOC, "--prefs", str(prefs), "--out", str(tmp_path),
+                        seed=seed)
+        assert done.returncode == 1
+        refusals.add(done.stderr.splitlines()[-1])
+    assert refusals == {"akgraph.ekb.PreferenceCycle: preference chains form a cycle at 'R1'"}
+
+
+def test_id_of_5000_digits_runs(tmp_path, capsys):
+    doc = json.loads((DATA / "pollock.json").read_text(encoding="utf-8"))
+    long_id = "T" + "7" * 5000      # past int()'s 4300-digit limit
+    for entry in doc["components"] + doc["relations"]:
+        for key in ("id", "source", "target"):
+            if entry.get(key) == "T1":
+                entry[key] = long_id
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(["run", "--input", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert len(list((tmp_path / "out").iterdir())) == 7

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -378,6 +382,36 @@ def test_validate_ekb_flags_problems():
     codes = {v.code for v in E.validate_ekb(kb)}
     assert codes >= {"SelfConsequent", "UnknownRuleKind", "ReflexivePair",
                      "DanglingReference", "PreferenceCycle"}
+
+
+_DANGLING_CONTRARIES = """
+from akgraph import ekb as E
+kb = E.EKB(formulas=(E.Formula("F1", "a"), E.Formula("F2", "b", premise_kind=None)),
+           rules=(E.InferenceRule("R1", ("F1",), "F2"),),
+           contraries=frozenset({("F1", "X1"), ("F1", "X2"), ("Y", "F2")}),
+           agreements=frozenset(), rule_pref=frozenset(), member_order=("F1", "R1", "F2"))
+"""
+
+
+def test_kb_graph_refusal_same_under_every_hash_seed():
+    # the contraries are a set: violations listed as met would follow the seed
+    code = _DANGLING_CONTRARIES + """
+from akgraph.kbgraph import build_kb_graph
+try:
+    build_kb_graph(kb)
+except E.EKBError as e:
+    print(e)
+"""
+    refusals = set()
+    for seed in (0, 1, 2):
+        env = dict(os.environ, PYTHONPATH=str(Path(E.__file__).parents[1]),
+                   PYTHONHASHSEED=str(seed))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, check=True, env=env)
+        refusals.add(done.stdout)
+    assert refusals == {"refusing to build from an invalid EKB: "
+                        "DanglingReference(contraries) X1; DanglingReference(contraries) X2; "
+                        "DanglingReference(contraries) Y\n"}
 
 
 def test_validate_ekb_clean(essay):

@@ -1,4 +1,5 @@
 import json
+import re
 from operator import itemgetter
 
 import pytest
@@ -316,3 +317,37 @@ def test_accepted_documents_are_valid(records):
         assert ingest.validate_document(doc) == []
         again = ingest.parse_canonical_json(ingest.serialize_canonical_json(doc))
         assert again == doc
+
+
+def test_natural_key_orders_ties_by_id():
+    long_id = "A" + "9" * 19        # past the 18-digit bound: ordered by text
+    ids = ["A10", "A1", "B", long_id, "A01", "A2", "A001"]
+    assert sorted(ids, key=ingest.natural_key) == [
+        "A001", "A01", "A1", "A2", "A10", long_id, "B"]
+
+
+_OLD_ID = re.compile(r"([A-Za-z]+)(\d+)$")
+
+
+def _old_key(any_id):
+    """The earlier id key, which ties ids equal as numbers; natural_key keeps
+    every order it makes on ids of up to 18 digits."""
+    m = _OLD_ID.match(any_id)
+    return (m.group(1), int(m.group(2))) if m else (any_id, -1)
+
+
+_ids = st.one_of(st.text(max_size=4),
+                 st.builds(str.__add__, st.sampled_from(["A", "T", "R", "Ab"]),
+                           st.text("0123456789", min_size=1, max_size=22)))
+
+
+@settings(max_examples=500)
+@given(_ids, _ids)
+def test_natural_key_is_total_and_keeps_the_old_order(a, b):
+    assert (ingest.natural_key(a) == ingest.natural_key(b)) == (a == b)
+    for i in (a, b):
+        m = _OLD_ID.match(i)
+        if m and len(m.group(2)) > 18:
+            return
+    if _old_key(a) < _old_key(b):
+        assert ingest.natural_key(a) < ingest.natural_key(b)
