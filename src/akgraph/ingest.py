@@ -4,6 +4,12 @@ Two input formats are supported: brat standoff (.txt + .ann pair) and a
 canonical JSON schema.  Both produce the same AnnotatedDocument structure,
 which downstream stages treat as ground truth.
 
+Each parser checks only its format's shapes: line patterns or JSON types,
+kind and value vocabularies and doc_id.  The document invariants (unique
+ids, spans that slice the text, references that resolve, no self-relation,
+stances on claims) are stated once, in _violations: a parser refuses a
+document at the first violation validate_document would list.
+
 Offsets are 0-based, end-exclusive character offsets over the raw text
 (CRLF is normalized to LF before offsets are interpreted).  natural_key,
 here where ids are first read, is the one id order every later stage sorts by.
@@ -144,14 +150,67 @@ class Violation(namedtuple("Violation", "code subject detail", defaults=("",))):
         return "%s(%s) %s" % (self.code, self.subject, self.detail)
 
 
-def _check_span(text, start, end, surface, subject):
-    if not (0 <= start <= end <= len(text)):
-        raise SpanMismatch("%s: span (%d,%d) outside text of length %d"
-                           % (subject, start, end, len(text)))
-    actual = text[start:end]
-    if actual != surface:
-        raise SpanMismatch("%s: annotation text %r != document text %r"
-                           % (subject, surface, actual))
+def _violations(text, components, rule_spans, relations, stances):
+    """Each broken document invariant as (list name, index, Violation), in a
+    fixed order: components, then rule spans, which share one id space; then
+    relations; then stances.  A span's detail follows its id; every other
+    detail names its subject."""
+    n = len(text)
+    kind_of = {}
+    for key, entries, kinds in (("components", components, COMPONENT_KINDS),
+                                ("rule_spans", rule_spans, (RULE_SPAN_KIND,))):
+        for i, e in enumerate(entries):
+            eid, kind = e[0], getattr(e, "kind", RULE_SPAN_KIND)
+            if eid in kind_of:
+                yield key, i, Violation("DuplicateId", eid, "duplicate id %r" % eid)
+            kind_of.setdefault(eid, kind)      # the first wins, as in component()
+            if not 0 <= e.start <= e.end <= n:
+                yield key, i, Violation("SpanMismatch", eid,
+                                        "span (%d,%d) outside text of length %d"
+                                        % (e.start, e.end, n))
+            elif text[e.start:e.end] != e.surface_text:
+                yield key, i, Violation("SpanMismatch", eid,
+                                        "annotation text %r != document text %r"
+                                        % (e.surface_text, text[e.start:e.end]))
+            if kind not in kinds:
+                yield key, i, Violation("UnknownKind", eid, "unknown kind %r" % kind)
+    seen = set()
+    for i, (rid, _, source, target) in enumerate(relations):
+        if rid in seen:
+            yield "relations", i, Violation("DuplicateId", rid, "duplicate id %r" % rid)
+        seen.add(rid)
+        for ref in (source, target):
+            if ref not in kind_of:
+                yield "relations", i, Violation("DanglingReference", rid,
+                                                "%s cites missing id %s" % (rid, ref))
+        if source == target:
+            yield "relations", i, Violation("SelfRelation", rid,
+                                            "%s relates %s to itself" % (rid, source))
+    seen = set()
+    for i, (aid, claim, _) in enumerate(stances):
+        if aid in seen:
+            yield "stances", i, Violation("DuplicateId", aid, "duplicate id %r" % aid)
+        seen.add(aid)
+        if claim not in kind_of:
+            yield "stances", i, Violation("DanglingReference", aid,
+                                          "%s cites missing id %s" % (aid, claim))
+        elif kind_of[claim] != "Claim":
+            yield "stances", i, Violation("StanceOnNonClaim", aid,
+                                          "%s sets a stance on %s, which is not a Claim"
+                                          % (aid, claim))
+
+
+def _refuse(refusal, text, components, rule_spans, relations, stances):
+    """Raise refusal(list name, index, violation) at the first broken invariant."""
+    for found in _violations(text, components, rule_spans, relations, stances):
+        raise refusal(*found)
+
+
+def validate_document(doc):
+    """Every broken document invariant, as a list of Violation records; the
+    parsers refuse a document at the first of them."""
+    return [v for _, _, v in _violations(doc.document.raw_text, doc.components,
+                                         doc.rule_spans, doc.relations, doc.stances)]
 
 
 def _dedupe_stances(stances):
@@ -170,36 +229,37 @@ def _dedupe_stances(stances):
     return tuple(by_claim.values())
 
 
+def _brat_refusal(key, i, v):
+    """The brat parser's exception for v; a span's refusal leads with its id."""
+    if v.code == "SpanMismatch":
+        return SpanMismatch("%s: %s" % (v.subject, v.detail))
+    return (DanglingReference if v.code == "DanglingReference" else MalformedLine)(v.detail)
+
+
 def parse_brat_ann(txt_content, ann_content, doc_id="doc"):
     """Parse a brat .txt/.ann pair into an AnnotatedDocument.
 
     Recognized lines: T (entity: MajorClaim/Claim/Premise components and
     InferenceRule spans), R (supports/attacks relation), A (Stance attribute).
-    Anything else is rejected.
+    Lines that start with # are brat's notes and are skipped, as brat does;
+    anything else is rejected.
     """
     doc = make_text_document(doc_id, txt_content)
-    text = doc.raw_text
     ann_content = ann_content.replace("\r\n", "\n")
 
     components, rule_spans, relations, stances = [], [], [], []
-    seen_ids = set()
     for lineno, line in enumerate(ann_content.split("\n"), 1):
-        if not line.strip():
+        if not line.strip() or line.startswith("#"):
             continue
         if line.startswith("T"):
             m = _ENT_PATT.match(line)
             if not m:
                 raise MalformedLine("line %d: bad entity line: %r" % (lineno, line))
             tid, etype, start, end, surface = m.groups()
-            start, end = int(start), int(end)
-            if tid in seen_ids:
-                raise MalformedLine("line %d: duplicate id %s" % (lineno, tid))
-            seen_ids.add(tid)
-            _check_span(text, start, end, surface, tid)
             if etype in COMPONENT_KINDS:
-                components.append(ComponentAnnotation(tid, etype, start, end, surface))
+                components.append(ComponentAnnotation(tid, etype, int(start), int(end), surface))
             elif etype == RULE_SPAN_KIND:
-                rule_spans.append(RuleSpanAnnotation(tid, start, end, surface))
+                rule_spans.append(RuleSpanAnnotation(tid, int(start), int(end), surface))
             else:
                 raise MalformedLine("line %d: unknown entity type %r" % (lineno, etype))
         elif line.startswith("R"):
@@ -222,27 +282,9 @@ def parse_brat_ann(txt_content, ann_content, doc_id="doc"):
         else:
             raise MalformedLine("line %d: unknown line prefix: %r" % (lineno, line))
 
-    adoc = AnnotatedDocument(doc, tuple(components), tuple(relations),
+    _refuse(_brat_refusal, doc.raw_text, components, rule_spans, relations, stances)
+    return AnnotatedDocument(doc, tuple(components), tuple(relations),
                              _dedupe_stances(stances), tuple(rule_spans))
-    _check_references(adoc)
-    return adoc
-
-
-def _check_references(doc):
-    known = {c.comp_id for c in doc.components} | {r.span_id for r in doc.rule_spans}
-    for rel in doc.relations:
-        for ref in (rel.source, rel.target):
-            if ref not in known:
-                raise DanglingReference("%s cites missing id %s" % (rel.rel_id, ref))
-        if rel.source == rel.target:
-            raise MalformedLine("%s relates %s to itself" % (rel.rel_id, rel.source))
-    claims = {c.comp_id for c in doc.components if c.kind == "Claim"}
-    for st in doc.stances:
-        if st.claim not in known:
-            raise DanglingReference("%s cites missing id %s" % (st.attr_id, st.claim))
-        if st.claim not in claims:
-            raise MalformedLine("%s sets a stance on %s, which is not a Claim"
-                                % (st.attr_id, st.claim))
 
 
 def _want(obj, key, kind, path):
@@ -269,14 +311,6 @@ def _entries(data, key):
         yield path, entry
 
 
-def _new_id(seen, entry_id, path):
-    """Claim entry_id in the one id space components and rule spans share."""
-    if entry_id in seen:
-        raise SchemaViolation("%s.id: duplicate id %r" % (path, entry_id))
-    seen.add(entry_id)
-    return entry_id
-
-
 def _file_name(doc_id):
     """doc_id, which names the output files, if it is one plain file name."""
     if doc_id in ("", ".", "..") or any(c in doc_id for c in "/\\\0"):
@@ -284,12 +318,10 @@ def _file_name(doc_id):
     return doc_id
 
 
-def _span_text(text, start, end, path):
-    """text[start:end], refused unless the span lies within text."""
-    if not (0 <= start <= end <= len(text)):
-        raise SchemaViolation("%s: span (%d,%d) outside text of length %d"
-                              % (path, start, end, len(text)))
-    return text[start:end]
+def _json_refusal(key, i, v):
+    """The JSON parser's exception for v, led by the entry's path."""
+    field = ".id" if v.code == "DuplicateId" else ""
+    return SchemaViolation("$.%s[%d]%s: %s" % (key, i, field, v.detail))
 
 
 def parse_canonical_json(content):
@@ -310,7 +342,6 @@ def parse_canonical_json(content):
     text = _want(data, "text", str, "$")
     doc = make_text_document(_file_name(_want(data, "doc_id", str, "$")), text)
 
-    seen_ids = set()
     components = []
     for path, c in _entries(data, "components"):
         kind = _want(c, "kind", str, path)
@@ -318,17 +349,15 @@ def parse_canonical_json(content):
             raise SchemaViolation("%s.kind: unknown kind %r" % (path, kind))
         start = _want(c, "start", int, path)
         end = _want(c, "end", int, path)
-        cid = _new_id(seen_ids, _want(c, "id", str, path), path)
-        components.append(ComponentAnnotation(
-            cid, kind, start, end, _span_text(doc.raw_text, start, end, path)))
+        components.append(ComponentAnnotation(_want(c, "id", str, path), kind,
+                                              start, end, doc.raw_text[start:end]))
 
     rule_spans = []
     for path, r in _entries(data, "rule_spans"):
         start = _want(r, "start", int, path)
         end = _want(r, "end", int, path)
-        rid = _new_id(seen_ids, _want(r, "id", str, path), path)
-        rule_spans.append(RuleSpanAnnotation(
-            rid, start, end, _span_text(doc.raw_text, start, end, path)))
+        rule_spans.append(RuleSpanAnnotation(_want(r, "id", str, path),
+                                             start, end, doc.raw_text[start:end]))
 
     relations = []
     for path, r in _entries(data, "relations"):
@@ -347,13 +376,9 @@ def parse_canonical_json(content):
         stances.append(StanceAnnotation(_want(s, "id", str, path),
                                         _want(s, "claim", str, path), stance))
 
-    adoc = AnnotatedDocument(doc, tuple(components), tuple(relations),
-                             _dedupe_stances(tuple(stances)), tuple(rule_spans))
-    try:
-        _check_references(adoc)
-    except (DanglingReference, MalformedLine) as e:
-        raise SchemaViolation(str(e))
-    return adoc
+    _refuse(_json_refusal, doc.raw_text, components, rule_spans, relations, stances)
+    return AnnotatedDocument(doc, tuple(components), tuple(relations),
+                             _dedupe_stances(stances), tuple(rule_spans))
 
 
 def serialize_canonical_json(doc):
@@ -373,39 +398,3 @@ def serialize_canonical_json(doc):
                               for r in doc.rule_spans]
     return json.dumps(data, ensure_ascii=False, indent=2) + "\n"
 
-
-def validate_document(doc):
-    """Check all document invariants; returns a list of Violation records."""
-    out = []
-    text = doc.document.raw_text
-    seen = set()
-    for c in doc.components:
-        if c.comp_id in seen:
-            out.append(Violation("DuplicateId", c.comp_id))
-        seen.add(c.comp_id)
-        if not (0 <= c.start <= c.end <= len(text)):
-            out.append(Violation("SpanMismatch", c.comp_id, "span outside text"))
-        elif text[c.start:c.end] != c.surface_text:
-            out.append(Violation("SpanMismatch", c.comp_id, "surface text differs"))
-        if c.kind not in COMPONENT_KINDS:
-            out.append(Violation("UnknownKind", c.comp_id, c.kind))
-    for r in doc.rule_spans:
-        if r.span_id in seen:
-            out.append(Violation("DuplicateId", r.span_id))
-        seen.add(r.span_id)
-        if not (0 <= r.start <= r.end <= len(text)):
-            out.append(Violation("SpanMismatch", r.span_id, "span outside text"))
-    known = seen
-    for rel in doc.relations:
-        for ref in (rel.source, rel.target):
-            if ref not in known:
-                out.append(Violation("DanglingReference", rel.rel_id, ref))
-        if rel.source == rel.target:
-            out.append(Violation("SelfRelation", rel.rel_id))
-    claim_kinds = {c.comp_id: c.kind for c in doc.components}
-    for st in doc.stances:
-        if st.claim not in known:
-            out.append(Violation("DanglingReference", st.attr_id, st.claim))
-        elif claim_kinds.get(st.claim) != "Claim":
-            out.append(Violation("StanceOnNonClaim", st.attr_id, st.claim))
-    return out

@@ -64,6 +64,20 @@ def test_ingest_violations_exit_1(tmp_path, capsys):
         "akgraph.ingest.MalformedLine: A1 sets a stance on T1, which is not a Claim"]
 
 
+@pytest.mark.parametrize("values", [("For", "Against"), ("Against", "For")])
+def test_repeated_stance_id_refused_in_either_line_order(tmp_path, capsys, values):
+    # two stances named A1: no line order may decide the attack graph
+    txt, ann = tmp_path / "cats.txt", tmp_path / "cats.ann"
+    txt.write_text("Cats are best. Cats purr. Dogs bark.\n")
+    ann.write_text("T1\tMajorClaim 0 14\tCats are best.\nT2\tClaim 15 24\tCats purr\n"
+                   + "".join("A1\tStance T2 %s\n" % v for v in values))
+    out_dir = tmp_path / "out"
+    assert run(["run", "--input", str(txt), "--ann", str(ann), "--out", str(out_dir)]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "akgraph.ingest.MalformedLine: duplicate id 'A1'\n")
+    assert not out_dir.exists()
+
+
 CATS = {"id": "T1", "kind": "Premise", "start": 0, "end": 4}
 PURR = {"id": "T1", "kind": "Premise", "start": 5, "end": 9}
 

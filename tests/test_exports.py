@@ -445,9 +445,12 @@ def test_exports_byte_identical_across_runs(essay_report):
 
 def test_ann_line_order_changes_nothing(tmp_path, monkeypatch, capsys):
     # same seven files, same stdout and stderr, whatever the order of the
-    # .ann lines; each run writes to ./out, so the printed paths agree too
+    # .ann lines and with a brat note line added; each run writes to ./out,
+    # so the printed paths agree too
     ann = (DATA / "essay056.ann").read_text(encoding="utf-8")
-    anns = {"plain": DATA / "essay056.ann"}
+    anns = {"plain": DATA / "essay056.ann", "notes": tmp_path / "essay056-notes.ann"}
+    anns["notes"].write_text(ann + "#1\tAnnotatorNotes T1\tthesis restated\n",
+                             encoding="utf-8")
     for seed in (1, 2, 3):
         anns["seed%d" % seed] = tmp_path / ("essay056-%d.ann" % seed)
         anns["seed%d" % seed].write_text(perfbench_inputs().shuffle_ann(ann, seed),

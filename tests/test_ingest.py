@@ -181,6 +181,49 @@ def test_huge_numbers_refused():
         ingest.parse_canonical_json("[" * 100000)
 
 
+def test_note_lines_skipped_other_prefixes_refused():
+    ann = make_ann(["#1\tAnnotatorNotes T1\tthe premise", "T1\tPremise 0 14\tCats are great"])
+    assert ingest.parse_brat_ann(TXT, ann).component("T1").kind == "Premise"
+    with pytest.raises(ingest.MalformedLine, match="line 1: unknown line prefix"):
+        ingest.parse_brat_ann(TXT, make_ann(["E1\tEvent:T1"]))
+
+
+_CAT = ["T1\tPremise 0 14\tCats are great", "T2\tClaim 27 47\tyou should get a cat"]
+
+
+@pytest.mark.parametrize("lines, message", [
+    (_CAT + ["R1\tSupports Arg1:T1 Arg2:T2", "R1\tAttacks Arg1:T2 Arg2:T1"],
+     "duplicate id 'R1'"),
+    (_CAT + ["A1\tStance T2 For", "A1\tStance T2 Against"], "duplicate id 'A1'"),
+    (_CAT + ["A1\tStance T2 Against", "A1\tStance T2 For"], "duplicate id 'A1'"),
+    (_CAT + ["T1\tClaim 27 47\tyou should get a cat"], "duplicate id 'T1'"),
+], ids=["relation", "stance", "stance-swapped", "entity"])
+def test_brat_refuses_repeated_ids(lines, message):
+    with pytest.raises(ingest.MalformedLine) as e:
+        ingest.parse_brat_ann(TXT, make_ann(lines))
+    assert str(e.value) == message
+
+
+def test_canonical_json_refuses_repeated_relation_and_stance_ids():
+    def doc(relations=(), stances=()):
+        return json.dumps({"doc_id": "x", "text": TXT, "components": [
+            {"id": "T1", "kind": "Premise", "start": 0, "end": 14},
+            {"id": "T2", "kind": "Claim", "start": 27, "end": 47}],
+            "relations": list(relations), "stances": list(stances)})
+
+    sup = {"id": "R1", "kind": "Supports", "source": "T1", "target": "T2"}
+    pro = {"id": "A1", "claim": "T2", "stance": "For"}
+    with pytest.raises(ingest.SchemaViolation,
+                       match=r"^\$\.relations\[1\]\.id: duplicate id 'R1'$"):
+        ingest.parse_canonical_json(doc([sup, dict(sup, source="T2", target="T1")]))
+    with pytest.raises(ingest.SchemaViolation,
+                       match=r"^\$\.stances\[1\]\.id: duplicate id 'A1'$"):
+        ingest.parse_canonical_json(doc(stances=[pro, dict(pro, stance="Against")]))
+    # relation and stance ids are not component ids: they may be equal
+    ok = ingest.parse_canonical_json(doc([dict(sup, id="T1")], [dict(pro, id="T2")]))
+    assert (ok.relations[0].rel_id, ok.stances[0].attr_id) == ("T1", "T2")
+
+
 def test_canonical_json_refuses_duplicate_ids():
     def doc(components, rule_spans=()):
         return json.dumps({"doc_id": "x", "text": "Cats purr.",
@@ -212,14 +255,32 @@ def test_canonical_json_span_outside_text_refused(key, entry):
 
 
 def test_validate_document_reports_violations():
-    tdoc = ingest.make_text_document("d", TXT)
-    comp = ingest.ComponentAnnotation("T1", "Premise", 0, 14, "Cats are great")
-    bad_kind = ingest.ComponentAnnotation("T2", "Widget", 27, 47, "you should get a cat")
-    stance = ingest.StanceAnnotation("A1", "T1", "For")   # premise, not claim
-    doc = ingest.AnnotatedDocument(tdoc, (comp, bad_kind), (), (stance,))
-    codes = {v.code for v in ingest.validate_document(doc)}
-    assert "UnknownKind" in codes
-    assert "StanceOnNonClaim" in codes
+    # one violation of each kind, listed in the one fixed order: components,
+    # rule spans, relations, stances; each detail is the parsers' refusal text
+    C, S = ingest.ComponentAnnotation, ingest.StanceAnnotation
+    R = ingest.RelationAnnotation
+    doc = ingest.AnnotatedDocument(
+        ingest.make_text_document("d", TXT),
+        components=(C("T1", "Premise", 0, 14, "Cats are great"),
+                    C("T1", "Claim", 27, 47, "you should get a cat"),
+                    C("T2", "Premise", 5, 99, "x"),
+                    C("T3", "Widget", 27, 47, "you should get a cat"),
+                    C("T5", "Claim", 27, 47, "you should get a cat")),
+        rule_spans=(ingest.RuleSpanAnnotation("T4", 16, 25, "Thereupon"),),
+        relations=(R("R1", "Supports", "T1", "T5"), R("R1", "Supports", "T1", "T9"),
+                   R("R2", "Attacks", "T5", "T5")),
+        stances=(S("A1", "T5", "For"), S("A1", "T5", "Against"), S("A2", "T1", "For")))
+    V = ingest.Violation
+    assert ingest.validate_document(doc) == [
+        V("DuplicateId", "T1", "duplicate id 'T1'"),
+        V("SpanMismatch", "T2", "span (5,99) outside text of length 49"),
+        V("UnknownKind", "T3", "unknown kind 'Widget'"),
+        V("SpanMismatch", "T4", "annotation text 'Thereupon' != document text 'Therefore'"),
+        V("DuplicateId", "R1", "duplicate id 'R1'"),
+        V("DanglingReference", "R1", "R1 cites missing id T9"),
+        V("SelfRelation", "R2", "R2 relates T5 to itself"),
+        V("DuplicateId", "A1", "duplicate id 'A1'"),
+        V("StanceOnNonClaim", "A2", "A2 sets a stance on T1, which is not a Claim")]
 
 
 def test_validate_document_clean(essay):
