@@ -13,7 +13,7 @@ from functools import cached_property
 from .arguments import C
 from .ekb import AXIOM, ASSUMPTION
 from .ingest import natural_key
-from .kbgraph import PREMISE, RULE_PREMISE, AttributeBox, _quote, _render_value, sort_by_id
+from .kbgraph import PREMISE, RULE_PREMISE, AttributeBox, _quote, sort_by_id
 from .trace import warn
 
 CONCLUSION = "Conclusion"
@@ -99,20 +99,16 @@ def _attack_edge(source_id, target_node):
 def _member_node(arg_id, kb_node, primary):
     """kb_node under argument id arg_id: same kind and text, arg_id followed
     by the KB box values, a rule's L-sets renamed through primary, which maps
-    each content to the id of the node that holds it.  The box reuses the KB
-    box's rendered strings and renders only arg_id and the renamed L-sets."""
-    box = kb_node.attributes
-    values, rendered = box.values, box.rendered
+    each content to the id of the node that holds it."""
+    values = kb_node.attributes.values
     if kb_node.kind == PREMISE:   # marker, premise kind
-        box = AttributeBox._prerendered((arg_id,) + values, (arg_id,) + rendered)
-        return AKGNode(arg_id, PREMISE, box, kb_node.node_id, kb_node.text, values[1])
+        return AKGNode(arg_id, PREMISE, AttributeBox((arg_id,) + values),
+                       kb_node.node_id, kb_node.text, values[1])
     _, rule_kind, im, l1, l2 = values   # arg_id takes the rule id's place
     l1, l2 = (ls if ls is None else frozenset(primary[x] for x in ls)
               for ls in (l1, l2))
-    box = AttributeBox._prerendered(
-        (arg_id, rule_kind, im, l1, l2),
-        (arg_id,) + rendered[1:3] + (_render_value(l1), _render_value(l2)))
-    return AKGNode(arg_id, RULE_PREMISE, box, kb_node.node_id, kb_node.text)
+    return AKGNode(arg_id, RULE_PREMISE, AttributeBox((arg_id, rule_kind, im, l1, l2)),
+                   kb_node.node_id, kb_node.text)
 
 
 def _claim_node(ekb, arg):

@@ -78,8 +78,17 @@ class ExitReport(namedtuple("ExitReport",
 
 
 def _read(path, encoding="utf-8"):
-    with open(path, encoding=encoding) as f:
-        return f.read()
+    """The text at path, line ends translated as text mode translates them;
+    a file that is not UTF-8 is refused, naming it and its first bad byte."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        text = data.decode(encoding)
+    except UnicodeDecodeError as exc:   # utf-8-sig decodes what follows a BOM
+        at = exc.start + len(data) - len(exc.object)
+        raise PipelineError("%s: not UTF-8 text (byte 0x%02x at offset %d)"
+                            % (path, data[at], at)) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _split_name(path):

@@ -34,23 +34,13 @@ class AttributeBox(namedtuple("AttributeBox", "values")):
 
     values is a tuple of strings, frozensets of ids, or None; None renders
     as N, an empty set as phi.  Marker values are stored pre-quoted.
-    rendered holds each value rendered as a string, computed when the box
-    is built; _replace and _make build a new box, which renders its own.
+    rendered holds each value rendered as a string, worked out on first
+    use; a box made by _replace or _make renders its own.
     """
 
-    def __new__(cls, values):
-        return cls._prerendered(values, tuple(map(_render_value, values)))
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
-
-    @classmethod
-    def _prerendered(cls, values, rendered):
-        """A box of values whose rendered strings the caller already has."""
-        box = tuple.__new__(cls, (values,))
-        box.rendered = rendered
-        return box
+    @cached_property
+    def rendered(self):
+        return tuple(map(_render_value, self.values))
 
     def render(self):
         return "{%s}" % ", ".join(self.rendered)
@@ -99,10 +89,10 @@ class KBGraph(namedtuple("KBGraph", "nodes edges ekb")):
 
 def build_kb_graph(ekb):
     """One node per K formula and per rule, one edge per agreement/contrary
-    pair.  Each node carries its member's rendered text and attribute box,
-    whose strings are rendered here; build_akg reuses both for the arguments
-    that rest on the member.  Node order follows the member order; edges
-    are sorted.
+    pair.  Each node carries its member's rendered text and attribute box;
+    build_akg reuses the text and the box values for the arguments that
+    rest on the member.  Node order follows the member order; edges are
+    sorted.
 
     An invalid EKB is refused.  build_ekb's output always passes that check
     (test_ekb.py::test_built_ekb_is_valid), so in a pipeline run it is a

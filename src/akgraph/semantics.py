@@ -209,10 +209,11 @@ def _naive_masks(piece):
     set: it extends chosen by candidates compatible with all of it, and
     excluded holds the compatible members already tried, so a set that could
     still take one of them is not reported.  The children wait on a stack,
-    so a deep piece cannot reach Python's recursion limit.  A child left with
-    at most two candidates is settled without being pushed: its maximal
-    extensions take both candidates if they are compatible, else each one
-    alone, and each is reported if no excluded member could still join it.
+    so a deep piece cannot reach Python's recursion limit.  A child is
+    settled without being pushed when its candidates are pairwise compatible
+    (none or one counts as such), its one maximal extension taking them all,
+    or when they are two in conflict, its extensions taking each one alone;
+    each is reported if no excluded member could still join it.
     """
     _, attacks, attackers = piece
     allowed = 0
@@ -240,25 +241,25 @@ def _naive_masks(piece):
             low = rest & -rest
             near = compatible[low]
             sub, out = cand & near, excluded & near
+            left = sub      # drops each candidate compatible with all the others
+            while left:
+                b = left & -left
+                if sub & ~compatible[b] != b:
+                    break
+                left ^= b
             high = sub & (sub - 1)
-            if not sub:
+            if not left:    # all of them, unless an excluded member could join
+                while out and sub & ~compatible[out & -out]:
+                    out &= out - 1
                 if not out:
-                    _keep(found, chosen | low, NAIVE)
-            elif not high:
-                if not out & compatible[sub]:
                     _keep(found, chosen | low | sub, NAIVE)
             elif high & (high - 1):
                 stack.append((chosen | low, sub, out))
-            else:   # two candidates
-                one, other = compatible[sub ^ high], compatible[high]
-                if one & high:
-                    if not out & one & other:
-                        _keep(found, chosen | low | sub, NAIVE)
-                else:
-                    if not out & one:
-                        _keep(found, chosen | low | sub ^ high, NAIVE)
-                    if not out & other:
-                        _keep(found, chosen | low | high, NAIVE)
+            else:   # two conflicting candidates: each alone
+                if not out & compatible[sub ^ high]:
+                    _keep(found, chosen | low | sub ^ high, NAIVE)
+                if not out & compatible[high]:
+                    _keep(found, chosen | low | high, NAIVE)
             cand ^= low
             excluded |= low
             rest ^= low

@@ -6,6 +6,7 @@ from akgraph import akg as G
 from akgraph import arguments as A
 from akgraph import ekb as E
 from akgraph import markers
+from akgraph.exports import export_json_akg
 from akgraph.ingest import StanceAnnotation, parse_brat_ann, parse_canonical_json
 from akgraph.kbgraph import AttributeBox, _quote, build_kb_graph, natural_key
 from akgraph.semantics import project_af
@@ -210,6 +211,18 @@ def test_essay_node_text(essay):
     assert akg.node("A2").text == kb.rule_text("R1")
     assert "⇒" in akg.node("A2").text
     assert akg.node("A1").text == kb.formula(akg.node("A1").content).text
+
+
+def test_boxes_render_on_first_use(essay):
+    # build_akg reads the KB boxes' values, not their strings, and neither
+    # build renders a box; an export does
+    kbg = build_kb_graph(essay["ekb"])
+    akg = G.build_akg(kbg, essay["aset"], essay["doc"])
+    boxes = [n.attributes for n in kbg.nodes + akg.nodes]
+    assert not any("rendered" in vars(box) for box in boxes)
+    export_json_akg(akg)
+    assert all("rendered" in vars(n.attributes) for n in akg.nodes)
+    assert not any("rendered" in vars(n.attributes) for n in kbg.nodes)
 
 
 # ---------------------------------------------------------------- invariants

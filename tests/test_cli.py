@@ -146,6 +146,32 @@ def test_missing_input_exit_1(capsys):
     assert capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option", ["--input", "--ann", "--prefs"])
+def test_input_not_utf8_names_its_file(tmp_path, capsys, option):
+    # the offset counts a leading BOM, which --prefs (read as utf-8-sig) skips
+    bad = tmp_path / ("bad" + Path(ESSAY[ESSAY.index(option) + 1]).suffix)
+    bad.write_bytes(b"\xef\xbb\xbfT1\tCat\xe9\n")
+    argv = list(ESSAY)
+    argv[argv.index(option) + 1] = str(bad)
+    assert run(["run", "--out", str(tmp_path / "out")] + argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "akgraph.cli.PipelineError: %s: not UTF-8 text (byte 0xe9 at offset 9)" % bad]
+
+
+@pytest.mark.parametrize("end", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+def test_line_ends_read_as_text_mode_reads_them(tmp_path, capsys, end):
+    # every input's line ends are translated as text mode translates them
+    argv = list(ESSAY)
+    for i in range(1, len(argv), 2):
+        other = tmp_path / Path(argv[i]).name
+        other.write_bytes(Path(argv[i]).read_bytes().replace(b"\n", end))
+        argv[i] = str(other)
+    assert run(["run", "--out", str(tmp_path / "lf")] + ESSAY) == 0
+    assert run(["run", "--out", str(tmp_path / "other")] + argv) == 0
+    for lf in (tmp_path / "lf").iterdir():
+        assert (tmp_path / "other" / lf.name).read_bytes() == lf.read_bytes()
+
+
 @pytest.mark.parametrize("option", [
     ["--prefs", "/nonexistent"], ["--check-set", "A9"], ["--format", "apx"],
     ["--lexicon", "lex.tsv"], ["--kinds", "kinds.tsv"], ["--cap", "3"], ["--implicit-ims"],

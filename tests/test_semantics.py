@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -270,7 +271,7 @@ def test_large_stars_under_default_cap():
 
 def test_stars_deeper_than_the_recursion_limit():
     # more leaves than Python's recursion limit, under a cap raised to fit:
-    # each search goes one leaf deeper per step, on a stack of its own
+    # the preferred search goes one leaf deeper per step, on a stack of its own
     code = ("import sys\n"
             "from akgraph import semantics as sem\n"
             "n = sys.getrecursionlimit() + 100\n"
@@ -286,6 +287,19 @@ def test_stars_deeper_than_the_recursion_limit():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=30, env=env)
     assert done.stdout.split() == ["True"] * 4, done.stderr
+
+
+def test_naive_star_settled_at_once():
+    # 4,000 leaves that all attack one centre: the leaves are pairwise
+    # compatible, so the search settles them in one child; a search that
+    # goes one leaf deeper per node, scanning every leaf at each, takes
+    # seconds
+    leaves = tuple("a%d" % i for i in range(1, 4001))
+    f = sem.AFProjection(("a0",) + leaves, tuple((a, "a0") for a in leaves))
+    start = time.perf_counter()
+    exts = sem.naive_extensions(f, cap=len(f.args))
+    assert time.perf_counter() - start < 1
+    assert exts == (sem.Extension(frozenset({"a0"})), sem.Extension(frozenset(leaves)))
 
 
 def test_oracle_cap():
