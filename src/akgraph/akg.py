@@ -8,12 +8,11 @@ group already covers is never made: its pair is listed as pruned instead.
 """
 
 from collections import namedtuple
-from functools import cached_property
 
 from .arguments import C
 from .ekb import AXIOM, ASSUMPTION
 from .ingest import natural_key
-from .kbgraph import PREMISE, RULE_PREMISE, AttributeBox, _quote, sort_by_id
+from .kbgraph import PREMISE, RULE_PREMISE, AttributeBox, _quote
 from .trace import warn
 
 CONCLUSION = "Conclusion"
@@ -59,23 +58,9 @@ class AKGEdge(namedtuple("AKGEdge",
 class AKG(namedtuple("AKG", "nodes edges mp_applications pruned_supports",
                      defaults=((), ()))):
     """AKGNode and AKGEdge tuples, the MPApplications behind the
-    modus-ponens groups, and the (source, target) support edges pruned."""
-
-    # reversed, so that of duplicate ids the first wins, as in a scan
-    @cached_property
-    def _index(self):
-        return {n.arg_id: n for n in reversed(self.nodes)}
-
-    def node(self, arg_id):
-        return self._index.get(arg_id)
-
-    # sorted once per graph, for every export
-    @cached_property
-    def sorted_nodes(self):
-        return sort_by_id(self.nodes)
-
-    def edges_of_kind(self, kind):
-        return [e for e in self.edges if e.kind == kind]
+    modus-ponens groups, and the (source, target) support edges pruned.
+    Nodes are in natural id order, which the exports keep (see build_akg)."""
+    __slots__ = ()
 
 
 def classify_attack(target_node):
@@ -137,7 +122,9 @@ def build_akg(kbg, aset, doc):
     expand to one edge per antecedent plus one for the rule.  A support
     s -> t is redundant when some application into t already includes s: it
     goes to pruned_supports, with a warning, instead of the edges.  Edges
-    are in that order: relations, stances, modus-ponens groups.
+    are in that order: relations, stances, modus-ponens groups.  Nodes are
+    in natural id order by construction: they follow aset.arguments, which
+    derive_argument_set numbers A1...An in order.
     """
     ekb = kbg.ekb
     kb_nodes = {n.node_id: n for n in kbg.nodes}

@@ -38,10 +38,6 @@ class Argument(namedtuple("Argument",
     """
     __slots__ = ()
 
-    @property
-    def derived(self):
-        return self.top_rule is not None
-
 
 class MPApplication(namedtuple("MPApplication", "rule_arg antecedent_args result_arg")):
     """One modus-ponens step: the rule argument and the antecedent arguments
@@ -63,9 +59,6 @@ class ArgumentSet(namedtuple("ArgumentSet", "arguments mp_applications",
             return self._index[arg_id]
         except KeyError:
             raise UnknownArgument("no argument %r" % arg_id) from None
-
-    def ids_of_kind(self, kind):
-        return [a.arg_id for a in self.arguments if a.kind == kind]
 
 
 def _fire(ekb):
@@ -156,7 +149,8 @@ def derive_argument_set(ekb):
     rule becomes an additional argument placed right after the first.  So
     does one whose atomic argument an earlier firing took as an antecedent,
     which only a cycle of rules causes: replacing it would put each of the
-    two arguments in the other's Sub.
+    two arguments in the other's Sub.  The arguments come numbered A1...An
+    in that order, so they are in natural id order by construction.
     """
     firings, numbering = ekb._firing
     # one entry per argument record in each table, by record index

@@ -103,12 +103,16 @@ def _split_name(path):
 
 def load_document(config):
     """Read the input document: canonical JSON, or text + brat annotations.
-    A text input's file name without its suffix is the document id."""
+    A text input's file name without its suffix is the document id; an
+    annotation file with a JSON input is refused, not ignored."""
     path = config.input_path
     stem, suffix = _split_name(path)
-    raw = _read(path, "utf-8-sig" if suffix == ".json" else "utf-8")
     if suffix == ".json":
-        return parse_canonical_json(raw)
+        if config.ann_path:
+            raise PipelineError("--ann applies to a text input, not to the "
+                                "JSON document %s" % path)
+        return parse_canonical_json(_read(path, "utf-8-sig"))
+    raw = _read(path, "utf-8")
     if not config.ann_path:
         raise PipelineError("text input %s needs an annotation file (--ann)" % path)
     return parse_brat_ann(raw, _read(config.ann_path, "utf-8-sig"), doc_id=stem)

@@ -177,9 +177,6 @@ class EKB(namedtuple("EKB", "formulas rules contraries agreements rule_pref "
         """Premise formulas only, i.e. the K of the knowledge base."""
         return tuple(f for f in self.formulas if f.premise_kind is not None)
 
-    def K_part(self, kind):
-        return tuple(f for f in self.K if f.premise_kind == kind)
-
     @property
     def kb_members(self):
         """K formulas and rules together, in member order."""

@@ -1,7 +1,10 @@
 """Deterministic serializers: DOT, JSON and apx.
 
-Emission order is sorted by id everywhere, so identical inputs produce
-byte-identical outputs.  Attribute boxes become secondary label nodes in DOT,
+Identical inputs produce byte-identical outputs.  The builders own the
+natural id order: nodes and arguments are written in the order their record
+holds them, KB edges too in json-kb.  Only what a format orders by its own
+key is sorted here: the edges of DOT and json-akg, premise and antecedent
+sets, and apx facts.  Attribute boxes become secondary label nodes in DOT,
 joined to their owners by undecorated linker edges.
 
 Every JSON export is laid out as json.dumps(obj, indent=2,
@@ -55,7 +58,7 @@ def export_dot(graph):
     is_akg = isinstance(graph, akgmod.AKG)
     lines = ["digraph %s {" % ("akg" if is_akg else "kb"), '  rankdir="LR";']
 
-    for n in graph.sorted_nodes:
+    for n in graph.nodes:
         node_id = _esc(n[0])
         label = (n.text or n.content) if is_akg else n.text
         lines.append(_DOT_NODE[n.kind] % (
@@ -130,14 +133,12 @@ def _string_lists(lists):
 
 
 def export_json_kb(kbg):
-    edges = sorted(kbg.edges,
-                   key=lambda e: (e.kind, natural_key(e.source), natural_key(e.target)))
     return _document(("nodes", "edges"), (
         _rows(("id", "kind", "text", "attributes"),
               ((_enc(n.node_id), _enc(n.kind), _enc(n.text),
-                _strings(n.attributes.rendered)) for n in kbg.sorted_nodes)),
+                _strings(n.attributes.rendered)) for n in kbg.nodes)),
         _rows(("source", "target", "kind"),
-              ((_enc(e.source), _enc(e.target), _enc(e.kind)) for e in edges))))
+              ((_enc(e.source), _enc(e.target), _enc(e.kind)) for e in kbg.edges))))
 
 
 def _akg_edge(e):
@@ -166,7 +167,7 @@ def export_json_akg(akg):
               ((_enc(n.arg_id), _enc(n.kind),
                 "null" if n.content is None else _enc(n.content),
                 "null" if n.text is None else _enc(n.text),
-                _strings(n.attributes.rendered)) for n in akg.sorted_nodes)),
+                _strings(n.attributes.rendered)) for n in akg.nodes)),
         _array(list(map(_akg_edge, edges))),
         _mp_rows(akg.mp_applications),
         _string_lists(akg.pruned_supports)))
@@ -180,7 +181,6 @@ def _mp_rows(apps):
 
 
 def export_json_args(aset):
-    args = sorted(aset.arguments, key=lambda a: natural_key(a.arg_id))
     return _document(("arguments", "mp_applications"), (
         _rows(("id", "kind", "content", "premises", "conclusion", "subargs",
                "top_rule"),
@@ -188,7 +188,7 @@ def export_json_args(aset):
                 _strings(a.premises if len(a.premises) == 1
                          else sorted(a.premises, key=natural_key)), _enc(a.conclusion),
                 _strings(a.subargs), "null" if a.top_rule is None else _enc(a.top_rule))
-               for a in args)),
+               for a in aset.arguments)),
         _mp_rows(aset.mp_applications)))
 
 

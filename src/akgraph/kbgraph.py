@@ -73,26 +73,18 @@ class KBEdge(namedtuple("KBEdge", "source target kind")):
     __slots__ = ()
 
 
-def sort_by_id(nodes):
-    """Graph nodes, which hold their id first, in natural id order."""
-    return sorted(nodes, key=lambda n: natural_key(n[0]))
-
-
 class KBGraph(namedtuple("KBGraph", "nodes edges ekb")):
-    """KBNode and KBEdge tuples; ekb is the source EKB, read by build_akg."""
-
-    # sorted once per graph, for every export
-    @cached_property
-    def sorted_nodes(self):
-        return sort_by_id(self.nodes)
+    """KBNode and KBEdge tuples, in the order the exports write them (see
+    build_kb_graph); ekb is the source EKB, read by build_akg."""
+    __slots__ = ()
 
 
 def build_kb_graph(ekb):
     """One node per K formula and per rule, one edge per agreement/contrary
     pair.  Each node carries its member's rendered text and attribute box;
     build_akg reuses the text and the box values for the arguments that
-    rest on the member.  Node order follows the member order; edges are
-    sorted.
+    rest on the member.  Nodes are in natural id order, edges in (kind,
+    source, target) order; the exports keep both.
 
     An invalid EKB is refused.  build_ekb's output always passes that check
     (test_ekb.py::test_built_ekb_is_valid), so in a pipeline run it is a
@@ -111,6 +103,7 @@ def build_kb_graph(ekb):
         else:
             kind, box = PREMISE, premise_attribute_box(ekb.formula(member_id))
         nodes.append(KBNode(member_id, kind, ekb.member_text(member_id), box))
+    nodes.sort(key=lambda n: natural_key(n.node_id))
 
     edges = [KBEdge(a, b, AGREEMENT) for a, b in ekb.agreements]
     edges += [KBEdge(a, b, CONTRARY) for a, b in ekb.contraries]

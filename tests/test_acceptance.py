@@ -88,9 +88,11 @@ def test_criterion_1_essay_argument_set(essay):
     c = Checker(1)
     aset, ekb = essay["aset"], essay["ekb"]
     c.equal(len(aset.arguments), 18, "argument count")
-    c.equal(set(aset.ids_of_kind("IRP")), {"A2", "A5", "A10", "A15"}, "IRP ids")
-    c.equal(set(aset.ids_of_kind("C")), {"A13", "A17", "A18"}, "C ids")
-    c.equal(len(aset.ids_of_kind("P")), 11, "P count")
+    ids = {kind: {a.arg_id for a in aset.arguments if a.kind == kind}
+           for kind in ("IRP", "C")}
+    c.equal(ids["IRP"], {"A2", "A5", "A10", "A15"}, "IRP ids")
+    c.equal(ids["C"], {"A13", "A17", "A18"}, "C ids")
+    c.equal(sum(a.kind == "P" for a in aset.arguments), 11, "P count")
     for arg in aset.arguments:
         want_kind, want_text = EXPECTED_ARGUMENTS[arg.arg_id]
         c.equal(arg.kind, want_kind, "%s kind" % arg.arg_id)
@@ -102,7 +104,7 @@ def test_criterion_1_essay_argument_set(essay):
 def test_criterion_2_essay_interactions(essay):
     c = Checker(2)
     akg = essay["akg"]
-    kept = sorted((e.source, e.target) for e in akg.edges_of_kind("Support"))
+    kept = sorted((e.source, e.target) for e in akg.edges if e.kind == "Support")
     pruned = sorted(akg.pruned_supports)
     c.equal(len(kept) + len(pruned), 10, "supports before pruning")
     c.equal(pruned, [("A1", "A3"), ("A14", "A17"), ("A4", "A6"), ("A9", "A11")],
@@ -110,7 +112,7 @@ def test_criterion_2_essay_interactions(essay):
     c.equal(kept, [("A11", "A12"), ("A12", "A13"), ("A13", "A18"),
                    ("A3", "A7"), ("A6", "A7"), ("A8", "A12")],
             "kept supports")
-    attacks = sorted((e.source, e.target) for e in akg.edges_of_kind("Attack"))
+    attacks = sorted((e.source, e.target) for e in akg.edges if e.kind == "Attack")
     c.equal(attacks, [("A16", "A17"), ("A17", "A18")], "attacks")
     groups = set()
     for app in akg.mp_applications:
@@ -149,13 +151,13 @@ def test_criterion_3_essay_semantics(essay):
 def test_criterion_4_undercut(pollock):
     c = Checker(4)
     akg = pollock["akg"]
-    attacks = akg.edges_of_kind("Attack")
+    attacks = [e for e in akg.edges if e.kind == "Attack"]
     c.equal(len(attacks), 1, "attack count")
     if attacks:
         edge = attacks[0]
         c.equal(edge.attack_type, "UC", "attack type")
-        c.equal(akg.node(edge.target).kind, "InferenceRulePremise",
-                "target node kind")
+        target = next(n for n in akg.nodes if n.arg_id == edge.target)
+        c.equal(target.kind, "InferenceRulePremise", "target node kind")
     c.finish("exactly one undercut, aimed at the inference-rule premise")
 
 
@@ -272,7 +274,8 @@ def test_criterion_7_structural_invariants(essay, pollock):
     # knowledge-base partition is disjoint and covers K
     for name, art in (("essay", essay), ("pollock", pollock)):
         ekb = art["ekb"]
-        parts = [{f.formula_id for f in ekb.K_part(k)} for k in ("n", "p", "a")]
+        parts = [{f.formula_id for f in ekb.K if f.premise_kind == k}
+                 for k in ("n", "p", "a")]
         for x, y in itertools.combinations(parts, 2):
             c.check(not (x & y), "%s: K partition overlaps" % name)
         c.equal(set().union(*parts), {f.formula_id for f in ekb.K},
@@ -306,7 +309,7 @@ def test_criterion_7_structural_invariants(essay, pollock):
     # Prem / Conc / Sub recompute from the applications
     for art in (essay, pollock):
         ekb, aset = art["ekb"], art["aset"]
-        derived = {a.arg_id for a in aset.arguments if a.derived}
+        derived = {a.arg_id for a in aset.arguments if a.top_rule is not None}
         c.equal({app.result_arg for app in aset.mp_applications}, derived,
                 "every derived argument has an application")
         for app in aset.mp_applications:
@@ -322,7 +325,7 @@ def test_criterion_7_structural_invariants(essay, pollock):
             want_sub |= {app.rule_arg, result.arg_id}
             c.equal(set(result.subargs), want_sub, "%s Sub" % result.arg_id)
         for a in aset.arguments:
-            if not a.derived:
+            if a.top_rule is None:
                 c.equal(a.premises, frozenset({a.content}),
                         "%s atomic Prem" % a.arg_id)
                 c.equal(a.subargs, (a.arg_id,), "%s atomic Sub" % a.arg_id)

@@ -20,6 +20,14 @@ def node(kind, arg_id="A1", premise_kind="p"):
                      premise_kind=premise_kind if kind == G.PREMISE else None)
 
 
+def node_of(akg, arg_id):
+    return next(n for n in akg.nodes if n.arg_id == arg_id)
+
+
+def edges_of(akg, kind):
+    return [e for e in akg.edges if e.kind == kind]
+
+
 # ---------------------------------------------------------------- classification
 
 def test_classify_by_target_kind():
@@ -55,14 +63,14 @@ def test_attack_on_axiom_raises():
 def test_attack_on_assumption_flagged():
     kbg, aset, doc = _mini({"T1": "a"})
     akg = G.build_akg(kbg, aset, doc)
-    (edge,) = akg.edges_of_kind(G.ATTACK)
+    (edge,) = edges_of(akg, G.ATTACK)
     assert edge.attack_type == G.UNDERMINE
     assert edge.contrary_undermine
 
 
 def test_attack_on_ordinary_premise():
     kbg, aset, doc = _mini()
-    (edge,) = G.build_akg(kbg, aset, doc).edges_of_kind(G.ATTACK)
+    (edge,) = edges_of(G.build_akg(kbg, aset, doc), G.ATTACK)
     assert (edge.source, edge.target) == ("A2", "A1")
     assert edge.attack_type == G.UNDERMINE and not edge.contrary_undermine
 
@@ -114,7 +122,7 @@ def test_for_stance_covered_by_mp_group_pruned():
     # A2 (T1) and the rule A1 derive A3 (T2): the stance's support is covered
     assert akg.pruned_supports == (("A2", "A3"),)
     assert ("akgraph.akg", "pruned redundant support A2 -> A3") in t.records
-    assert akg.edges_of_kind(G.SUPPORT) == []
+    assert edges_of(akg, G.SUPPORT) == []
     assert sorted((e.source, e.target) for e in akg.edges) == [("A1", "A3"), ("A2", "A3")]
 
 
@@ -127,7 +135,7 @@ def test_stances_need_the_ekbs_major_claim():
         akg = G.build_akg(build_kb_graph(kb), A.derive_argument_set(kb), doc)
     assert t.records == [("akgraph.akg", "stances present but no major claim; skipped")]
     assert akg.edges == ()
-    assert akg.node("A1").attributes.values[-1] == "Claim"
+    assert node_of(akg, "A1").attributes.values[-1] == "Claim"
 
 
 def _repeated_doc():
@@ -171,13 +179,13 @@ def test_one_pruned_support_per_pair():
 
 def test_essay_attacks(essay):
     attacks = [(e.source, e.target, e.attack_type)
-               for e in essay["akg"].edges_of_kind(G.ATTACK)]
+               for e in edges_of(essay["akg"], G.ATTACK)]
     assert attacks == [("A16", "A17", "Reb"), ("A17", "A18", "Reb")]
 
 
 def test_essay_supports_pruned(essay):
     akg = essay["akg"]
-    supports = sorted((e.source, e.target) for e in akg.edges_of_kind(G.SUPPORT))
+    supports = sorted((e.source, e.target) for e in edges_of(akg, G.SUPPORT))
     assert supports == [("A11", "A12"), ("A12", "A13"), ("A13", "A18"),
                         ("A3", "A7"), ("A6", "A7"), ("A8", "A12")]
     assert sorted(akg.pruned_supports) == [
@@ -187,7 +195,7 @@ def test_essay_supports_pruned(essay):
 def test_essay_mp_groups(essay):
     akg = essay["akg"]
     by_group = {}
-    for e in akg.edges_of_kind(G.MODUS_PONENS):
+    for e in edges_of(akg, G.MODUS_PONENS):
         by_group.setdefault(e.mp_group, []).append((e.source, e.target))
     assert by_group == {
         0: [("A1", "A3"), ("A2", "A3")],
@@ -199,18 +207,18 @@ def test_essay_mp_groups(essay):
 
 def test_essay_node_boxes(essay):
     akg = essay["akg"]
-    assert akg.node("A2").attributes.render() == '{A2, D, "therefore", {A10, A15}, {A5}}'
-    assert akg.node("A5").attributes.render() == '{A5, D, "thus", {A2, A10, A15}, φ}'
-    assert akg.node("A13").attributes.render() == "{A13, N, Claim}"
-    assert akg.node("A18").attributes.render() == "{A18, N, MajorClaim}"
-    assert akg.node("A1").attributes.render() == "{A1, N, p}"
+    assert node_of(akg, "A2").attributes.render() == '{A2, D, "therefore", {A10, A15}, {A5}}'
+    assert node_of(akg, "A5").attributes.render() == '{A5, D, "thus", {A2, A10, A15}, φ}'
+    assert node_of(akg, "A13").attributes.render() == "{A13, N, Claim}"
+    assert node_of(akg, "A18").attributes.render() == "{A18, N, MajorClaim}"
+    assert node_of(akg, "A1").attributes.render() == "{A1, N, p}"
 
 
 def test_essay_node_text(essay):
     akg, kb = essay["akg"], essay["ekb"]
-    assert akg.node("A2").text == kb.rule_text("R1")
-    assert "⇒" in akg.node("A2").text
-    assert akg.node("A1").text == kb.formula(akg.node("A1").content).text
+    assert node_of(akg, "A2").text == kb.rule_text("R1")
+    assert "⇒" in node_of(akg, "A2").text
+    assert node_of(akg, "A1").text == kb.formula(node_of(akg, "A1").content).text
 
 
 def test_boxes_render_on_first_use(essay):
@@ -237,7 +245,7 @@ def test_edge_attribute_discipline(essay, pollock):
 def test_prune_noop_without_mp():
     akg = _akg_of(_stance_doc())
     assert akg.mp_applications == ()
-    assert akg.edges_of_kind(G.SUPPORT) == [G.AKGEdge("A2", "A1", G.SUPPORT)]
+    assert edges_of(akg, G.SUPPORT) == [G.AKGEdge("A2", "A1", G.SUPPORT)]
     assert akg.pruned_supports == ()
 
 
@@ -254,26 +262,16 @@ def test_content_merge_two_rules_same_consequent():
     assert mc_nodes[0].attributes.values[-1] == "MajorClaim"
     assert len(akg.nodes) == len(aset.arguments) - 1
     # both applications still produce edge groups into the shared node
-    groups = {e.mp_group for e in akg.edges_of_kind(G.MODUS_PONENS)}
+    groups = {e.mp_group for e in edges_of(akg, G.MODUS_PONENS)}
     assert groups == {0, 1}
-    targets = {e.target for e in akg.edges_of_kind(G.MODUS_PONENS)}
+    targets = {e.target for e in edges_of(akg, G.MODUS_PONENS)}
     assert targets == {mc_nodes[0].arg_id}
     assert sorted(akg.pruned_supports) == [("A1", "A5"), ("A3", "A5")]
 
 
 def test_pollock_undercut(pollock):
-    (edge,) = pollock["akg"].edges_of_kind(G.ATTACK)
+    (edge,) = edges_of(pollock["akg"], G.ATTACK)
     assert (edge.source, edge.target, edge.attack_type) == ("A3", "A2", "UC")
-
-
-def test_node_lookup_takes_first_of_duplicate_ids(essay):
-    akg = essay["akg"]
-    for n in akg.nodes:
-        assert akg.node(n.arg_id) is n
-    assert akg.node("A99") is None
-    first = akg.nodes[0]
-    dup = G.AKG((first, first._replace(text="other")), ())
-    assert dup.node(first.arg_id) is first
 
 
 # ---------------------------------------------------------------- reference build
@@ -398,7 +396,7 @@ def test_major_claim_tag_only_on_the_major_claims_node(content):
         return
     mc = next(a.arg_id for a in aset.arguments if a.content == kb.major_claim)
     # a major claim derived and feeding a rule is a premise of no kind
-    want = [mc] if akg.node(mc).kind == G.CONCLUSION else []
+    want = [mc] if node_of(akg, mc).kind == G.CONCLUSION else []
     assert _major_claim_tags(akg) == want
 
 

@@ -39,7 +39,7 @@ def test_chain_derivation(chain_kb):
     assert kinds == {"A1": "P", "A2": "IRP", "A3": "P", "A4": "IRP", "A5": "C"}
 
     a3 = aset.argument("A3")     # intermediate conclusion, kept as premise
-    assert a3.derived and a3.top_rule == "R1"
+    assert a3.top_rule == "R1"
     assert a3.premises == frozenset({"T1"})
     assert a3.conclusion == "T2"
     assert a3.subargs == ("A1", "A2", "A3")
@@ -94,11 +94,11 @@ def doc_of(txt, spans, relations):
 def assert_structure_closed(aset):
     """Each derived argument's Sub is closed under Sub, and its Prem is the
     union of the premises of the atomic non-rule arguments in its Sub."""
-    for arg in (a for a in aset.arguments if a.derived):
+    for arg in (a for a in aset.arguments if a.top_rule is not None):
         subs = [aset.argument(s) for s in arg.subargs]
         for sub in subs:
             assert set(sub.subargs) <= set(arg.subargs), (arg.arg_id, sub.arg_id)
-        atomic = [s.premises for s in subs if not s.derived and s.kind != A.IRP]
+        atomic = [s.premises for s in subs if s.top_rule is None and s.kind != A.IRP]
         assert arg.premises == frozenset().union(*atomic), arg.arg_id
 
 
@@ -141,7 +141,7 @@ def test_rule_cycle_fires_in_document_order():
             for m in aset.mp_applications] == [("A1", ("A4",), "A2"),
                                                ("A3", ("A2",), "A5")]
     a4, a5 = aset.argument("A4"), aset.argument("A5")
-    assert not a4.derived and a4.subargs == ("A4",)
+    assert a4.top_rule is None and a4.subargs == ("A4",)
     assert a5.top_rule == "R2" and a5.content == a4.content
     assert a5.subargs == ("A4", "A1", "A2", "A3", "A5")
     # every Sub names each argument once and ends with the argument itself
@@ -180,7 +180,7 @@ def test_two_rules_same_consequent():
     assert [a.arg_id for a in both] == ["A5", "A6"]
     first, second = both
     assert first.top_rule == "R1" and second.top_rule == "R2"
-    assert first.derived and second.derived
+    assert first.top_rule is not None and second.top_rule is not None
     assert len(aset.mp_applications) == 2
 
 
@@ -215,7 +215,7 @@ def assert_one_step_each(kb, aset):
     for app in aset.mp_applications:
         assert aset.argument(app.result_arg) == reference_step(kb, aset, app), app
     assert sorted(app.result_arg for app in aset.mp_applications) == \
-        sorted(a.arg_id for a in aset.arguments if a.derived)
+        sorted(a.arg_id for a in aset.arguments if a.top_rule is not None)
 
 
 def test_each_application_is_one_step(essay, pollock, chain_kb):
@@ -251,7 +251,7 @@ def test_firing_pass_gives_the_derivation_ids(tmp_path_factory, content, implici
     first = {}
     for a in aset.arguments:
         first.setdefault(a.content, a)
-        if a.derived and not first[a.content].derived:
+        if a.top_rule is not None and first[a.content].top_rule is None:
             assert first[a.content].arg_id in took
 
 
@@ -285,7 +285,7 @@ def test_no_rules_all_atomic():
     ]) + "\n"
     kb, _ = kb_from(txt, ann)
     aset = A.derive_argument_set(kb)
-    assert all(not a.derived for a in aset.arguments)
+    assert all(a.top_rule is None for a in aset.arguments)
     assert aset.mp_applications == ()
     assert all(a.premises == frozenset({a.content}) for a in aset.arguments)
 

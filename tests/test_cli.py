@@ -141,6 +141,18 @@ def test_missing_ann_exit_1(capsys):
     assert "PipelineError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb", ["run", "ingest"])
+def test_ann_with_json_input_is_refused(tmp_path, capsys, verb):
+    # the JSON document holds its annotations, so --ann would be ignored
+    argv = POLLOCK_JSON + ["--ann", str(DATA / "pollock.ann"), "--out", str(tmp_path)]
+    assert run([verb] + argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["akgraph.cli.PipelineError: --ann applies to a text "
+                                "input, not to the JSON document %s" % POLLOCK_JSON[1]]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_missing_input_exit_1(capsys):
     assert run(["ingest", "--input", "/nonexistent/file.txt"]) == 1
     assert capsys.readouterr().err
@@ -537,8 +549,7 @@ def test_records_are_frozen(essay):
                 setattr(rec, name, None)
     # only the containers that cache an index or a rendering carry a __dict__
     assert {type(rec).__name__ for rec in records if hasattr(rec, "__dict__")} == {
-        "AnnotatedDocument", "MarkerLexicon", "EKB", "AttributeBox", "KBGraph",
-        "ArgumentSet", "AKG"}
+        "AnnotatedDocument", "MarkerLexicon", "EKB", "AttributeBox", "ArgumentSet"}
     assert len({type(rec) for rec in records}) == 27
 
 
@@ -549,7 +560,6 @@ CONTAINERS = {
     "EKB.rules": (lambda a: a["ekb"], "rules", "_rule_index"),
     "AttributeBox": (lambda a: a["kb_graph"].nodes[0].attributes, "values", "rendered"),
     "ArgumentSet": (lambda a: a["aset"], "arguments", "_index"),
-    "AKG": (lambda a: a["akg"], "nodes", "_index"),
     "MarkerLexicon": (lambda a: markers.load_lexicon(), "entries", "match_tables"),
 }
 

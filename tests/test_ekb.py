@@ -84,7 +84,7 @@ def test_kind_override(small):
     kb = E.build_ekb(doc, ims, kind_overrides={"T1": E.AXIOM, "T3": E.ASSUMPTION})
     assert kb.formula("T1").premise_kind == E.AXIOM
     assert kb.formula("T3").premise_kind == E.ASSUMPTION
-    assert [f.formula_id for f in kb.K_part(E.AXIOM)] == ["T1"]
+    assert [f.formula_id for f in kb.K if f.premise_kind == E.AXIOM] == ["T1"]
 
 
 def test_kind_override_ignored_for_claims(caplog):
@@ -420,7 +420,7 @@ def test_validate_ekb_clean(essay):
 
 def test_k_partition_disjoint(essay):
     kb = essay["ekb"]
-    parts = [kb.K_part(k) for k in E.PREMISE_KINDS]
+    parts = [[f for f in kb.K if f.premise_kind == k] for k in E.PREMISE_KINDS]
     ids = [f.formula_id for part in parts for f in part]
     assert len(ids) == len(set(ids))
     assert sorted(ids) == sorted(f.formula_id for f in kb.K)

@@ -148,14 +148,23 @@ _DOT_TEXT = st.lists(st.sampled_from(['"', "\\", "\n", "⇒", "φ", " ", "a", "T
 _DOT_ID = st.sampled_from(["A1", "A2", "A10", "T3", "R1"]) | _DOT_TEXT
 _MARKER = st.none() | _DOT_TEXT.map('"{}"'.format)
 _LSET = st.none() | st.frozensets(_DOT_ID, max_size=3)
+
+
+# lists of graph nodes or arguments, which hold their id first, in natural id
+# order: the builders emit that order and the exporters keep it
+def _natural(records, max_size):
+    return st.lists(records, max_size=max_size).map(
+        lambda rs: sorted(rs, key=lambda r: natural_key(r[0])))
+
+
 _DOT_BOX = st.builds(AttributeBox, st.one_of(
     st.tuples(_MARKER, st.sampled_from("npa")),
     st.tuples(_DOT_ID, st.sampled_from("SD"), _MARKER, _LSET, _LSET),
     st.tuples(_DOT_ID, _MARKER, st.sampled_from(["Claim", "MajorClaim"]))))
 _KB_GRAPH = st.builds(
     lambda nodes, edges: KBGraph(tuple(nodes), tuple(edges), None),
-    st.lists(st.builds(KBNode, _DOT_ID, st.sampled_from(["Premise", "InferenceRulePremise"]),
-                       _DOT_TEXT, _DOT_BOX), max_size=5),
+    _natural(st.builds(KBNode, _DOT_ID, st.sampled_from(["Premise", "InferenceRulePremise"]),
+                       _DOT_TEXT, _DOT_BOX), 5),
     st.lists(st.builds(KBEdge, _DOT_ID, _DOT_ID, st.sampled_from(["Agreement", "Contrary"])),
              max_size=5))
 _AKG_DOT_EDGE = st.one_of(
@@ -167,8 +176,8 @@ _AKG_DOT_EDGE = st.one_of(
               mp_group=st.integers(0, 20)))
 _AKG = st.builds(
     lambda nodes, edges: AKG(tuple(nodes), tuple(edges)),
-    st.lists(st.builds(AKGNode, _DOT_ID, st.sampled_from(list(_REF_SHAPE)), _DOT_BOX,
-                       content=_DOT_TEXT, text=st.none() | _DOT_TEXT), max_size=5),
+    _natural(st.builds(AKGNode, _DOT_ID, st.sampled_from(list(_REF_SHAPE)), _DOT_BOX,
+                       content=_DOT_TEXT, text=st.none() | _DOT_TEXT), 5),
     st.lists(_AKG_DOT_EDGE, max_size=6))
 
 
@@ -374,7 +383,7 @@ _AKG_EDGE = st.builds(
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(_AKG_NODE, max_size=4), st.lists(_AKG_EDGE, max_size=8),
+@given(_natural(_AKG_NODE, 4), st.lists(_AKG_EDGE, max_size=8),
        st.lists(st.tuples(_ID, _ID), max_size=3))
 def test_json_akg_rows_match_json_dumps(nodes, edges, pruned):
     akg = AKG(tuple(nodes), tuple(edges), (), tuple(pruned))
@@ -392,11 +401,31 @@ _APP = st.builds(MPApplication, _ID, st.lists(_ID, max_size=3).map(tuple), _ID)
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(_ARGUMENT, max_size=4), st.lists(_APP, max_size=2))
+@given(_natural(_ARGUMENT, 4), st.lists(_APP, max_size=2))
 def test_json_args_rows_match_json_dumps(arguments, apps):
     aset = ArgumentSet(tuple(arguments), tuple(apps))
     assert X.export_json_args(aset) == \
         json.dumps(_args_dict(aset), indent=2, ensure_ascii=False) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(canonical_docs())
+def test_builders_emit_natural_order(tmp_path_factory, content):
+    # the exports write nodes, arguments and KB edges in the order the
+    # builders give them, with and without implicit markers
+    path = tmp_path_factory.getbasetemp() / "order-fuzz.json"
+    path.write_text(content, encoding="utf-8")
+    for implicit in (False, True):
+        art = run_pipeline(PipelineConfig(input_path=str(path),
+                                          implicit_ims=implicit)).artifacts
+        kbg = art["kb_graph"]
+        for ids in ([n.node_id for n in kbg.nodes],
+                    [a.arg_id for a in art["aset"].arguments],
+                    [n.arg_id for n in art["akg"].nodes]):
+            assert ids == sorted(ids, key=natural_key)
+        edges = [(e.kind, natural_key(e.source), natural_key(e.target))
+                 for e in kbg.edges]
+        assert edges == sorted(edges)
 
 
 # ---------------------------------------------------------------- apx

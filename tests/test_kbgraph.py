@@ -26,7 +26,7 @@ def test_attribute_box_render_is_positional():
 def test_kb_graph_counts(essay):
     kb, kbg = essay["ekb"], essay["kb_graph"]
     assert len(kbg.nodes) == len(kb.K) + len(kb.rules)   # 11 + 4
-    assert [n.node_id for n in kbg.nodes] == list(kb.kb_members)
+    assert [n.node_id for n in kbg.nodes] == sorted(kb.kb_members, key=KG.natural_key)
     kinds = {n.node_id: n.kind for n in kbg.nodes}
     assert kinds["R1"] == KG.RULE_PREMISE
     assert kinds["T3"] == KG.PREMISE
