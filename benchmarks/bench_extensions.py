@@ -4,8 +4,9 @@ Prints a ladder over single weakly connected frameworks of growing size, so
 decomposition into pieces does nothing and only the searches inside one
 piece are timed.  For each size it reports the median time of
 naive_extensions, preferred_extensions and semantics_report over a batch of
-frameworks, the family sizes, and, up to ORACLE_CAP arguments, the time of
-the 2^n subset-table oracle and whether its families agree.
+frameworks, the family sizes, and, up to the oracle's MAX_ARGS arguments,
+the time of the benchmark's 2^n subset-table oracle (perfbench/oracle.py,
+which needs numpy) and whether its families agree.
 
 Sizes above DEFAULT_CAP run with the cap raised to the size, to show what
 the cap guards: a family larger than MAX_EXTENSIONS is refused with
@@ -26,9 +27,11 @@ Usage: python3 benchmarks/bench_extensions.py [--sizes 12,16,20,24,32,64,96]
 """
 
 import argparse
+import importlib.util
 import random
 import statistics
 import time
+from pathlib import Path
 
 from akgraph import semantics as sem
 
@@ -106,6 +109,20 @@ def median_ms(fn, batch, repeats, cap):
     return statistics.median(times), out
 
 
+def load_oracle():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("perfbench_oracle", path)
+    oracle = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracle)
+    return oracle
+
+
+def masks(f, extensions):
+    """Each extension as a bit set over the positions of f.args, sorted."""
+    index = {a: i for i, a in enumerate(f.args)}
+    return sorted(sum(1 << index[a] for a in e.members) for e in extensions)
+
+
 def count(families):
     return "over" if None in families else str(sum(map(len, families)))
 
@@ -123,6 +140,7 @@ def main():
     ap.add_argument("--large", type=int, default=5000,
                     help="arguments of the large-document row (0: no such row)")
     args = ap.parse_args()
+    oracle = load_oracle()
 
     rng = random.Random(args.seed)
     rows = [("connected", max(n, sem.DEFAULT_CAP),
@@ -149,12 +167,14 @@ def main():
         t_report, _ = median_ms(sem.semantics_report, batch, args.repeats, cap)
         row = "%-11s  %5d  %10.2f  %10.2f  %10.2f  %7s  %7s" % (
             kind, n, t_naive, t_pref, t_report, count(naive), count(pref))
-        if n <= sem.ORACLE_CAP:
+        if n <= oracle.MAX_ARGS:
             t0 = time.perf_counter()
-            oracle = [(sem.oracle_extensions(f, sem.NAIVE),
-                       sem.oracle_extensions(f, sem.PREFERRED)) for f in batch]
+            want = [oracle.families(len(f.args), [(f.args.index(a), f.args.index(b))
+                                                  for a, b in f.atts]) for f in batch]
             t_oracle = (time.perf_counter() - t0) * 1e3
-            agree = oracle == list(zip(naive, pref))
+            agree = all(sorted(w["naive"]) == masks(f, ns) and
+                        sorted(w["preferred"]) == masks(f, ps)
+                        for w, f, ns, ps in zip(want, batch, naive, pref))
             row += "  %10.2f  %5s" % (t_oracle, "yes" if agree else "NO")
         else:
             row += "  %10s  %5s" % ("-", "-")

@@ -34,7 +34,6 @@ from .semantics import (
     is_admissible,
     is_conflict_free,
     naive_extensions,
-    oracle_extensions,
     preferred_extensions,
     project_af,
     semantics_report,
@@ -56,8 +55,8 @@ __all__ = [
     "IMMatch", "MarkerLexicon", "detect_ims", "load_lexicon",
     "resolve_implicit_ims",
     "AFProjection", "Extension", "is_acceptable", "is_admissible",
-    "is_conflict_free", "naive_extensions", "oracle_extensions",
-    "preferred_extensions", "project_af", "semantics_report", "set_attacks",
+    "is_conflict_free", "naive_extensions", "preferred_extensions",
+    "project_af", "semantics_report", "set_attacks",
     "Trace",
     "__version__",
 ]

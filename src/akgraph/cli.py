@@ -212,18 +212,23 @@ def write_formats(config, report):
     return report._replace(written=tuple(filter(None, written)))
 
 
+def _items(chunk):
+    """The items of a comma-separated option value, each stripped of the
+    spaces around it; empty items are skipped."""
+    return [p for p in map(str.strip, chunk.split(",")) if p]
+
+
 def _config_from(ns):
-    formats = []
-    for chunk in ns.format or []:
-        formats.extend(p for p in chunk.split(",") if p)
+    formats = [f for chunk in ns.format or [] for f in _items(chunk)]
     bad = [f for f in formats if f not in FORMATS]
     if bad:
         raise PipelineError("unknown format(s): %s (choose from %s)"
                             % (", ".join(bad), ", ".join(FORMATS)))
     if ns.cap < 0:
         raise PipelineError("--cap must be 0 or more, not %d" % ns.cap)
-    check_sets = tuple(tuple(dict.fromkeys(p for p in chunk.split(",") if p))
-                       for chunk in (ns.check_set or []))
+    check_sets = tuple(tuple(dict.fromkeys(_items(chunk))) for chunk in ns.check_set or [])
+    if () in check_sets:
+        raise PipelineError("--check-set needs at least one argument id")
     return PipelineConfig(
         input_path=ns.input,
         ann_path=ns.ann,

@@ -55,15 +55,6 @@ class MarkerLexicon(namedtuple("MarkerLexicon", "entries")):
     def surfaces(self, indicator=None):
         return [s for s, i in self.entries if indicator is None or i == indicator]
 
-    def __len__(self):
-        return len(self.entries)
-
-    # namedtuple's _make, behind _replace, checks its field count with len(),
-    # which counts entries here
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
-
     @cached_property
     def match_tables(self):
         """indicator -> its surfaces compiled for _match_at."""

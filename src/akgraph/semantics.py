@@ -27,10 +27,9 @@ with its free arguments as natural-order bitmasks, sorted and decoded to
 lists once each; a block that is one piece filling its slice takes that
 piece's masks as they are, with no OR product.  An extension of the
 framework is one list of every block, concatenated, and the blocks are
-joined halves first, so that each list of the result is copied once.  A
-raw 2^n oracle (vectorized, independently coded) serves as the reference
-implementation for cross-checking.  Natural order is ingest.natural_key's,
-a total order, so no hash seed moves a position or an extension.
+joined halves first, so that each list of the result is copied once.
+Natural order is ingest.natural_key's, a total order, so no hash seed moves
+a position or an extension.
 """
 
 import math
@@ -42,7 +41,6 @@ from .ingest import natural_key
 
 DEFAULT_CAP = 64           # largest weakly connected attack piece enumerated
 MAX_EXTENSIONS = 1 << 16   # largest extension family materialised
-ORACLE_CAP = 20
 _SELECTOR = bytes.maketrans(b"01", b"\0\1")   # binary digits as compress selectors
 
 NAIVE = "Naive"
@@ -449,38 +447,6 @@ def naive_extensions(af, cap=DEFAULT_CAP):
 def preferred_extensions(af, cap=DEFAULT_CAP):
     """All inclusion-maximal admissible sets."""
     return _enumerate(af, PREFERRED, cap)
-
-
-def oracle_extensions(af, which):
-    """Reference enumeration: raw 2^n subset tables, vectorized.
-
-    Independent of the pruned searches behind naive_extensions and
-    preferred_extensions; limited to 20 arguments.
-    """
-    import numpy as np
-
-    from . import _kernels
-
-    n = len(af.args)
-    if n > ORACLE_CAP:
-        raise TooLarge("oracle handles at most %d arguments" % ORACLE_CAP)
-    order = list(af.args)
-    index = {a: i for i, a in enumerate(order)}
-    src = [index[a] for a, b in af.atts]
-    dst = [index[b] for a, b in af.atts]
-    if which == NAIVE:
-        flags = _kernels.conflict_free_flags(n, src, dst)
-    elif which == PREFERRED:
-        flags = _kernels.admissible_flags(n, src, dst)
-    else:
-        raise SemanticsError("unknown semantics %r" % which)
-    keep = _kernels.maximal_flags(flags, n)
-    exts = []
-    for s in np.nonzero(keep)[0]:
-        members = frozenset(order[i] for i in range(n) if s >> i & 1)
-        exts.append(Extension(members))
-    exts.sort(key=lambda e: [natural_key(x) for x in e.sorted_members])
-    return tuple(exts)
 
 
 def semantics_report(af, cap=DEFAULT_CAP, check_sets=()):

@@ -7,17 +7,40 @@ from hypothesis import strategies as st
 from pathlib import Path
 
 from akgraph.cli import PipelineConfig, run_pipeline
+from akgraph.ingest import natural_key
 
 DATA = Path(__file__).parent / "data"
 
 
+def _perfbench(name):
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_" + name, DATA.parents[1] / "perfbench" / (name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def perfbench_inputs():
     """The benchmark's input builder, which imports nothing from akgraph."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_inputs", DATA.parents[1] / "perfbench" / "inputs.py")
-    inputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(inputs)
-    return inputs
+    return _perfbench("inputs")
+
+
+ORACLE = _perfbench("oracle")   # the benchmark's exhaustive 2^n reference
+
+
+def oracle_families(af):
+    """The naive and preferred families of af, at most ORACLE.MAX_ARGS
+    arguments, from the benchmark's subset-table oracle, which shares no code
+    with akgraph: each a list of frozensets of argument ids in report order,
+    that of their members' natural keys, members in natural order."""
+    index = {a: i for i, a in enumerate(af.args)}
+    found = ORACLE.families(len(af.args), [(index[a], index[b]) for a, b in af.atts])
+
+    def decode(masks):
+        sets = [frozenset(a for a, i in index.items() if m >> i & 1) for m in masks]
+        return sorted(sets, key=lambda s: sorted(map(natural_key, s)))
+
+    return decode(found["naive"]), decode(found["preferred"])
 
 
 @pytest.fixture(scope="session")

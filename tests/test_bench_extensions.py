@@ -7,8 +7,9 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_bench_extensions_runs_and_agrees_with_oracle():
-    # tiny sizes: two ladder rows under ORACLE_CAP, one row over DEFAULT_CAP,
-    # the two pieces rows and a small large-document row
+    # tiny sizes: two ladder rows within the MAX_ARGS of perfbench/oracle.py,
+    # one row over DEFAULT_CAP, the two pieces rows and a small large-document
+    # row
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
         [sys.executable, str(ROOT / "benchmarks" / "bench_extensions.py"),

@@ -1,3 +1,4 @@
+import ast
 import gc
 import importlib
 import json
@@ -313,6 +314,26 @@ def test_check_set_lists_each_member_once(capsys):
     assert [c["set"] for c in rep["checked_sets"]] == [["A1"], ["A1", "A3"]]
 
 
+def test_list_options_strip_spaces_around_items(tmp_path, capsys):
+    assert run(["semantics", "--check-set", " A1, A3 ,A4", "--check-set", "A2 ,A3,"]
+               + POLLOCK_JSON) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert [c["set"] for c in rep["checked_sets"]] == [["A1", "A3", "A4"], ["A2", "A3"]]
+    assert run(["export", "--format", "apx, json-args", "--out", str(tmp_path)]
+               + POLLOCK_JSON) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pollock.apx", "pollock.args.json"]
+
+
+@pytest.mark.parametrize("value", ["", " ", ", ,"])
+def test_empty_check_set_refused(capsys, value):
+    assert run(["semantics", "--check-set", "A1", "--check-set", value]
+               + POLLOCK_JSON) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("akgraph.cli.PipelineError: --check-set needs at least one "
+                   "argument id\n")
+
+
 def test_prefs_with_implicit_ims(tmp_path, capsys):
     # the preference file names explicit rules by the argument ids they get
     # without implicit rules, whether or not the flag adds some
@@ -576,9 +597,26 @@ def test_replace_keeps_type_and_rebuilds_cache(essay, container, field, cached):
     assert getattr(rec, cached) is before
 
 
+def test_no_module_imports_numpy():
+    # numpy serves only the tests' and benchmarks' oracle, perfbench/oracle.py
+    found = []
+    for path in sorted(Path(akgraph.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [(path.name, name) for name in names
+                      if name.split(".")[0] == "numpy"]
+    assert found == []
+
+
 def test_cli_import_skips_numpy(tmp_path):
-    # numpy serves only the oracle; dataclasses (and the inspect module it
-    # imports) would cost start-up time on every run
+    # no akgraph module imports numpy (above), nor may an import it makes;
+    # dataclasses (and the inspect module it imports) would cost start-up
+    # time on every run
     code = ("import sys, akgraph.cli; "
             "print([m for m in ('numpy', 'dataclasses', 'inspect') if m in sys.modules])")
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))

@@ -59,7 +59,7 @@ def test_backward_causal_example():
 
 def test_default_lexicon_is_table():
     lex = markers.load_lexicon()
-    assert len(lex) == 28
+    assert len(lex.entries) == 28
     assert len(lex.surfaces(markers.PREMISE_INDICATOR)) == 12
     assert len(lex.surfaces(markers.CLAIM_INDICATOR)) == 16
     assert "may be inferred" in lex.surfaces(markers.PREMISE_INDICATOR)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from akgraph import semantics as sem
 
-from conftest import perfbench_inputs
+from conftest import oracle_families, perfbench_inputs
 
 
 def af(n, atts):
@@ -302,17 +302,6 @@ def test_naive_star_settled_at_once():
     assert exts == (sem.Extension(frozenset({"a0"})), sem.Extension(frozenset(leaves)))
 
 
-def test_oracle_cap():
-    f = af(sem.ORACLE_CAP + 1, [])
-    with pytest.raises(sem.TooLarge):
-        sem.oracle_extensions(f, sem.NAIVE)
-
-
-def test_oracle_rejects_unknown_label():
-    with pytest.raises(sem.SemanticsError):
-        sem.oracle_extensions(af(1, []), "Stable")
-
-
 def test_extension_ordering_deterministic():
     f = af(11, [(1, 2), (2, 1), (10, 11), (11, 10)])
     exts = sem.naive_extensions(f)
@@ -367,9 +356,9 @@ def test_main_path_matches_brute_force(f):
 @settings(max_examples=80, deadline=None)
 @given(random_af())
 def test_oracle_matches_main_path(f):
-    for which, main in ((sem.NAIVE, sem.naive_extensions),
-                        (sem.PREFERRED, sem.preferred_extensions)):
-        assert members(sem.oracle_extensions(f, which)) == members(main(f))
+    for main, want in zip((sem.naive_extensions, sem.preferred_extensions),
+                          oracle_families(f)):
+        assert want == members(main(f))
 
 
 def connected_af(rng, n):
@@ -392,9 +381,9 @@ def test_pruned_search_matches_oracle_on_connected_frameworks():
     for n in range(13, 21):
         for _ in range(2):
             f = connected_af(rng, n)
-            for which, main in ((sem.NAIVE, sem.naive_extensions),
-                                (sem.PREFERRED, sem.preferred_extensions)):
-                assert members(main(f)) == members(sem.oracle_extensions(f, which))
+            for main, want in zip((sem.naive_extensions, sem.preferred_extensions),
+                                  oracle_families(f)):
+                assert members(main(f)) == want
 
 
 def disjoint_union(f, g):
